@@ -58,7 +58,6 @@ from .walk import (
     WalkStream,
     estimate_pk,
     hoeffding_count,
-    lazify_returns,
     observer_stats,
     run_experiment,
     sample_first_returns,

@@ -28,7 +28,7 @@ import sys
 from . import exact as ex
 from . import gap as gp
 from . import graphs, treefun, walk
-from .errors import BatechoError, BudgetOverflow, SearchExhausted
+from .errors import BatechoError, BudgetOverflow, DomainError, SearchExhausted
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,7 +50,7 @@ def parse_family(spec: str) -> graphs.RootedGraph:
             return graphs.build_family(name, int(size))
         if name == "gab":
             a, b = args
-            return graphs.build_gab(int(a), int(b))
+            return graphs.build_gab(int(a), int(b)).graph
         if name == "leafy":
             h, d, mode = args
             return graphs.build_leafy(int(h), int(d), mode=mode)
@@ -63,8 +63,12 @@ def load_graph(opts) -> graphs.RootedGraph:
     if opts.get("graph") and opts.get("family"):
         raise BatechoError("give either --graph or --family, not both")
     if opts.get("graph"):
-        with open(opts["graph"]) as fh:
-            return graphs.from_text(fh.read())
+        try:
+            with open(opts["graph"]) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise BatechoError(f"cannot read graph {opts['graph']}: {exc}") from exc
+        return graphs.from_text(text)
     if opts.get("family"):
         return parse_family(opts["family"])
     raise BatechoError("a graph is required: pass --graph FILE or --family SPEC")
@@ -112,13 +116,11 @@ def emit(payload: dict, opts) -> None:
 
 def cmd_exact(opts) -> int:
     g = load_graph(opts)
-    if g.n > ex.MAX_EXACT_N:
-        raise BatechoError(f"exact engine is limited to n <= {ex.MAX_EXACT_N}")
     k_max = opts.get("k_max", 20)
     table = ex.lazy_series(g, k_max)
     fgen = ex.return_gen_fun(g)
     spec = ex.spectrum(g)
-    hit = ex.hitting_from_stationary(g)
+    hit = ex.hitting_from_stationary(g, fgen)
     payload = {
         "graph": g.to_json(),
         "series": table.to_json(),
@@ -193,14 +195,19 @@ def cmd_mixing_gap(opts) -> int:
     return EXIT_OK
 
 
+def _sample_count(opts, default: int) -> int:
+    m = opts.get("m", default)
+    if m < 1:
+        raise DomainError(f"--m must be at least 1, got {m}")
+    return m
+
+
 def cmd_observe(opts) -> int:
     g = load_graph(opts)
-    m = opts.get("m", 10000)
+    m = _sample_count(opts, 10000)
     lazy = bool(opts.get("lazy", False))
     gaps = walk.sample_first_returns(g, m, opts.get("seed", 0), lazy=lazy)
-    mean = float(gaps.mean())
-    mean_sq = float((gaps.astype(float) ** 2).mean())
-    all_even = bool((gaps % 2 == 0).all())
+    mean, mean_sq, all_even = walk.observer_stats(gaps)
     d_r = g.root_degree
     payload = {
         "samples": m,
@@ -220,7 +227,7 @@ def cmd_observe(opts) -> int:
 
 def cmd_simulate(opts) -> int:
     g = load_graph(opts)
-    m = opts.get("m", 100)
+    m = _sample_count(opts, 100)
     rt = walk.ReturnTimes.from_walk(g, opts.get("seed", 0),
                                     lazy=bool(opts.get("lazy", False)))
     times = [next(rt) for _ in range(m)]
@@ -325,15 +332,6 @@ def resolve_options(args: argparse.Namespace) -> dict:
 
 
 def main(argv=None) -> int:
-    threads = os.environ.get("BATECHO_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print(f"batecho: BATECHO_THREADS must be a positive integer, "
-                  f"got {threads!r}", file=sys.stderr)
-            return EXIT_CONFIG
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

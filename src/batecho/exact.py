@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
+    DomainError,
     MomentMismatch,
     NonIntegerResult,
     RootFindingFailure,
@@ -90,9 +91,9 @@ class GenFun(RatFun):
 
 def _check_scale(g: RootedGraph, k_max: int):
     if g.n > MAX_EXACT_N:
-        raise ValueError(f"exact mode capped at n <= {MAX_EXACT_N}, got {g.n}")
+        raise DomainError(f"exact mode capped at n <= {MAX_EXACT_N}, got {g.n}")
     if k_max > MAX_EXACT_K:
-        raise ValueError(f"exact mode capped at k_max <= {MAX_EXACT_K}, got {k_max}")
+        raise DomainError(f"exact mode capped at k_max <= {MAX_EXACT_K}, got {k_max}")
 
 
 def transition_series(g: RootedGraph, k_max: int) -> SeriesTable:
@@ -115,26 +116,9 @@ def transition_series(g: RootedGraph, k_max: int) -> SeriesTable:
     return SeriesTable(n=g.n, k_max=k_max, p=p)
 
 
-def lazy_series(source, k_max: int) -> SeriesTable:
-    """Lazy-chain return probabilities via the exact binomial mixture
-    P'_k = 2^-k sum_j C(k,j) P_j, plus q_k = P'_k - 1/n.  `source` is a
-    graph or a non-lazy SeriesTable carrying p up to k_max."""
-    table = source if isinstance(source, SeriesTable) else transition_series(source, k_max)
-    if table.p is None or table.k_max < k_max:
-        raise ValueError("input table must carry p up to k_max")
-    one_over_n = Fraction(1, table.n)
-    p_lazy, q = [], []
-    for k in range(k_max + 1):
-        acc = sum(math.comb(k, j) * table.p[j] for j in range(k + 1))
-        pk = acc / 2**k
-        p_lazy.append(pk)
-        q.append(pk - one_over_n)
-    return SeriesTable(n=table.n, k_max=k_max, p=p_lazy, q=q, lazy=True)
-
-
-def lazy_series_direct(g: RootedGraph, k_max: int) -> SeriesTable:
-    """Lazy series by iterating (I+M)/2 directly; independent route used
-    to cross-check the binomial mixture."""
+def lazy_series(g: RootedGraph, k_max: int) -> SeriesTable:
+    """Lazy-chain return probabilities P'_k by iterating (I+M)/2 on the
+    root indicator, plus q_k = P'_k - 1/n."""
     _check_scale(g, k_max)
     v = [Fraction(0)] * g.n
     v[g.root] = Fraction(1)
@@ -159,39 +143,6 @@ def lazy_series_direct(g: RootedGraph, k_max: int) -> SeriesTable:
 # spectrum
 
 
-def _jacobi_eigh(a: np.ndarray, tol: float = 1e-12, cap_factor: int = 100):
-    """Cyclic Jacobi rotations on a symmetric matrix.  Returns
-    (eigenvalues, eigenvector columns)."""
-    n = a.shape[0]
-    a = a.copy()
-    v = np.eye(n)
-    max_rot = cap_factor * n * n
-    rotations = 0
-    while True:
-        off = math.sqrt(np.sum(np.tril(a, -1) ** 2) * 2)
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < tol / (n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1 + t * t)
-                s = t * c
-                rot = np.array([[c, -s], [s, c]])
-                a[[p, q], :] = rot @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot.T
-                v[:, [p, q]] = v[:, [p, q]] @ rot.T
-                rotations += 1
-                if rotations > max_rot:
-                    raise ConvergenceFailure(
-                        f"Jacobi iteration cap {max_rot} exceeded"
-                    )
-    return np.diag(a).copy(), v
-
-
 def spectrum(g: RootedGraph, cluster_tol: float = 1e-8,
              weight_tol: float = 1e-7) -> Spectrum:
     """Eigen-decomposition of the symmetrized transition matrix
@@ -202,7 +153,10 @@ def spectrum(g: RootedGraph, cluster_tol: float = 1e-8,
     for u in range(n):
         for v in g.adjacency[u]:
             mat[u, v] = 1.0 / math.sqrt(degs[u] * degs[v])
-    vals, vecs = _jacobi_eigh(mat)
+    try:
+        vals, vecs = np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(-vals)
     vals = vals[order]
     weights = vecs[g.root, order] ** 2
@@ -324,7 +278,7 @@ def _solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]):
     return [m[i][n] for i in range(n)]
 
 
-def hitting_from_stationary(g: RootedGraph) -> HittingResult:
+def hitting_from_stationary(g: RootedGraph, f: RatFun) -> HittingResult:
     """Expected steps to hit the root from the stationary distribution,
     computed two independent ways and asserted equal:
 
@@ -332,7 +286,7 @@ def hitting_from_stationary(g: RootedGraph) -> HittingResult:
         under the stationary distribution;
     (ii) the moment identity E(T1^2) / (2 E(T1)) - 1/2, with the first
         two moments of the first-return time taken from exact derivatives
-        of the generating function at t=1.
+        of g's return generating function `f` at t=1.
     """
     n, r = g.n, g.root
     # (i) hitting-time system: m[r]=0, m[i] = 1 + sum_j M[i][j] m[j]
@@ -351,14 +305,20 @@ def hitting_from_stationary(g: RootedGraph) -> HittingResult:
     total_deg = sum(g.degree(i) for i in range(n))
     via_system = sum(Fraction(g.degree(i), total_deg) * m[i] for i in range(n))
 
-    # (ii) moments of T1 from g(t) = 1 - 1/f(t) = sum s_k t^k
-    f = return_gen_fun(g)
-    ratio = RatFun(f.den, f.num)           # 1/f
-    d1 = ratio.derivative()
-    d2 = d1.derivative()
+    # (ii) moments of T1 from g(t) = 1 - 1/f(t) = sum s_k t^k.  With
+    # 1/f = D/N, the quotient rule at t=1 gives (1/f)' and (1/f)''.
     one = Fraction(1)
-    mean_t1 = -d1.eval(one)
-    mean_t1_sq = -d2.eval(one) + mean_t1
+
+    def at_one(poly: IntPoly):
+        d = poly.derivative()
+        return poly.eval(one), d.eval(one), d.derivative().eval(one)
+
+    n0, n1, n2 = at_one(f.num)
+    d0, d1, d2 = at_one(f.den)
+    inv_d1 = (d1 * n0 - d0 * n1) / n0 ** 2
+    inv_d2 = (d2 * n0 - d0 * n2) / n0 ** 2 - 2 * n1 * inv_d1 / n0
+    mean_t1 = -inv_d1
+    mean_t1_sq = -inv_d2 + mean_t1
     via_moments = mean_t1_sq / (2 * mean_t1) - Fraction(1, 2)
 
     if via_moments != via_system:

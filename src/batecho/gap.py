@@ -17,12 +17,12 @@ endpoints are reported.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import DomainError, SearchExhausted
-from .exact import lazy_series
+from .exact import MAX_EXACT_K, lazy_series
 from .graphs import RootedGraph
 from .walk import batch_return_successes, child_seed, hoeffding_count, sample_first_returns
 
@@ -56,28 +56,14 @@ class GapEstimate:
     c: float
     eps: float
     delta: float
+    pk_rule: str
     total_experiments: int
     total_ticks: int
     trace: list = field(default_factory=list)
     flags: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "k_star": self.k_star,
-            "q_k": self.q_k,
-            "q_k_minus_1": self.q_k_minus_1,
-            "tau_hat": self.tau_hat,
-            "tau_lower": self.tau_lower,
-            "tau_upper": self.tau_upper,
-            "n_used": self.n_used,
-            "c": self.c,
-            "eps": self.eps,
-            "delta": self.delta,
-            "total_experiments": self.total_experiments,
-            "total_ticks": self.total_ticks,
-            "trace": list(self.trace),
-            "flags": list(self.flags),
-        }
+        return asdict(self)
 
 
 def search_budget(n: int, c: float) -> tuple[int, int]:
@@ -96,7 +82,7 @@ def per_eval_eta(n: int, c: float, eps: float, pk_rule: str) -> float:
         return eps / (8.0 * n ** c)
     if pk_rule == "desk":
         return eps / (8.0 * n ** (c / 2.0))
-    raise ValueError(f"unknown pk_rule {pk_rule!r}")
+    raise DomainError(f"unknown pk_rule {pk_rule!r}")
 
 
 def estimate_n(g: RootedGraph, seed, lazy: bool = True,
@@ -108,7 +94,7 @@ def estimate_n(g: RootedGraph, seed, lazy: bool = True,
     prev = None
     idx = 0
     while m <= max_samples:
-        gaps = sample_first_returns(g, m, child_seed_from(seed, 9000 + idx), lazy=lazy)
+        gaps = sample_first_returns(g, m, child_seed(seed, 9000 + idx), lazy=lazy)
         cur = int(round(float(np.mean(gaps))))
         if prev is not None and cur == prev:
             return cur
@@ -116,12 +102,6 @@ def estimate_n(g: RootedGraph, seed, lazy: bool = True,
         m *= 2
         idx += 1
     return prev
-
-
-def child_seed_from(seed, index: int) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(seed.entropy, spawn_key=(index,))
-    return child_seed(seed, index)
 
 
 def _evaluate_q(g: RootedGraph, k: int, n_experiments: int, seed,
@@ -141,6 +121,10 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     probability never drops below the 1/n^c threshold by the horizon K0,
     which signals a gap too small to resolve at this c.
     """
+    if c <= 0:
+        raise DomainError(f"c must be positive, got {c}")
+    if not (0 < eps < 1 and 0 < delta < 1):
+        raise DomainError(f"eps and delta must lie in (0, 1), got {eps}, {delta}")
     flags = []
     if n == "estimate":
         n_used = estimate_n(g, seed, lazy=lazy)
@@ -149,6 +133,8 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
         n_used = g.n
     else:
         n_used = int(n)
+    if n_used < 2:
+        raise DomainError(f"n must be at least 2, got {n_used}")
 
     k0, levels = search_budget(n_used, c)
     delta_eval = delta / levels
@@ -167,7 +153,7 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
         if k in cache and retry == 0:
             return cache[k]
         count = n_exp * (2 ** retry)
-        qv, succ = _evaluate_q(g, k, count, child_seed_from(seed, eval_index),
+        qv, succ = _evaluate_q(g, k, count, child_seed(seed, eval_index),
                                lazy, stride, n_used)
         eval_index += 1
         total_experiments += count
@@ -210,19 +196,21 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     return GapEstimate(k_star=hi, q_k=q_star, q_k_minus_1=q_prev,
                        tau_hat=tau_hat, tau_lower=tau_lower,
                        tau_upper=tau_upper, n_used=n_used, c=c, eps=eps,
-                       delta=delta, total_experiments=total_experiments,
+                       delta=delta, pk_rule=pk_rule,
+                       total_experiments=total_experiments,
                        total_ticks=total_ticks, trace=trace, flags=flags)
 
 
 def estimate_gap_exact(g: RootedGraph, c: float = 2.0) -> GapEstimate:
     """Noiseless twin of estimate_gap: scans the exact lazy return series
     for the first k with q_k <= 1/n^c.  Useful as an oracle for what the
-    statistical estimator converges to."""
+    statistical estimator converges to.  The scan stops at K0 or at the
+    exact engine's MAX_EXACT_K, whichever comes first."""
     n = g.n
     threshold = 1.0 / n ** c
     k0, _ = search_budget(n, c)
-    table = None
-    k_max = min(k0, 256)
+    horizon = min(k0, MAX_EXACT_K)
+    k_max = min(horizon, 256)
     while True:
         table = lazy_series(g, k_max)
         hit = None
@@ -232,9 +220,10 @@ def estimate_gap_exact(g: RootedGraph, c: float = 2.0) -> GapEstimate:
                 break
         if hit is not None:
             break
-        if k_max >= k0:
-            raise SearchExhausted(f"exact q_k above 1/n^c up to K0={k0}")
-        k_max = min(k0, k_max * 2)
+        if k_max >= horizon:
+            raise SearchExhausted(
+                f"exact q_k above 1/n^c up to k={horizon} (K0={k0})")
+        k_max = min(horizon, k_max * 2)
     q_star = float(table.q[hit])
     q_prev = float(table.q[hit - 1])
     tau_lower, tau_upper = gap_bounds(q_star, hit, n)
@@ -242,8 +231,8 @@ def estimate_gap_exact(g: RootedGraph, c: float = 2.0) -> GapEstimate:
     return GapEstimate(k_star=hit, q_k=q_star, q_k_minus_1=q_prev,
                        tau_hat=tau_hat, tau_lower=tau_lower,
                        tau_upper=tau_upper, n_used=n, c=c, eps=0.0,
-                       delta=0.0, total_experiments=0, total_ticks=0,
-                       trace=[], flags=["exact"])
+                       delta=0.0, pk_rule="exact", total_experiments=0,
+                       total_ticks=0, trace=[], flags=["exact"])
 
 
 def estimate_mixing_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
@@ -295,11 +284,6 @@ def estimate_hitting(gaps) -> float:
     return m2 / (2.0 * m1) - 0.5
 
 
-def estimate_hitting_sampled(g: RootedGraph, m: int, seed=0,
-                             lazy: bool = False) -> float:
-    return estimate_hitting(sample_first_returns(g, m, seed, lazy=lazy))
-
-
 def audit_budget(est: GapEstimate) -> dict:
     """Check the estimator's experiment count against the worst-case
     budget of the conservative accuracy rule: L evaluations, each sized by
@@ -333,8 +317,7 @@ def audit_error_chain(est: GapEstimate, exact_q=None) -> dict:
         "bound_order": 0.0 <= est.tau_lower <= est.tau_hat <= est.tau_upper,
     }
     if exact_q is not None and est.trace:
-        eta = per_eval_eta(est.n_used, est.c, est.eps,
-                           "desk" if est.eps else "paper")
+        eta = per_eval_eta(est.n_used, est.c, est.eps, est.pk_rule)
         worst = 0.0
         for entry in est.trace:
             err = abs(entry["q_hat"] - float(exact_q(entry["k"])))

@@ -248,10 +248,6 @@ class RatFun:
             raise DivisionByZero(f"pole at {x}")
         return self.num.eval(x) / d
 
-    def derivative(self) -> "RatFun":
-        return RatFun(self.num.derivative() * self.den - self.num * self.den.derivative(),
-                      self.den * self.den)
-
     def series(self, k_max: int) -> list[Fraction]:
         """Power-series coefficients around 0 up to degree k_max."""
         b0 = self.den.c[0] if self.den.c else 0
@@ -282,19 +278,6 @@ def _coerce(x) -> RatFun:
     if isinstance(x, Fraction):
         return RatFun(IntPoly([x.numerator]), IntPoly([x.denominator]))
     raise TypeError(f"cannot coerce {type(x)} to RatFun")
-
-
-def ratfun_arith(op: str, a: RatFun, b: RatFun) -> RatFun:
-    """Named-op entry point over the operator overloads."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def poly_det_bareiss(mat: list[list[IntPoly]]) -> IntPoly:

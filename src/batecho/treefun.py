@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NoThreeDivisorPairs, RootFindingFailure
+from .errors import DomainError, NoThreeDivisorPairs, RootFindingFailure
 from .exact import first_return_series, return_gen_fun
 from .graphs import TreeHandle, attach_new_root, build_gab, glue_at_roots
 from .ratfun import IntPoly, RatFun, find_dependency
@@ -63,7 +63,7 @@ def h_from_series(t: TreeHandle, k_max: int) -> list[Fraction]:
     """First k_max coefficients of h computed independently from the
     exact survival series, d(r) * sum_k z_{2k} x^k."""
     if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+        raise DomainError("k_max must be >= 1")
     f = return_gen_fun(t.graph)
     table = first_return_series(f, 2 * (k_max - 1) + 1)
     d = t.graph.root_degree

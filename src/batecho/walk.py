@@ -31,8 +31,12 @@ def _flat_adjacency(g: RootedGraph):
     return flat, offsets, degs
 
 
-def child_seed(master: int, index: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence(master, spawn_key=(index,))
+def child_seed(seed, index: int) -> np.random.SeedSequence:
+    """The `index`-th child of `seed` (an int or a SeedSequence).  Children
+    of distinct SeedSequence siblings stay distinct, because the parent's
+    spawn key is kept."""
+    return np.random.SeedSequence(getattr(seed, "entropy", seed),
+                                  spawn_key=(*getattr(seed, "spawn_key", ()), index))
 
 
 class WalkStream:
@@ -44,8 +48,7 @@ class WalkStream:
         self.lazy = lazy
         self.position = graph.root
         self.tick = 0
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        self._rng = np.random.default_rng(seq)
+        self._rng = np.random.default_rng(seed)
         self._buf = np.empty(0)
         self._i = 0
 
@@ -126,16 +129,14 @@ class SampledReturnTimes(ReturnTimes):
         super().__init__(iter(()), graph=graph)
         self._lazy = lazy
         self._chunk = chunk
-        seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        self._seq = seq
+        self._seed = seed
         self._spawned = 0
         self._gaps = np.empty(0, dtype=np.int64)
         self._i = 0
 
     def __next__(self) -> int:
         if self._i >= len(self._gaps):
-            child = np.random.SeedSequence(
-                self._seq.entropy, spawn_key=(self._spawned,))
+            child = child_seed(self._seed, self._spawned)
             self._spawned += 1
             self._gaps = sample_first_returns(self.graph, self._chunk,
                                               child, lazy=self._lazy)
@@ -144,36 +145,6 @@ class SampledReturnTimes(ReturnTimes):
         self._i += 1
         self.tick += gap
         return self.tick
-
-
-def lazify_returns(rt_bits, seed) -> ReturnTimes:
-    """Turn a non-lazy observer stream into the lazy chain's observer
-    stream: each original tick expands into a geometric(1/2) run of lazy
-    ticks during which the walker holds its position.
-
-    `rt_bits` is an iterator of at-root bits for ticks 1, 2, ... of the
-    non-lazy walk (e.g. WalkStream.bits()).
-    """
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seq)
-
-    def lazy_bits():
-        buf = rng.geometric(0.5, _BUF)
-        i = 0
-        # occupancy of the start position (the root): its extra lazy ticks
-        # beyond tick 0 are immediate returns
-        g0 = buf[i]; i += 1
-        for _ in range(g0 - 1):
-            yield True
-        for bit in rt_bits:
-            if i >= len(buf):
-                buf = rng.geometric(0.5, _BUF)
-                i = 0
-            g = buf[i]; i += 1
-            for _ in range(g):
-                yield bit
-
-    return ReturnTimes(lazy_bits())
 
 
 @dataclass
@@ -222,15 +193,15 @@ def estimate_pk(rt: ReturnTimes, k: int, eps: float, delta: float,
                       successes=successes, eps=eps, delta=delta)
 
 
-def observer_stats(rt: ReturnTimes, m: int):
-    """Sample mean and second moment of the first m return gaps, plus the
+def observer_stats(gaps):
+    """Sample mean and second moment of the observed return gaps, plus the
     all-gaps-even parity flag."""
-    if m < 1:
+    gaps = np.asarray(gaps)
+    if gaps.size == 0:
         raise ValueError("need at least one gap")
-    gaps = rt.gaps(m)
-    mean = sum(gaps) / m
-    mean_sq = sum(g * g for g in gaps) / m
-    all_even = all(g % 2 == 0 for g in gaps)
+    mean = float(gaps.mean())
+    mean_sq = float((gaps.astype(float) ** 2).mean())
+    all_even = bool((gaps % 2 == 0).all())
     return mean, mean_sq, all_even
 
 
@@ -273,8 +244,7 @@ def batch_return_successes(g: RootedGraph, k: int, count: int, seed,
     back at the root at tick stride*k.  The success indicator equals the
     return bit a_{stride*k}, exactly the observable the sequential
     experiment protocol tests."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seq)
+    rng = np.random.default_rng(seed)
     total = 0
     chunk = 1 << 20
     done = 0
@@ -291,8 +261,7 @@ def sample_first_returns(g: RootedGraph, count: int, seed,
     """`count` independent first-return times, vectorized.  Gaps between
     successive returns are iid copies of T1, so these samples have the
     observer's gap distribution."""
-    seq = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(seq)
+    rng = np.random.default_rng(seed)
     flat, offsets, degs = _flat_adjacency(g)
     out = np.empty(count, dtype=np.int64)
     filled = 0

@@ -25,6 +25,7 @@ from batecho import (
     h_from_series,
     h_of_tree,
     hitting_from_stationary,
+    lazy_series,
     nondegenerate_set,
     poles_to_eigenvalues,
     return_gen_fun,
@@ -33,7 +34,6 @@ from batecho import (
     transition_series,
 )
 from batecho.cli import main
-from batecho.exact import lazy_series_direct
 from batecho.gap import audit_budget, search_budget
 from batecho.ratfun import IntPoly, RatFun
 from batecho.walk import SampledReturnTimes
@@ -113,7 +113,7 @@ def test_criterion_04_gap_bracket_and_noiseless_factor():
     for name in names:
         g = FIXTURES[name]
         tau = nd_lazy_tau(g)
-        t = lazy_series_direct(g, 200)
+        t = lazy_series(g, 200)
         for k in range(1, 201):
             q = float(t.q[k])
             if not (0.0 < q < 1.0):
@@ -133,7 +133,7 @@ def test_criterion_05_qdecrease_and_lambda2_floor():
         g = FIXTURES[name]
         if g.n < 4:
             continue
-        t = lazy_series_direct(g, 200)
+        t = lazy_series(g, 200)
         for k in range(200):
             assert t.q[k + 1] >= t.q[k] / 3, (name, k)
         lam2 = spectrum(g).eigenvalues[1]
@@ -171,7 +171,7 @@ def test_criterion_07_estimator_calibration():
     t0 = time.monotonic()
     g = FIXTURES["c4"]
     k, eps, delta = 3, 0.02, 0.05
-    exact = float(lazy_series_direct(g, k).p[k])
+    exact = float(lazy_series(g, k).p[k])
     hits = 0
     for i in range(200):
         rt = SampledReturnTimes(g, seed=3000 + i, lazy=True)
@@ -199,11 +199,11 @@ def test_criterion_08_cost_accounting(gap_runs):
 def test_criterion_09_moment_identity():
     t0 = time.monotonic()
     for name, g in FIXTURES.items():
-        res = hitting_from_stationary(g)
+        res = hitting_from_stationary(g, return_gen_fun(g))
         assert res.value == res.via_linear_system, name
     for name in ("c4", "triangle"):
         g = FIXTURES[name]
-        exact = float(hitting_from_stationary(g).value)
+        exact = float(hitting_from_stationary(g, return_gen_fun(g)).value)
         gaps = sample_first_returns(g, 10 ** 6, seed=77)
         est = estimate_hitting(gaps)
         assert abs(est - exact) / exact < 0.01, (name, est, exact)

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import batecho
 from batecho.cli import main, parse_family, render
 from batecho.errors import BatechoError
+from batecho.graphs import RootedGraph
 
 
 def run(capsys, *argv):
@@ -13,14 +17,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_parse_family():
+def test_parse_family(capsys):
     assert parse_family("cycle:8").n == 8
+    assert isinstance(parse_family("gab:2,2"), RootedGraph)
     assert parse_family("gab:2,2").n == 4
     assert parse_family("leafy:2,2,cutpoint").n == 10
     with pytest.raises(BatechoError):
         parse_family("dodecahedron:1")
     with pytest.raises(BatechoError):
         parse_family("cycle:eight")
+    code, out, err = run(capsys, "observe", "--family", "gab:2,2",
+                         "--seed", "1", "--m", "20000")
+    assert code == 0, err
+    assert json.loads(out)["edges_hat"] == 3
 
 
 def test_exact_command_json(capsys):
@@ -143,15 +152,6 @@ def test_bad_config_file(capsys, tmp_path):
     assert code == 2
 
 
-def test_bad_threads_env(capsys, monkeypatch):
-    monkeypatch.setenv("BATECHO_THREADS", "zero")
-    code, out, err = run(capsys, "exact", "--family", "cycle:4")
-    assert code == 2
-    monkeypatch.setenv("BATECHO_THREADS", "2")
-    code, out, err = run(capsys, "exact", "--family", "cycle:4")
-    assert code == 0
-
-
 def test_csv_format_flattens_json(capsys):
     code, js, _ = run(capsys, "observe", "--family", "cycle:4",
                       "--seed", "5", "--m", "1000")
@@ -167,3 +167,20 @@ def test_csv_format_flattens_json(capsys):
 def test_render_rejects_unknown_format():
     with pytest.raises(BatechoError):
         render({}, "yaml")
+
+
+@pytest.mark.parametrize("argv", [
+    "exact --family cycle:4 --k-max 2000",
+    "exact --graph /nonexistent",
+    "observe --family cycle:4 --m 0",
+    "simulate --family cycle:4 --m -1",
+    "gap --family complete:4 --eps 2",
+])
+def test_bad_input_exits_2_without_traceback(argv):
+    src = os.path.dirname(os.path.dirname(batecho.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "batecho.cli", *argv.split()],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("batecho: ")

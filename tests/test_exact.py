@@ -24,8 +24,9 @@ from batecho import (
     spectrum,
     transition_series,
 )
-from batecho.exact import lazy_series_direct, reconstruct_counts
 from batecho.errors import NonIntegerResult
+from batecho.exact import reconstruct_counts
+from batecho.ratfun import RatFun
 
 from conftest import FIXTURES, fixture_params, regular_params
 
@@ -83,17 +84,25 @@ def test_first_return_series_against_enumeration(name):
     assert table.s == _enumerate_first_returns(g, k)
 
 
+def _binomial_mixture(g, k_max):
+    """Lazy return probabilities from the non-lazy series by the exact
+    mixture P'_k = 2^-k sum_j C(k,j) P_j."""
+    p = transition_series(g, k_max).p
+    return [sum(math.comb(k, j) * p[j] for j in range(k + 1)) / 2 ** k
+            for k in range(k_max + 1)]
+
+
 @pytest.mark.parametrize("g", fixture_params())
 def test_lazy_series_two_routes_agree(g):
     k = 30
-    mix = lazy_series(transition_series(g, k), k)
-    direct = lazy_series_direct(g, k)
-    assert mix.p == direct.p
-    assert mix.q == direct.q
+    mix = _binomial_mixture(g, k)
+    direct = lazy_series(g, k)
+    assert direct.p == mix
+    assert direct.q == [pk - Fraction(1, g.n) for pk in mix]
 
 
 def test_lazy_c4_q_closed_form():
-    t = lazy_series_direct(FIXTURES["c4"], 12)
+    t = lazy_series(FIXTURES["c4"], 12)
     for k in range(1, 13):
         assert t.q[k] == Fraction(1, 2 ** (k + 1))
 
@@ -203,7 +212,7 @@ def test_q_decrease_bounded(g):
     Regularity matters: q_k = P'_k - 1/n only decays to zero when 1/n is
     the root's stationary mass, i.e. on regular graphs.
     """
-    t = lazy_series_direct(g, 60)
+    t = lazy_series(g, 60)
     for k in range(60):
         assert t.q[k + 1] >= t.q[k] / 3
 
@@ -232,15 +241,30 @@ def test_lazy_gap_at_least_inverse_n_squared(g):
 # --- moments and reconstruction ---------------------------------------------
 
 
+def _ratfun_derivative(r):
+    return RatFun(r.num.derivative() * r.den - r.num * r.den.derivative(),
+                  r.den * r.den)
+
+
 @pytest.mark.parametrize("g", fixture_params())
 def test_hitting_two_routes_agree(g):
-    res = hitting_from_stationary(g)   # raises MomentMismatch on drift
+    """The linear-system and moment routes agree (MomentMismatch on drift),
+    and the T1 moments equal those read off the canonical derivatives of
+    1/f built with RatFun arithmetic."""
+    f = return_gen_fun(g)
+    res = hitting_from_stationary(g, f)
     assert res.value == res.via_linear_system
+    d1 = _ratfun_derivative(RatFun(f.den, f.num))
+    d2 = _ratfun_derivative(d1)
+    one = Fraction(1)
+    assert res.mean_t1 == -d1.eval(one)
+    assert res.mean_t1_sq == -d2.eval(one) + res.mean_t1
 
 
 def test_hitting_known_values():
-    assert hitting_from_stationary(FIXTURES["k2"]).value == Fraction(1, 2)
-    assert hitting_from_stationary(FIXTURES["c4"]).value == Fraction(5, 2)
+    for name, value in (("k2", Fraction(1, 2)), ("c4", Fraction(5, 2))):
+        g = FIXTURES[name]
+        assert hitting_from_stationary(g, return_gen_fun(g)).value == value
 
 
 def test_mean_return_time():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 
 from batecho import (
     SampledReturnTimes,
+    build_family,
     audit_budget,
     audit_error_chain,
     estimate_gap,
@@ -13,11 +15,11 @@ from batecho import (
     estimate_hitting,
     estimate_mixing_gap,
     gap_bounds,
+    lazy_series,
     spectrum,
 )
 from batecho.errors import DomainError, SearchExhausted
-from batecho.exact import lazy_series_direct
-from batecho.gap import estimate_n, per_eval_eta, search_budget
+from batecho.gap import GapEstimate, estimate_n, per_eval_eta, search_budget
 
 from conftest import FIXTURES, regular_params
 
@@ -59,7 +61,7 @@ def test_gap_bounds_lower_clamped():
 def test_bracket_contains_tau_for_all_k(g):
     """lower <= tau <= upper at every k <= 200, using exact lazy q_k."""
     tau = lazy_tau(g)
-    t = lazy_series_direct(g, 200)
+    t = lazy_series(g, 200)
     for k in range(1, 201):
         q = float(t.q[k])
         if not (0.0 < q < 1.0):
@@ -87,6 +89,18 @@ def test_exact_estimator_known_k_star():
     assert estimate_gap_exact(FIXTURES["c8"], 2.0).k_star == 18
 
 
+def test_exact_estimator_doubling_stops_at_exact_cap():
+    """On cycle:40 the crossing lies past the first doubling (512); the
+    scan must stop at MAX_EXACT_K instead of asking for k_max = 1024."""
+    g = build_family("cycle", 40)
+    est = estimate_gap_exact(g, 2.0)
+    assert est.k_star == 710
+    assert float(lazy_series(g, 710).q[710]) <= 1 / 40 ** 2 < float(
+        lazy_series(g, 709).q[709])
+    with pytest.raises(SearchExhausted):
+        estimate_gap_exact(build_family("cycle", 60), 2.0)
+
+
 def test_search_budget_values():
     k0, levels = search_budget(8, 2.0)
     assert k0 == math.ceil(3 * 64 * math.log(8)) == 400
@@ -110,9 +124,47 @@ def test_estimate_gap_k4_bracket_and_audits():
     budget = audit_budget(est)
     assert budget["within_budget"]
     k_top = max(entry["k"] for entry in est.trace)
-    t = lazy_series_direct(g, k_top)
+    t = lazy_series(g, k_top)
     checks = audit_error_chain(est, exact_q=lambda k: t.q[k])
     assert checks["ok"], checks
+
+
+def test_audit_reads_the_recorded_pk_rule():
+    """A paper-rule run is audited against the paper tolerance, not the
+    looser desk one."""
+    n, c, eps = 4, 2.0, 0.25
+    eta_paper = per_eval_eta(n, c, eps, "paper")
+    eta_desk = per_eval_eta(n, c, eps, "desk")
+    err = 0.5 * (4 * eta_paper + 4 * eta_desk)
+    exact_q = 0.01
+    est = GapEstimate(k_star=3, q_k=exact_q + err, q_k_minus_1=0.5,
+                      tau_hat=0.5, tau_lower=0.4, tau_upper=0.6, n_used=n,
+                      c=c, eps=eps, delta=0.1, pk_rule="paper",
+                      total_experiments=1, total_ticks=3,
+                      trace=[{"k": 3, "q_hat": exact_q + err, "experiments": 1,
+                              "successes": 0, "retry": 0}])
+    checks = audit_error_chain(est, exact_q=lambda k: exact_q)
+    assert checks["evaluations_accurate"] is False
+    desk = audit_error_chain(dataclasses.replace(est, pk_rule="desk"),
+                             exact_q=lambda k: exact_q)
+    assert desk["evaluations_accurate"] is True
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"c": 0.0}, {"c": -1.0}, {"eps": 0.0}, {"eps": 2.0},
+    {"delta": 0.0}, {"delta": 1.0}, {"n": 1},
+])
+def test_estimate_gap_rejects_bad_parameters(kwargs):
+    with pytest.raises(DomainError):
+        estimate_gap(FIXTURES["k4"], seed=1, **kwargs)
+
+
+def test_sibling_seeds_give_distinct_estimates():
+    g = FIXTURES["k4"]
+    seeds = [np.random.SeedSequence(3, spawn_key=(i,)) for i in (1, 2)]
+    seeds.append(np.random.SeedSequence(3))
+    qs = [estimate_gap(g, seed=s).trace[0]["successes"] for s in seeds]
+    assert len(set(qs)) == 3
 
 
 def test_estimate_gap_is_deterministic():
@@ -120,6 +172,7 @@ def test_estimate_gap_is_deterministic():
     a = estimate_gap(g, seed=5)
     b = estimate_gap(g, seed=5)
     assert a.to_json() == b.to_json()
+    assert a.to_json()["pk_rule"] == "desk"
 
 
 def test_estimate_gap_with_estimated_n():

@@ -10,7 +10,6 @@ from batecho import (
     estimate_pk,
     first_return_series,
     hoeffding_count,
-    lazify_returns,
     lazy_series,
     observer_stats,
     return_gen_fun,
@@ -19,7 +18,7 @@ from batecho import (
     simulate,
     transition_series,
 )
-from batecho.walk import batch_return_successes
+from batecho.walk import batch_return_successes, child_seed
 
 from conftest import FIXTURES
 
@@ -76,7 +75,7 @@ def test_observer_stats_match_exact_moments():
     t = first_return_series(return_gen_fun(g), 200)
     mean_exact = float(sum(k * t.s[k] for k in range(201)))
     rt = SampledReturnTimes(g, seed=11)
-    mean, mean_sq, all_even = observer_stats(rt, 20000)
+    mean, mean_sq, all_even = observer_stats(rt.gaps(20000))
     assert abs(mean - mean_exact) < 0.05
     assert not all_even
 
@@ -105,13 +104,43 @@ def test_gap_distribution_chi_square():
     assert chi2 < 20.5  # chi-square(4), p ~ 4e-4
 
 
+def _lazify_returns(rt_bits, seed) -> ReturnTimes:
+    """Turn a non-lazy observer stream into the lazy chain's observer
+    stream: each original tick expands into a geometric(1/2) run of lazy
+    ticks during which the walker holds its position.
+
+    `rt_bits` is an iterator of at-root bits for ticks 1, 2, ... of the
+    non-lazy walk (e.g. WalkStream.bits()).
+    """
+    rng = np.random.default_rng(seed)
+    buf_size = 8192
+
+    def lazy_bits():
+        buf = rng.geometric(0.5, buf_size)
+        i = 0
+        # occupancy of the start position (the root): its extra lazy ticks
+        # beyond tick 0 are immediate returns
+        g0 = buf[i]; i += 1
+        for _ in range(g0 - 1):
+            yield True
+        for bit in rt_bits:
+            if i >= len(buf):
+                buf = rng.geometric(0.5, buf_size)
+                i = 0
+            g = buf[i]; i += 1
+            for _ in range(g):
+                yield bit
+
+    return ReturnTimes(lazy_bits())
+
+
 def test_lazify_matches_direct_lazy_law():
     """Expanding a fast stream with geometric holds must reproduce the
     lazy chain's return probability (cross-route, fixed seeds)."""
     g = FIXTURES["c4"]
     k = 4
     exact = float(lazy_series(g, k).p[k])
-    rt = lazify_returns(simulate(g, seed=21).bits(), seed=22)
+    rt = _lazify_returns(simulate(g, seed=21).bits(), seed=22)
     n = 4000
     hits = sum(run_experiment(rt, k) for _ in range(n))
     sigma = math.sqrt(exact * (1 - exact) / n)
@@ -159,3 +188,22 @@ def test_sample_first_returns_mean():
     gaps = sample_first_returns(g, 50000, seed=23)
     assert abs(float(gaps.mean()) - 2.0) < 0.05   # E T1 = 2|E|/d(r) = 2
     assert gaps.min() >= 2
+
+
+def test_child_seed_keeps_int_and_root_streams():
+    want = np.random.SeedSequence(5, spawn_key=(2,)).generate_state(4)
+    assert (child_seed(5, 2).generate_state(4) == want).all()
+    assert (child_seed(np.random.SeedSequence(5), 2).generate_state(4) == want).all()
+
+
+def test_sibling_seed_sequences_give_distinct_streams():
+    """Children of SeedSequence siblings must not collide: the parent's
+    spawn key is part of the child's."""
+    g = FIXTURES["c8"]
+    a, b = (SampledReturnTimes(g, np.random.SeedSequence(1, spawn_key=(i,)))
+            for i in (1, 2))
+    assert [next(a) for _ in range(50)] != [next(b) for _ in range(50)]
+    root = np.random.SeedSequence(1)
+    kids = root.spawn(2)
+    states = {tuple(child_seed(s, 0).generate_state(4)) for s in [root] + kids}
+    assert len(states) == 3
