@@ -44,7 +44,7 @@ from .graphs import (
     glue_at_roots,
     is_bipartite,
 )
-from .ratfun import IntPoly, RatFun, find_dependency, poly_det_bareiss
+from .ratfun import IntPoly, RatFun, find_dependency
 from .treefun import (
     ahu_canonical,
     eigenvalues_from_h,

@@ -304,8 +304,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_options(args: argparse.Namespace) -> dict:
-    """Merge config-file values under explicit flags."""
+def _convert_config_value(action: argparse.Action, value):
+    """Apply the flag's argparse `type` and `choices` to a config value,
+    as if it had been given on the command line."""
+    if action.nargs == 0:      # store_const flags take no argument
+        return value
+    try:
+        value = (action.type or str)(str(value))
+    except (TypeError, ValueError) as exc:
+        raise BatechoError(f"config value for {action.dest!r}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise BatechoError(f"config value for {action.dest!r} must be one of "
+                           f"{list(action.choices)}, got {value!r}")
+    return value
+
+
+def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
+    """Merge config-file values under explicit flags.  Config values go
+    through the same type conversion and choices as the subcommand's
+    flags."""
     opts = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -316,7 +333,12 @@ def resolve_options(args: argparse.Namespace) -> dict:
             raise BatechoError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise BatechoError("config file must hold a JSON object")
-        opts.update(loaded)
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        actions = {a.dest: a for a in sub.choices[args.command]._actions}
+        for key, value in loaded.items():
+            opts[key] = (_convert_config_value(actions[key], value)
+                         if key in actions else value)
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue
@@ -335,7 +357,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        opts = resolve_options(args)
+        opts = resolve_options(args, parser)
         return _COMMANDS[args.command](opts)
     except SearchExhausted as exc:
         print(f"batecho: search exhausted: {exc}", file=sys.stderr)

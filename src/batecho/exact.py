@@ -1,6 +1,12 @@
 """Ground-truth engine: exact return-probability series, spectra with
-root weights, determinant-based generating functions, first-return and
-survival series, and the closed-form reconstruction identities.
+root weights, generating functions, first-return and survival series, and
+the closed-form reconstruction identities.
+
+The series come from one walk iteration in integers: S^k times the
+distribution after k steps, with S the lcm of the degrees (twice that on
+the lazy chain).  The generating function is recovered from the first
+2n+1 terms of that walk by Berlekamp-Massey; the tests check it against
+the determinant formula d(r) det(Delta' - tA') / det(Delta - tA).
 
 Everything statistical elsewhere in the library is validated against the
 exact rationals produced here.
@@ -21,7 +27,7 @@ from .errors import (
     RootFindingFailure,
 )
 from .graphs import RootedGraph
-from .ratfun import IntPoly, RatFun, poly_det_bareiss
+from .ratfun import IntPoly, RatFun
 
 # Exact-arithmetic guard rails; override explicitly for bigger jobs.
 MAX_EXACT_N = 64
@@ -96,47 +102,57 @@ def _check_scale(g: RootedGraph, k_max: int):
         raise DomainError(f"exact mode capped at k_max <= {MAX_EXACT_K}, got {k_max}")
 
 
+def _scaled_returns(g: RootedGraph, k_max: int, lazy: bool) -> tuple[list[int], int]:
+    """The integers a_k = S^k P_k(r,r) for k = 0..k_max, and the scale S.
+
+    S is the lcm L of the degrees (2L for the lazy chain), so S^k times
+    the distribution after k steps stays a vector of integers w: one step
+    sends w[i] * L / d(i) to each neighbour of i, and on the lazy chain
+    keeps w[i] * L at i."""
+    degs = [g.degree(i) for i in range(g.n)]
+    lcm = math.lcm(*degs)
+    scale = 2 * lcm if lazy else lcm
+    shares = [lcm // d for d in degs]
+    w = [0] * g.n
+    w[g.root] = 1
+    a = [1]
+    for _ in range(k_max):
+        nxt = [x * lcm for x in w] if lazy else [0] * g.n
+        for i, x in enumerate(w):
+            if x:
+                share = x * shares[i]
+                for j in g.adjacency[i]:
+                    nxt[j] += share
+        w = nxt
+        a.append(w[g.root])
+    return a, scale
+
+
+def _unscale(a: list[int], scale: int) -> list[Fraction]:
+    """a_k / S^k as Fractions."""
+    out, power = [], 1
+    for x in a:
+        out.append(Fraction(x, power))
+        power *= scale
+    return out
+
+
 def transition_series(g: RootedGraph, k_max: int) -> SeriesTable:
     """Exact P_k(r,r) for k = 0..k_max by iterating the transition
-    operator on the root indicator."""
+    operator on the root indicator, in integers scaled by L^k."""
     _check_scale(g, k_max)
-    v = [Fraction(0)] * g.n
-    v[g.root] = Fraction(1)
-    degs = [g.degree(i) for i in range(g.n)]
-    p = [v[g.root]]
-    for _ in range(k_max):
-        w = [Fraction(0)] * g.n
-        for i in range(g.n):
-            if v[i]:
-                share = v[i] / degs[i]
-                for j in g.adjacency[i]:
-                    w[j] += share
-        v = w
-        p.append(v[g.root])
+    p = _unscale(*_scaled_returns(g, k_max, False))
     return SeriesTable(n=g.n, k_max=k_max, p=p)
 
 
 def lazy_series(g: RootedGraph, k_max: int) -> SeriesTable:
     """Lazy-chain return probabilities P'_k by iterating (I+M)/2 on the
-    root indicator, plus q_k = P'_k - 1/n."""
+    root indicator, in integers scaled by (2L)^k, plus q_k = P'_k - 1/n."""
     _check_scale(g, k_max)
-    v = [Fraction(0)] * g.n
-    v[g.root] = Fraction(1)
-    degs = [g.degree(i) for i in range(g.n)]
+    p = _unscale(*_scaled_returns(g, k_max, True))
     one_over_n = Fraction(1, g.n)
-    p = [Fraction(1)]
-    q = [1 - one_over_n]
-    for _ in range(k_max):
-        w = [x / 2 for x in v]
-        for i in range(g.n):
-            if v[i]:
-                share = v[i] / (2 * degs[i])
-                for j in g.adjacency[i]:
-                    w[j] += share
-        v = w
-        p.append(v[g.root])
-        q.append(v[g.root] - one_over_n)
-    return SeriesTable(n=g.n, k_max=k_max, p=p, q=q, lazy=True)
+    return SeriesTable(n=g.n, k_max=k_max, p=p, q=[x - one_over_n for x in p],
+                       lazy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -184,31 +200,57 @@ def nondegenerate_set(spec: Spectrum, tol: float = 1e-8,
 
 
 # ---------------------------------------------------------------------------
-# determinant generating function
+# generating function
+
+
+def _connection_polynomial(a: list[int]) -> tuple[list[int], int]:
+    """Berlekamp-Massey over Q, kept in integers: the shortest linear
+    recurrence of `a`, as an integer connection polynomial C with
+    C[0] != 0 and its length l, so that sum_i C[i] a[k-i] = 0 for
+    l <= k < len(a).  C is known up to a scalar; each update divides out
+    its content."""
+    c, b = [1], [1]
+    length, shift, b_disc = 0, 1, 1
+    for k in range(len(a)):
+        d = sum(x * y for x, y in zip(c, a[k::-1]))
+        if d == 0:
+            shift += 1
+            continue
+        nxt = [b_disc * x for x in c] + [0] * max(0, shift + len(b) - len(c))
+        for i, y in enumerate(b):
+            nxt[i + shift] -= d * y
+        content = math.gcd(*nxt)
+        nxt = [x // content for x in nxt]
+        if 2 * length <= k:
+            length, b, b_disc, shift = k + 1 - length, c, d, 1
+        else:
+            shift += 1
+        c = nxt
+    return c, length
 
 
 def return_gen_fun(g: RootedGraph) -> GenFun:
-    """f(t) = sum_k P_k(r,r) t^k as the exact ratio of two integer
-    polynomial determinants: d(r) det(Delta' - tA') / det(Delta - tA),
-    where Delta is the degree diagonal and the primes delete the root's
-    row and column."""
+    """f(t) = sum_k P_k(r,r) t^k as an exact rational function.
+
+    By the determinant formula f = d(r) det(Delta' - tA') / det(Delta - tA)
+    (Delta the degree diagonal, primes deleting the root's row and
+    column), f has denominator degree <= n and numerator degree <= n-1,
+    so its series obeys a linear recurrence of length <= n.  The first
+    2n+1 terms therefore fix f (two recurrences of length <= n that agree
+    on 2n terms agree everywhere): Berlekamp-Massey finds the recurrence
+    from the integer-scaled terms a_k = S^k P_k, the numerator is the
+    product of the series and the connection polynomial truncated below
+    the recurrence length, and the substitution t = S u undoes the
+    scaling."""
     _check_scale(g, 0)
-    n, r = g.n, g.root
-
-    def char_mat(skip_root: bool):
-        idx = [v for v in range(n) if not (skip_root and v == r)]
-        pos = {v: i for i, v in enumerate(idx)}
-        m = [[IntPoly.zero] * len(idx) for _ in idx]
-        for v in idx:
-            m[pos[v]][pos[v]] = IntPoly([g.degree(v)])
-            for u in g.adjacency[v]:
-                if u in pos:
-                    m[pos[v]][pos[u]] = IntPoly([0, -1])
-        return m
-
-    det_full = poly_det_bareiss(char_mat(False))
-    det_minor = poly_det_bareiss(char_mat(True))
-    return GenFun(g.degree(r) * det_minor, det_full)
+    a, scale = _scaled_returns(g, 2 * g.n, False)
+    c, length = _connection_polynomial(a)
+    num = IntPoly([sum(x * y for x, y in zip(c, a[k::-1])) for k in range(length)])
+    den = IntPoly(c)
+    top = max(num.degree, den.degree)
+    num, den = (IntPoly([x * scale ** (top - k) for k, x in enumerate(p.c)])
+                for p in (num, den))
+    return GenFun(num, den)
 
 
 def first_return_series(fgen: RatFun, k_max: int) -> SeriesTable:
@@ -264,17 +306,24 @@ class HittingResult:
 
 
 def _solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]):
+    """Gauss-Jordan elimination that touches only the pivot row's nonzero
+    columns, in the rows with a nonzero entry in the pivot column."""
     n = len(b)
     m = [row[:] + [b[i]] for i, row in enumerate(a)]
     for col in range(n):
         piv = next(i for i in range(col, n) if m[i][col] != 0)
         m[col], m[piv] = m[piv], m[col]
-        inv = m[col][col]
-        m[col] = [x / inv for x in m[col]]
+        row = m[col]
+        inv = row[col]
+        nonzero = [j for j in range(n + 1) if row[j]]
+        for j in nonzero:
+            row[j] /= inv
         for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+            f = m[i][col]
+            if i != col and f:
+                other = m[i]
+                for j in nonzero:
+                    other[j] -= f * row[j]
     return [m[i][n] for i in range(n)]
 
 

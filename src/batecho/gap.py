@@ -205,25 +205,17 @@ def estimate_gap_exact(g: RootedGraph, c: float = 2.0) -> GapEstimate:
     """Noiseless twin of estimate_gap: scans the exact lazy return series
     for the first k with q_k <= 1/n^c.  Useful as an oracle for what the
     statistical estimator converges to.  The scan stops at K0 or at the
-    exact engine's MAX_EXACT_K, whichever comes first."""
+    exact engine's MAX_EXACT_K, whichever comes first; the series is
+    computed once, up to that horizon."""
     n = g.n
     threshold = 1.0 / n ** c
     k0, _ = search_budget(n, c)
     horizon = min(k0, MAX_EXACT_K)
-    k_max = min(horizon, 256)
-    while True:
-        table = lazy_series(g, k_max)
-        hit = None
-        for k in range(1, k_max + 1):
-            if table.q[k] <= threshold:
-                hit = k
-                break
-        if hit is not None:
-            break
-        if k_max >= horizon:
-            raise SearchExhausted(
-                f"exact q_k above 1/n^c up to k={horizon} (K0={k0})")
-        k_max = min(horizon, k_max * 2)
+    table = lazy_series(g, horizon)
+    hit = next((k for k in range(1, horizon + 1) if table.q[k] <= threshold), None)
+    if hit is None:
+        raise SearchExhausted(
+            f"exact q_k above 1/n^c up to k={horizon} (K0={k0})")
     q_star = float(table.q[hit])
     q_prev = float(table.q[hit - 1])
     tau_lower, tau_upper = gap_bounds(q_star, hit, n)

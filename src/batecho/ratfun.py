@@ -83,7 +83,7 @@ class IntPoly:
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact polynomial division; raises if the quotient is not an
-        integer polynomial (used by fraction-free elimination, where
+        integer polynomial (used to divide out a primitive gcd, where
         exactness is guaranteed)."""
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
@@ -278,33 +278,6 @@ def _coerce(x) -> RatFun:
     if isinstance(x, Fraction):
         return RatFun(IntPoly([x.numerator]), IntPoly([x.denominator]))
     raise TypeError(f"cannot coerce {type(x)} to RatFun")
-
-
-def poly_det_bareiss(mat: list[list[IntPoly]]) -> IntPoly:
-    """Determinant of a matrix of integer polynomials by fraction-free
-    (Bareiss) elimination.  All intermediate divisions are exact."""
-    n = len(mat)
-    if n == 0:
-        return IntPoly.one
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = IntPoly.one
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return IntPoly.zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = IntPoly.zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
 
 
 def find_dependency(funs: list[RatFun]):

@@ -39,6 +39,7 @@ from batecho.ratfun import IntPoly, RatFun
 from batecho.walk import SampledReturnTimes
 
 from conftest import FIXTURES, REGULAR, TREES
+from det_oracle import determinant_gen_fun
 
 EX1_LEFT = sorted([1, math.sqrt(3) / 2, math.sqrt(6) / 4, 0, 0, 0, 0, 0,
                    -math.sqrt(6) / 4, -math.sqrt(3) / 2, -1], reverse=True)
@@ -97,6 +98,7 @@ def test_criterion_03_series_consistency():
     for name, g in FIXTURES.items():
         f = return_gen_fun(g)
         assert f.series(100) == transition_series(g, 100).p, name
+        assert f == determinant_gen_fun(g), name
     from batecho.graphs import TreeHandle
     for name in TREES:
         t = TreeHandle(FIXTURES[name])
@@ -155,6 +157,7 @@ def gap_runs():
     return runs
 
 
+@pytest.mark.slow
 def test_criterion_06_statistical_gap_estimation(gap_runs):
     for name in ("c8", "k4"):
         tau = nd_lazy_tau(FIXTURES[name])
@@ -184,6 +187,7 @@ def test_criterion_07_estimator_calibration():
           f"of P'_3={exact:.4f}, {dt:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_08_cost_accounting(gap_runs):
     for name in ("c8", "k4"):
         g = FIXTURES[name]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -47,6 +48,32 @@ def test_exact_output_is_byte_identical(capsys, tmp_path):
         code = main(["exact", "--family", "hypercube:3", "--out", str(p)])
         assert code == 0
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+# sha256 of exact payloads as the determinant-based engine printed them;
+# `spectrum` is left out because LAPACK floats may differ across BLAS
+# builds.  A change to any exact payload fails here.
+@pytest.mark.parametrize("argv,digest", [
+    ("exact --family cycle:64",
+     "b0670cf289fec03a42f777218fffd180087d9b4a880923e0d0f1f820155465af"),
+    ("exact --family hypercube:5 --k-max 400",
+     "a48fba7d2394cd7bc5c1bcd41f56ccac726cad89f698e398982b5a7226793684"),
+])
+def test_exact_payload_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    doc = json.loads(out)
+    del doc["spectrum"]
+    text = json.dumps(doc, sort_keys=True, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_forge_certificate_is_pinned(capsys, tmp_path):
+    code, out, err = run(capsys, "forge", "--k", "10", "--out", str(tmp_path))
+    assert code == 0, err
+    cert = (tmp_path / "forged_certificate_k10.json").read_bytes()
+    assert hashlib.sha256(cert).hexdigest() == (
+        "8c4eeb1f52a0b901b1c873012b8bbfadb38a04e1ba607e9b3f405b266f5543b6")
 
 
 def test_gap_run_reproducible(capsys, tmp_path):
@@ -142,6 +169,34 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     # explicit flag wins over the config value
     code, out, err = run(capsys, "simulate", "--config", str(cfg), "--m", "10")
     assert json.loads(out)["samples"] == 10
+
+
+@pytest.mark.parametrize("command,config,flags", [
+    ("simulate", {"family": "cycle:4", "m": "5"}, ["--family", "cycle:4", "--m", "5"]),
+    ("gap", {"family": "complete:4", "eps": "0.1"},
+     ["--family", "complete:4", "--eps", "0.1"]),
+])
+def test_config_values_get_flag_types(capsys, tmp_path, command, config, flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, from_config, err = run(capsys, command, "--config", str(cfg), "--seed", "3")
+    assert code == 0, err
+    code, from_flags, err = run(capsys, command, *flags, "--seed", "3")
+    assert code == 0, err
+    assert from_config == from_flags
+
+
+@pytest.mark.parametrize("command,config", [
+    ("simulate", {"family": "cycle:4", "m": "x"}),
+    ("gap", {"family": "complete:4", "pk_rule": "bogus"}),
+])
+def test_bad_config_value_exits_2(capsys, tmp_path, command, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert err.startswith("batecho: config value")
+    assert "Traceback" not in err
 
 
 def test_bad_config_file(capsys, tmp_path):

@@ -2,15 +2,17 @@
 
 The return-probability series has three independent routes here: brute
 walk enumeration, transition-operator iteration, and the determinant
-generating function.  The spectrum likewise is checked against numpy's
-eigensolver.  These must all agree before anything statistical is
-trusted.
+generating function of `det_oracle`, which also checks the generating
+function the engine recovers from the walk.  The spectrum likewise is
+checked against numpy's eigensolver.  These must all agree before
+anything statistical is trusted.
 """
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from batecho import (
     build_family,
@@ -26,9 +28,11 @@ from batecho import (
 )
 from batecho.errors import NonIntegerResult
 from batecho.exact import reconstruct_counts
+from batecho.graphs import from_edge_list
 from batecho.ratfun import RatFun
 
-from conftest import FIXTURES, fixture_params, regular_params
+from conftest import FIXTURES, TREES, fixture_params, regular_params
+from det_oracle import determinant_gen_fun
 
 
 def _enumerate_returns(g, k_max):
@@ -112,6 +116,38 @@ def test_genfun_series_equals_transition_series(g):
     k = 40
     f = return_gen_fun(g)
     assert f.series(k) == transition_series(g, k).p
+
+
+@pytest.mark.parametrize(
+    "g", fixture_params() + [pytest.param(build_family("hypercube", 4), id="q4")])
+def test_gen_fun_equals_determinant_formula(g):
+    assert return_gen_fun(g) == determinant_gen_fun(g)
+
+
+def test_gen_fun_recurrence_edge_cases():
+    """The fixture set holds the cases Berlekamp-Massey meets at its
+    edges: zero odd terms (bipartite graphs), n = 2, and a numerator of
+    the same degree as the denominator (cycle:8)."""
+    for name in TREES + ("c4", "c8", "q3"):
+        g = FIXTURES[name]
+        assert not any(transition_series(g, 2 * g.n).p[1::2]), name
+    assert FIXTURES["k2"].n == 2
+    f = return_gen_fun(FIXTURES["c8"])
+    assert f.num.degree == f.den.degree
+
+
+@st.composite
+def connected_graphs(draw, max_n=7):
+    n = draw(st.integers(2, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
+    return from_edge_list(sorted(edges), draw(st.integers(0, n - 1)))
+
+
+@given(connected_graphs())
+def test_gen_fun_equals_determinant_formula_on_random_graphs(g):
+    assert return_gen_fun(g) == determinant_gen_fun(g)
 
 
 def test_survival_and_first_return_are_consistent():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import batecho.gap as gap_module
 from batecho import (
     SampledReturnTimes,
     build_family,
@@ -19,6 +20,7 @@ from batecho import (
     spectrum,
 )
 from batecho.errors import DomainError, SearchExhausted
+from batecho.exact import MAX_EXACT_K
 from batecho.gap import GapEstimate, estimate_n, per_eval_eta, search_budget
 
 from conftest import FIXTURES, regular_params
@@ -90,8 +92,8 @@ def test_exact_estimator_known_k_star():
 
 
 def test_exact_estimator_doubling_stops_at_exact_cap():
-    """On cycle:40 the crossing lies past the first doubling (512); the
-    scan must stop at MAX_EXACT_K instead of asking for k_max = 1024."""
+    """On cycle:40 the crossing lies past 512 steps; the scan must find
+    it within MAX_EXACT_K and never ask for more than MAX_EXACT_K terms."""
     g = build_family("cycle", 40)
     est = estimate_gap_exact(g, 2.0)
     assert est.k_star == 710
@@ -99,6 +101,18 @@ def test_exact_estimator_doubling_stops_at_exact_cap():
         lazy_series(g, 709).q[709])
     with pytest.raises(SearchExhausted):
         estimate_gap_exact(build_family("cycle", 60), 2.0)
+
+
+def test_exact_estimator_computes_the_series_once(monkeypatch):
+    calls = []
+
+    def counting_lazy_series(g, k_max):
+        calls.append(k_max)
+        return lazy_series(g, k_max)
+
+    monkeypatch.setattr(gap_module, "lazy_series", counting_lazy_series)
+    assert estimate_gap_exact(build_family("cycle", 40), 2.0).k_star == 710
+    assert calls == [MAX_EXACT_K]
 
 
 def test_search_budget_values():
@@ -200,7 +214,7 @@ def test_mixing_gap_k4():
     assert report["mixing_gap_lower"] <= 2 / 3 <= report["mixing_gap_upper"]
 
 
-@pytest.mark.parametrize("name", ["c4", "q3"])
+@pytest.mark.parametrize("name", ["c4", pytest.param("q3", marks=pytest.mark.slow)])
 def test_mixing_gap_bipartite_reports_near_zero(name):
     report = estimate_mixing_gap(FIXTURES[name], seed=71)
     assert report["status"] == "exhausted"

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from batecho.ratfun import IntPoly, RatFun, find_dependency, poly_det_bareiss
+from batecho.ratfun import IntPoly, RatFun, find_dependency
+
+from det_oracle import poly_det_bareiss
 
 coeffs = st.lists(st.integers(-9, 9), min_size=0, max_size=5)
 polys = coeffs.map(IntPoly)
