@@ -55,13 +55,11 @@ from .treefun import (
 from .walk import (
     ReturnTimes,
     SampledReturnTimes,
-    WalkStream,
     estimate_pk,
     hoeffding_count,
     observer_stats,
     run_experiment,
     sample_first_returns,
-    simulate,
 )
 
 __version__ = "1.0.0"

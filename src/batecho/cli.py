@@ -25,6 +25,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from . import exact as ex
 from . import gap as gp
 from . import graphs, treefun, walk
@@ -228,11 +230,10 @@ def cmd_observe(opts) -> int:
 def cmd_simulate(opts) -> int:
     g = load_graph(opts)
     m = _sample_count(opts, 100)
-    rt = walk.ReturnTimes.from_walk(g, opts.get("seed", 0),
-                                    lazy=bool(opts.get("lazy", False)))
-    times = [next(rt) for _ in range(m)]
-    emit({"return_times": times, "samples": m,
-          "lazy": bool(opts.get("lazy", False))}, opts)
+    lazy = bool(opts.get("lazy", False))
+    # the gaps between returns are iid copies of the first-return time
+    gaps = walk.sample_first_returns(g, m, opts.get("seed", 0), lazy=lazy)
+    emit({"return_times": np.cumsum(gaps).tolist(), "samples": m, "lazy": lazy}, opts)
     return EXIT_OK
 
 

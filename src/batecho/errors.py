@@ -62,7 +62,12 @@ class NoThreeDivisorPairs(BatechoError):
 
 
 class SearchExhausted(BatechoError):
-    pass
+    """The gap search never confirmed q_k below its threshold; `n_used` is
+    the vertex count the search worked with."""
+
+    def __init__(self, message: str, n_used: int):
+        super().__init__(message)
+        self.n_used = n_used
 
 
 class BudgetOverflow(BatechoError):

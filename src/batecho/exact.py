@@ -159,8 +159,7 @@ def lazy_series(g: RootedGraph, k_max: int) -> SeriesTable:
 # spectrum
 
 
-def spectrum(g: RootedGraph, cluster_tol: float = 1e-8,
-             weight_tol: float = 1e-7) -> Spectrum:
+def spectrum(g: RootedGraph) -> Spectrum:
     """Eigen-decomposition of the symmetrized transition matrix
     N = D M D^{-1}, with root weights from the orthonormal eigenbasis."""
     n = g.n
@@ -177,24 +176,23 @@ def spectrum(g: RootedGraph, cluster_tol: float = 1e-8,
     vals = vals[order]
     weights = vecs[g.root, order] ** 2
     spec = Spectrum(eigenvalues=vals, root_weights=weights)
-    spec.clusters = nondegenerate_set(spec, cluster_tol, weight_tol)
+    spec.clusters = nondegenerate_set(spec)
     return spec
 
 
-def nondegenerate_set(spec: Spectrum, tol: float = 1e-8,
-                      weight_tol: float = 1e-7) -> list[tuple[float, float, bool]]:
-    """Cluster eigenvalues within `tol` and flag a cluster nondegenerate
-    when its summed root weight exceeds `weight_tol`."""
+def nondegenerate_set(spec: Spectrum) -> list[tuple[float, float, bool]]:
+    """Cluster eigenvalues within 1e-8 and flag a cluster nondegenerate
+    when its summed root weight exceeds 1e-7."""
     out = []
     vals, weights = spec.eigenvalues, spec.root_weights
     i = 0
     while i < len(vals):
         j = i
-        while j + 1 < len(vals) and vals[i] - vals[j + 1] <= tol:
+        while j + 1 < len(vals) and vals[i] - vals[j + 1] <= 1e-8:
             j += 1
         w = float(np.sum(weights[i:j + 1]))
         rep = float(np.mean(vals[i:j + 1]))
-        out.append((rep, w, w > weight_tol))
+        out.append((rep, w, w > 1e-7))
         i = j + 1
     return out
 
@@ -268,10 +266,11 @@ def first_return_series(fgen: RatFun, k_max: int) -> SeriesTable:
     return SeriesTable(n=0, k_max=k_max, s=s, z=z)
 
 
-def poles_to_eigenvalues(fgen: RatFun, imag_tol: float = 1e-9):
+def poles_to_eigenvalues(fgen: RatFun):
     """Reciprocals of the real denominator roots (the nonzero
     nondegenerate eigenvalues), plus a flag telling whether zero is a
-    nondegenerate eigenvalue (degree comparison)."""
+    nondegenerate eigenvalue (degree comparison).  A root counts as real
+    when its imaginary part is within 1e-9 (1 + |root|)."""
     den = fgen.den
     if den.degree < 1:
         return [], fgen.num.degree == den.degree
@@ -284,7 +283,7 @@ def poles_to_eigenvalues(fgen: RatFun, imag_tol: float = 1e-9):
         raise RootFindingFailure("non-finite root from the polynomial solver")
     eigs = []
     for root in roots:
-        if abs(root.imag) <= imag_tol * (1 + abs(root)):
+        if abs(root.imag) <= 1e-9 * (1 + abs(root)):
             if root.real == 0:
                 raise RootFindingFailure("denominator root at 0")
             eigs.append(1.0 / root.real)
@@ -306,25 +305,27 @@ class HittingResult:
 
 
 def _solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]):
-    """Gauss-Jordan elimination that touches only the pivot row's nonzero
-    columns, in the rows with a nonzero entry in the pivot column."""
+    """Gaussian elimination with back substitution.  Each pivot updates
+    only the rows below it with a nonzero entry in the pivot column, and
+    in them only the pivot row's nonzero columns; entries left of the
+    diagonal are never read again, so they are not cleared."""
     n = len(b)
     m = [row[:] + [b[i]] for i, row in enumerate(a)]
     for col in range(n):
         piv = next(i for i in range(col, n) if m[i][col] != 0)
         m[col], m[piv] = m[piv], m[col]
         row = m[col]
-        inv = row[col]
-        nonzero = [j for j in range(n + 1) if row[j]]
-        for j in nonzero:
-            row[j] /= inv
-        for i in range(n):
-            f = m[i][col]
-            if i != col and f:
-                other = m[i]
+        nonzero = [j for j in range(col + 1, n + 1) if row[j]]
+        for other in m[col + 1:]:
+            if other[col]:
+                f = other[col] / row[col]
                 for j in nonzero:
                     other[j] -= f * row[j]
-    return [m[i][n] for i in range(n)]
+    x = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        row = m[i]
+        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n) if row[j])) / row[i]
+    return x
 
 
 def hitting_from_stationary(g: RootedGraph, f: RatFun) -> HittingResult:

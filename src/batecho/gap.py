@@ -85,15 +85,14 @@ def per_eval_eta(n: int, c: float, eps: float, pk_rule: str) -> float:
     raise DomainError(f"unknown pk_rule {pk_rule!r}")
 
 
-def estimate_n(g: RootedGraph, seed, lazy: bool = True,
-               start: int = 1 << 12, max_samples: int = 1 << 22) -> int:
+def estimate_n(g: RootedGraph, seed, lazy: bool = True) -> int:
     """Estimate n from the root's mean return time (which equals n on a
-    regular graph, lazy or not).  Doubles the sample until two consecutive
-    rounded means agree."""
-    m = start
+    regular graph, lazy or not).  Doubles the sample from 2^12 up to at
+    most 2^22 until two consecutive rounded means agree."""
+    m = 1 << 12
     prev = None
     idx = 0
-    while m <= max_samples:
+    while m <= 1 << 22:
         gaps = sample_first_returns(g, m, child_seed(seed, 9000 + idx), lazy=lazy)
         cur = int(round(float(np.mean(gaps))))
         if prev is not None and cur == prev:
@@ -104,22 +103,27 @@ def estimate_n(g: RootedGraph, seed, lazy: bool = True,
     return prev
 
 
-def _evaluate_q(g: RootedGraph, k: int, n_experiments: int, seed,
-                lazy: bool, stride: int, n: int) -> tuple[float, int]:
-    succ = batch_return_successes(g, k, n_experiments, seed, lazy=lazy, stride=stride)
-    return succ / n_experiments - 1.0 / n, succ
+def _bracket(q_star: float, k: int, n: int, flags: list) -> tuple[float, float, float]:
+    """(tau_hat, tau_lower, tau_upper) from q_k at k = k*.  The point
+    estimate is the geometric mean of the bracket, or its upper end when
+    the lower end is vacuous; that case is recorded in `flags`."""
+    tau_lower, tau_upper = gap_bounds(q_star, k, n)
+    if tau_lower > 0.0:
+        return math.sqrt(tau_lower * tau_upper), tau_lower, tau_upper
+    flags.append("lower_bound_vacuous")
+    return tau_upper, tau_lower, tau_upper
 
 
 def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
                  delta: float = 0.1, n=None, seed=0, pk_rule: str = "desk",
-                 lazy: bool = True, stride: int = 1,
-                 max_retries: int = 2) -> GapEstimate:
+                 lazy: bool = True, stride: int = 1) -> GapEstimate:
     """Estimate the lazy spectral gap of the walk from return observations.
 
     Pass n="estimate" to have the routine infer n from return times first
     (regular graphs).  Raises SearchExhausted if the centered return
     probability never drops below the 1/n^c threshold by the horizon K0,
-    which signals a gap too small to resolve at this c.
+    which signals a gap too small to resolve at this c.  The confirming
+    evaluation at k* is retried at most twice, doubling its experiments.
     """
     if c <= 0:
         raise DomainError(f"c must be positive, got {c}")
@@ -153,8 +157,9 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
         if k in cache and retry == 0:
             return cache[k]
         count = n_exp * (2 ** retry)
-        qv, succ = _evaluate_q(g, k, count, child_seed(seed, eval_index),
-                               lazy, stride, n_used)
+        succ = batch_return_successes(g, k, count, child_seed(seed, eval_index),
+                                      lazy=lazy, stride=stride)
+        qv = succ / count - 1.0 / n_used
         eval_index += 1
         total_experiments += count
         total_ticks += count * stride * k
@@ -176,24 +181,17 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     # Confirm the top of the bracket; the horizon was trusted on faith.
     q_star = q_hat(hi)
     retry = 0
-    while not (0.0 < q_star <= threshold) and retry < max_retries:
+    while not (0.0 < q_star <= threshold) and retry < 2:
         retry += 1
         q_star = q_hat(hi, retry=retry)
         flags.append(f"retry_k{hi}_x{retry}")
     if not (0.0 < q_star <= threshold):
         raise SearchExhausted(
             f"q_{hi} estimated at {q_star:.3g}, never confirmed below "
-            f"threshold {threshold:.3g} (horizon K0={k0})")
+            f"threshold {threshold:.3g} (horizon K0={k0})", n_used)
 
-    q_prev = cache[lo]
-    tau_lower, tau_upper = gap_bounds(q_star, hi, n_used)
-    if tau_lower > 0.0:
-        tau_hat = math.sqrt(tau_lower * tau_upper)
-    else:
-        tau_hat = tau_upper
-        flags.append("lower_bound_vacuous")
-
-    return GapEstimate(k_star=hi, q_k=q_star, q_k_minus_1=q_prev,
+    tau_hat, tau_lower, tau_upper = _bracket(q_star, hi, n_used, flags)
+    return GapEstimate(k_star=hi, q_k=q_star, q_k_minus_1=cache[lo],
                        tau_hat=tau_hat, tau_lower=tau_lower,
                        tau_upper=tau_upper, n_used=n_used, c=c, eps=eps,
                        delta=delta, pk_rule=pk_rule,
@@ -215,16 +213,15 @@ def estimate_gap_exact(g: RootedGraph, c: float = 2.0) -> GapEstimate:
     hit = next((k for k in range(1, horizon + 1) if table.q[k] <= threshold), None)
     if hit is None:
         raise SearchExhausted(
-            f"exact q_k above 1/n^c up to k={horizon} (K0={k0})")
+            f"exact q_k above 1/n^c up to k={horizon} (K0={k0})", n)
     q_star = float(table.q[hit])
-    q_prev = float(table.q[hit - 1])
-    tau_lower, tau_upper = gap_bounds(q_star, hit, n)
-    tau_hat = math.sqrt(tau_lower * tau_upper) if tau_lower > 0 else tau_upper
-    return GapEstimate(k_star=hit, q_k=q_star, q_k_minus_1=q_prev,
+    flags = ["exact"]
+    tau_hat, tau_lower, tau_upper = _bracket(q_star, hit, n, flags)
+    return GapEstimate(k_star=hit, q_k=q_star, q_k_minus_1=float(table.q[hit - 1]),
                        tau_hat=tau_hat, tau_lower=tau_lower,
                        tau_upper=tau_upper, n_used=n, c=c, eps=0.0,
                        delta=0.0, pk_rule="exact", total_experiments=0,
-                       total_ticks=0, trace=[], flags=["exact"])
+                       total_ticks=0, trace=[], flags=flags)
 
 
 def estimate_mixing_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
@@ -245,7 +242,7 @@ def estimate_mixing_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
         est = estimate_gap(g, c=c, eps=eps, delta=delta, n=n, seed=seed,
                            pk_rule=pk_rule, lazy=False, stride=2)
     except SearchExhausted as exc:
-        n_used = g.n if n in (None, "estimate") else int(n)
+        n_used = exc.n_used
         return {
             "status": "exhausted",
             "mixing_gap_upper": 1.0 - (1.0 - 1.0 / n_used ** c) ** 0.5,

@@ -119,9 +119,10 @@ def forge_tree_pair(k: int) -> tuple[TreeHandle, TreeHandle]:
     return t1, t2
 
 
-def h_numerator_roots(h: RatFun, imag_tol: float = 1e-9) -> list[float]:
-    """Real roots of the numerator of h.  Each root x corresponds to the
-    nondegenerate eigenvalue pair +-1/sqrt(x)."""
+def h_numerator_roots(h: RatFun) -> list[float]:
+    """Real roots of the numerator of h (imaginary part within
+    1e-9 (1 + |x|)).  Each root x corresponds to the nondegenerate
+    eigenvalue pair +-1/sqrt(x)."""
     num = h.num
     if num.degree < 1:
         return []
@@ -129,7 +130,7 @@ def h_numerator_roots(h: RatFun, imag_tol: float = 1e-9) -> list[float]:
     if np.any(~np.isfinite(roots)):
         raise RootFindingFailure("non-finite numerator root")
     return sorted(
-        float(r.real) for r in roots if abs(r.imag) <= imag_tol * (1 + abs(r))
+        float(r.real) for r in roots if abs(r.imag) <= 1e-9 * (1 + abs(r))
     )
 
 

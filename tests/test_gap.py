@@ -103,6 +103,16 @@ def test_exact_estimator_doubling_stops_at_exact_cap():
         estimate_gap_exact(build_family("cycle", 60), 2.0)
 
 
+def test_exact_estimator_flags_a_vacuous_lower_bound():
+    """At c = 1/2 the crossing q_k <= 1/sqrt(n) leaves q_k above 1/n, so
+    the lower bound is vacuous; the exact twin records that as the
+    statistical estimator does."""
+    est = estimate_gap_exact(FIXTURES["c8"], c=0.5)
+    assert est.tau_lower == 0.0
+    assert est.tau_hat == est.tau_upper
+    assert est.flags == ["exact", "lower_bound_vacuous"]
+
+
 def test_exact_estimator_computes_the_series_once(monkeypatch):
     calls = []
 

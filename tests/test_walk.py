@@ -15,12 +15,12 @@ from batecho import (
     return_gen_fun,
     run_experiment,
     sample_first_returns,
-    simulate,
     transition_series,
 )
 from batecho.walk import batch_return_successes, child_seed
 
 from conftest import FIXTURES
+from walk_oracle import from_walk, simulate
 
 
 def test_walk_is_deterministic_in_seed():
@@ -32,12 +32,12 @@ def test_walk_is_deterministic_in_seed():
 
 
 def test_k2_returns_every_other_step():
-    rt = ReturnTimes.from_walk(FIXTURES["k2"], seed=0)
+    rt = from_walk(FIXTURES["k2"], seed=0)
     assert [next(rt) for _ in range(10)] == [2, 4, 6, 8, 10, 12, 14, 16, 18, 20]
 
 
 def test_bipartite_returns_are_even():
-    rt = ReturnTimes.from_walk(FIXTURES["c4"], seed=1)
+    rt = from_walk(FIXTURES["c4"], seed=1)
     assert all(t % 2 == 0 for t in (next(rt) for _ in range(500)))
 
 
@@ -46,7 +46,7 @@ def test_hoeffding_count_value():
 
 
 def test_run_experiment_advances_origin():
-    rt = ReturnTimes.from_walk(FIXTURES["c4"], seed=3, lazy=True)
+    rt = from_walk(FIXTURES["c4"], seed=3, lazy=True)
     assert rt.origin == 0
     ok = run_experiment(rt, 5)
     assert rt.origin >= 5
@@ -57,7 +57,7 @@ def test_estimate_pk_within_three_sigma_of_exact():
     g = FIXTURES["c4"]
     k, eps, delta = 3, 0.05, 0.05
     exact = float(lazy_series(g, k).p[k])
-    est = estimate_pk(ReturnTimes.from_walk(g, seed=7, lazy=True), k, eps, delta)
+    est = estimate_pk(from_walk(g, seed=7, lazy=True), k, eps, delta)
     n = est.experiments
     sigma = math.sqrt(exact * (1 - exact) / n)
     assert abs(est.p_hat - exact) < 3 * sigma + 1e-12
@@ -65,7 +65,7 @@ def test_estimate_pk_within_three_sigma_of_exact():
 
 
 def test_estimate_pk_validates_inputs():
-    rt = ReturnTimes.from_walk(FIXTURES["c4"], seed=0, lazy=True)
+    rt = from_walk(FIXTURES["c4"], seed=0, lazy=True)
     with pytest.raises(ValueError):
         estimate_pk(rt, 3, 1.5, 0.05)
 
@@ -84,7 +84,7 @@ def test_gap_distribution_chi_square():
     """Gaps of the sequential walk follow the exact first-return law."""
     g = FIXTURES["c4"]
     t = first_return_series(return_gen_fun(g), 12)
-    rt = ReturnTimes.from_walk(g, seed=5)
+    rt = from_walk(g, seed=5)
     m = 4000
     gaps = rt.gaps(m)
     buckets = {2: 0, 4: 0, 6: 0, 8: 0}
@@ -110,7 +110,7 @@ def _lazify_returns(rt_bits, seed) -> ReturnTimes:
     ticks during which the walker holds its position.
 
     `rt_bits` is an iterator of at-root bits for ticks 1, 2, ... of the
-    non-lazy walk (e.g. WalkStream.bits()).
+    non-lazy walk (e.g. walk_oracle.WalkStream.bits()).
     """
     rng = np.random.default_rng(seed)
     buf_size = 8192
@@ -149,7 +149,7 @@ def test_lazify_matches_direct_lazy_law():
 
 def test_sampled_return_times_match_sequential_law():
     g = FIXTURES["c8"]
-    seq = ReturnTimes.from_walk(g, seed=9)
+    seq = from_walk(g, seed=9)
     fast = SampledReturnTimes(g, seed=9)
     m = 3000
     mean_seq = sum(seq.gaps(m)) / m
@@ -163,14 +163,19 @@ def test_sampled_return_times_match_sequential_law():
     assert abs(sum(gaps_fast) / m - 8.0) < 0.4      # E T1 = n on a cycle
 
 
-def test_batch_successes_match_exact_probability():
-    g = FIXTURES["k4"]
-    k = 3
-    exact = float(lazy_series(g, k).p[k])
+@pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "plain"])
+@pytest.mark.parametrize("name", ["k4", "star3", "path4"])
+def test_batch_successes_match_exact_probability(name, lazy):
+    """Regular and irregular graphs, lazy and plain: the two branches of
+    the shared step against the exact return probability."""
+    g = FIXTURES[name]
+    k = 3 if lazy else 4     # even: the plain walk on a tree is periodic
+    series = lazy_series if lazy else transition_series
+    exact = float(series(g, k).p[k])
     n = 200000
-    hits = batch_return_successes(g, k, n, seed=13, lazy=True)
+    hits = batch_return_successes(g, k, n, seed=13, lazy=lazy)
     sigma = math.sqrt(exact * (1 - exact) / n)
-    assert abs(hits / n - exact) < 4 * sigma
+    assert abs(hits / n - exact) <= 4 * sigma   # sigma = 0 on star3-plain
 
 
 def test_batch_stride_observes_even_time_chain():
@@ -183,11 +188,16 @@ def test_batch_stride_observes_even_time_chain():
     assert abs(hits / n - exact) < 4 * sigma
 
 
-def test_sample_first_returns_mean():
-    g = FIXTURES["star3"]
-    gaps = sample_first_returns(g, 50000, seed=23)
-    assert abs(float(gaps.mean()) - 2.0) < 0.05   # E T1 = 2|E|/d(r) = 2
-    assert gaps.min() >= 2
+@pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
+@pytest.mark.parametrize("name", ["star3", "path4", "c8"])
+def test_sample_first_returns_mean(name, lazy):
+    """E T1 = 2|E|/d(r) for the plain and the lazy walk alike."""
+    g = FIXTURES[name]
+    gaps = sample_first_returns(g, 50000, seed=23, lazy=lazy)
+    mean = 2 * g.edge_count / g.root_degree
+    sigma = float(gaps.std()) / math.sqrt(gaps.size)
+    assert abs(float(gaps.mean()) - mean) <= 5 * sigma   # T1 = 2 on star3-plain
+    assert gaps.min() >= (1 if lazy else 2)
 
 
 def test_child_seed_keeps_int_and_root_streams():
