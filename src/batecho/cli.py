@@ -174,8 +174,7 @@ def cmd_gap(opts) -> int:
     g = load_graph(opts)
     est = gp.estimate_gap(g, c=opts.get("c", 2.0), eps=opts.get("eps", 0.25),
                           delta=opts.get("delta", 0.1), n=opts.get("n"),
-                          seed=opts.get("seed", 0),
-                          pk_rule=opts.get("pk_rule", "desk"))
+                          seed=opts.get("seed", 0))
     budget = gp.audit_budget(est)
     if not budget["within_budget"]:
         raise BudgetOverflow(
@@ -192,7 +191,7 @@ def cmd_mixing_gap(opts) -> int:
     report = gp.estimate_mixing_gap(
         g, c=opts.get("c", 2.0), eps=opts.get("eps", 0.25),
         delta=opts.get("delta", 0.1), n=opts.get("n"),
-        seed=opts.get("seed", 0), pk_rule=opts.get("pk_rule", "desk"))
+        seed=opts.get("seed", 0))
     emit(report, opts)
     return EXIT_OK
 
@@ -259,6 +258,18 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=["json", "csv"])
 
 
+def _add_search(p: argparse.ArgumentParser):
+    """The options of the two gap searches."""
+    _add_common(p)
+    p.add_argument("--c", type=float)
+    p.add_argument("--eps", type=float)
+    p.add_argument("--delta", type=float)
+    p.add_argument("--n", help='vertex count, or "estimate"')
+    p.add_argument("--pk-rule", dest="pk_rule", choices=["paper"],
+                   help="per-evaluation accuracy rule; the paper's "
+                        "eps/(8 n^c) is the only rule")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="batecho",
@@ -277,20 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="directory for the tree and certificate files")
 
     p = sub.add_parser("gap", help="statistical spectral-gap estimate")
-    _add_common(p)
-    p.add_argument("--c", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", help='vertex count, or "estimate"')
-    p.add_argument("--pk-rule", dest="pk_rule", choices=["desk", "paper"])
+    _add_search(p)
 
     p = sub.add_parser("mixing-gap", help="statistical mixing-gap estimate")
-    _add_common(p)
-    p.add_argument("--c", type=float)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--n", help='vertex count, or "estimate"')
-    p.add_argument("--pk-rule", dest="pk_rule", choices=["desk", "paper"])
+    _add_search(p)
 
     p = sub.add_parser("observe", help="return-gap summary statistics")
     _add_common(p)
@@ -351,6 +352,8 @@ def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             opts["n"] = int(n)
         except ValueError:
             raise BatechoError(f'--n must be an integer or "estimate", got {n!r}')
+    if "seed" in vars(args) and opts.get("seed", 0) < 0:
+        raise DomainError(f"--seed must be non-negative, got {opts['seed']}")
     return opts
 
 

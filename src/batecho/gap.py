@@ -72,17 +72,11 @@ def search_budget(n: int, c: float) -> tuple[int, int]:
     return k0, math.ceil(math.log2(k0))
 
 
-def per_eval_eta(n: int, c: float, eps: float, pk_rule: str) -> float:
-    """Per-evaluation additive accuracy for the return-probability
-    estimates.  The "paper" rule demands eps/(8 n^c), which is safe but
-    needs ~n^{2c} experiments per evaluation; the default "desk" rule
-    relaxes the exponent to c/2, which keeps every threshold comparison
-    sharp to within a constant factor of 1/n^c while staying tractable."""
-    if pk_rule == "paper":
-        return eps / (8.0 * n ** c)
-    if pk_rule == "desk":
-        return eps / (8.0 * n ** (c / 2.0))
-    raise DomainError(f"unknown pk_rule {pk_rule!r}")
+def per_eval_eta(n: int, c: float, eps: float) -> float:
+    """Per-evaluation additive accuracy eps/(8 n^c) for the
+    return-probability estimates: each threshold comparison against 1/n^c
+    is then sharp to within a factor 1 +- eps/8."""
+    return eps / (8.0 * n ** c)
 
 
 def estimate_n(g: RootedGraph, seed, lazy: bool = True) -> int:
@@ -115,7 +109,7 @@ def _bracket(q_star: float, k: int, n: int, flags: list) -> tuple[float, float, 
 
 
 def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
-                 delta: float = 0.1, n=None, seed=0, pk_rule: str = "desk",
+                 delta: float = 0.1, n=None, seed=0,
                  lazy: bool = True, stride: int = 1) -> GapEstimate:
     """Estimate the lazy spectral gap of the walk from return observations.
 
@@ -125,8 +119,8 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     which signals a gap too small to resolve at this c.  The confirming
     evaluation at k* is retried at most twice, doubling its experiments.
     """
-    if c <= 0:
-        raise DomainError(f"c must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0):
+        raise DomainError(f"c must be positive and finite, got {c}")
     if not (0 < eps < 1 and 0 < delta < 1):
         raise DomainError(f"eps and delta must lie in (0, 1), got {eps}, {delta}")
     flags = []
@@ -140,10 +134,16 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     if n_used < 2:
         raise DomainError(f"n must be at least 2, got {n_used}")
 
-    k0, levels = search_budget(n_used, c)
-    delta_eval = delta / levels
-    eta = per_eval_eta(n_used, c, eps, pk_rule)
-    n_exp = hoeffding_count(eta, delta_eval)
+    try:
+        k0, levels = search_budget(n_used, c)
+        n_exp = hoeffding_count(per_eval_eta(n_used, c, eps), delta / levels)
+    except (OverflowError, ZeroDivisionError):
+        n_exp = math.inf
+    # the second retry counts 4 n_exp walkers in an int64 occupancy vector
+    if 4 * n_exp > np.iinfo(np.int64).max:
+        raise DomainError(f"c={c}, eps={eps}, delta={delta} on n={n_used} need "
+                          f"{n_exp:.3g} experiments per evaluation; 4 times that "
+                          f"must fit in a 64-bit count")
     threshold = 1.0 / n_used ** c
 
     trace = []
@@ -194,7 +194,7 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     return GapEstimate(k_star=hi, q_k=q_star, q_k_minus_1=cache[lo],
                        tau_hat=tau_hat, tau_lower=tau_lower,
                        tau_upper=tau_upper, n_used=n_used, c=c, eps=eps,
-                       delta=delta, pk_rule=pk_rule,
+                       delta=delta, pk_rule="paper",
                        total_experiments=total_experiments,
                        total_ticks=total_ticks, trace=trace, flags=flags)
 
@@ -225,8 +225,7 @@ def estimate_gap_exact(g: RootedGraph, c: float = 2.0) -> GapEstimate:
 
 
 def estimate_mixing_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
-                        delta: float = 0.1, n=None, seed=0,
-                        pk_rule: str = "desk") -> dict:
+                        delta: float = 0.1, n=None, seed=0) -> dict:
     """Estimate the mixing gap 1 - max(lambda_2, |lambda_n|) of the
     non-lazy walk by observing it at even times only: the even-time chain
     has transition matrix M^2, whose gap relates to the mixing gap by
@@ -240,7 +239,7 @@ def estimate_mixing_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     """
     try:
         est = estimate_gap(g, c=c, eps=eps, delta=delta, n=n, seed=seed,
-                           pk_rule=pk_rule, lazy=False, stride=2)
+                           lazy=False, stride=2)
     except SearchExhausted as exc:
         n_used = exc.n_used
         return {
@@ -275,11 +274,11 @@ def estimate_hitting(gaps) -> float:
 
 def audit_budget(est: GapEstimate) -> dict:
     """Check the estimator's experiment count against the worst-case
-    budget of the conservative accuracy rule: L evaluations, each sized by
-    Hoeffding at accuracy eps/(8 n^c) and confidence delta/L."""
+    budget: L evaluations, each sized by Hoeffding at accuracy eps/(8 n^c)
+    and confidence delta/L."""
     k0, levels = search_budget(est.n_used, est.c)
-    eta_paper = per_eval_eta(est.n_used, est.c, est.eps, "paper")
-    per_eval = hoeffding_count(eta_paper, est.delta / levels)
+    per_eval = hoeffding_count(per_eval_eta(est.n_used, est.c, est.eps),
+                               est.delta / levels)
     bound = levels * per_eval
     return {
         "k0": k0,
@@ -306,7 +305,7 @@ def audit_error_chain(est: GapEstimate, exact_q=None) -> dict:
         "bound_order": 0.0 <= est.tau_lower <= est.tau_hat <= est.tau_upper,
     }
     if exact_q is not None and est.trace:
-        eta = per_eval_eta(est.n_used, est.c, est.eps, est.pk_rule)
+        eta = per_eval_eta(est.n_used, est.c, est.eps)
         worst = 0.0
         for entry in est.trace:
             err = abs(entry["q_hat"] - float(exact_q(entry["k"])))

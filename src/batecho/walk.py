@@ -1,11 +1,12 @@
 """Seeded random-walk simulation and the observer's view of it.
 
 The observer at the root sees only the clock and the return bits; every
-estimator in the library consumes that interface.  Walks are simulated
-in batches of independent walkers that share one step function, and
-streams are deterministic functions of (graph, seed, lazy), split from a
-master seed via numpy's SeedSequence, so parallel and serial runs see the
-same randomness.
+estimator in the library consumes that interface.  A batch of independent
+walkers is simulated as an occupancy vector, the number of walkers at
+each vertex, which one step function advances a tick at a time with one
+multinomial draw per degree class.  Streams are deterministic functions
+of (graph, seed, lazy), split from a master seed via numpy's
+SeedSequence, so parallel and serial runs see the same randomness.
 """
 from __future__ import annotations
 
@@ -19,48 +20,35 @@ from .graphs import RootedGraph
 
 
 @lru_cache(maxsize=64)
-def _flat_adjacency(g: RootedGraph):
-    """(neighbors, offsets, degrees, common degree) for vectorized
-    stepping; the common degree is None unless the graph is regular."""
-    degs = np.array([g.degree(i) for i in range(g.n)], dtype=np.int64)
-    offsets = np.zeros(g.n + 1, dtype=np.int64)
-    np.cumsum(degs, out=offsets[1:])
-    flat = np.empty(offsets[-1], dtype=np.int64)
-    for u in range(g.n):
-        flat[offsets[u]:offsets[u + 1]] = g.adjacency[u]
-    common = int(degs[0]) if bool(np.all(degs == degs[0])) else None
-    return flat, offsets, degs, common
+def _degree_classes(g: RootedGraph) -> tuple:
+    """The vertices grouped by degree, one (vertices, moves) entry per
+    degree d.  moves[lazy] is (targets, shares): the walkers at
+    vertices[i] move to targets[i, j] with share shares[j].  The plain walk
+    moves to each neighbour with share 1/d; the lazy walk stays with share
+    1/2 (its first target column is the vertex itself) and moves to each
+    neighbour with share 1/(2d)."""
+    by_degree: dict[int, list[int]] = {}
+    for v in range(g.n):
+        by_degree.setdefault(g.degree(v), []).append(v)
+    classes = []
+    for d, vs in sorted(by_degree.items()):
+        verts = np.array(vs)
+        nbrs = np.array([g.adjacency[v] for v in vs])
+        classes.append((verts, ((nbrs, np.full(d, 1.0 / d)),
+                                (np.c_[verts, nbrs], np.r_[0.5, np.full(d, 0.5 / d)]))))
+    return tuple(classes)
 
 
-def _advance(adj, pos: np.ndarray, rng: np.random.Generator, ticks: int,
-             lazy: bool) -> np.ndarray:
-    """Move walkers at `pos` through `ticks` ticks, drawing one uniform u
-    in [0, 1) per walker per tick; `adj` is the graph's `_flat_adjacency`.
-    A walker of degree d moves to neighbor floor(u*d); in lazy mode
-    j = floor(2*u*d) keeps it in place for j < d and moves it to neighbor
-    j - d otherwise.  On a regular graph d is one scalar, which saves a
-    per-tick gather.  Returns the new positions (lazy mode updates `pos`
-    in place).
-
-    The tick loop lives here rather than in the callers so that each
-    tick's arrays stay alive until the next tick replaces them.  Freed at
-    the end of every tick, they went back to the operating system and
-    were faulted in again, and batches ran 10-85% slower (2-core Linux
-    machine, glibc malloc)."""
-    flat, offsets, degs, common = adj
-    for _ in range(ticks):
-        u = rng.random(pos.size)
-        d = degs[pos] if common is None else common
-        if lazy:
-            j = (u * (2 * d)).astype(np.int64)
-            move = j >= d
-            if common is None:
-                d = d[move]
-            pos[move] = flat[offsets[pos[move]] + (j[move] - d)]
-        else:
-            j = (u * d).astype(np.int64)
-            pos = flat[offsets[pos] + j]
-    return pos
+def _step(classes, occ: np.ndarray, rng: np.random.Generator,
+          lazy: bool) -> np.ndarray:
+    """One tick of every walker, given the walker count at each vertex:
+    one multinomial draw per degree class splits each vertex's count over
+    its targets.  Returns the new counts."""
+    new = np.zeros(occ.size, dtype=np.int64)
+    for verts, moves in classes:
+        targets, shares = moves[lazy]
+        np.add.at(new, targets, rng.multinomial(occ[verts], shares))
+    return new
 
 
 def child_seed(seed, index: int) -> np.random.SeedSequence:
@@ -195,38 +183,36 @@ def batch_return_successes(g: RootedGraph, k: int, count: int, seed,
     """Number of independent experiments (out of `count`) whose walk is
     back at the root at tick stride*k.  The success indicator equals the
     return bit a_{stride*k}, exactly the observable the sequential
-    experiment protocol tests."""
-    adj = _flat_adjacency(g)
+    experiment protocol tests.  The walkers are i.i.d., so only their
+    count at each vertex is simulated: the cost is O(|E| stride k),
+    whatever `count` is."""
+    classes = _degree_classes(g)
     rng = np.random.default_rng(seed)
-    total = 0
-    done = 0
-    while done < count:
-        c = min(1 << 20, count - done)
-        pos = _advance(adj, np.full(c, g.root, dtype=np.int64), rng, stride * k, lazy)
-        total += int(np.sum(pos == g.root))
-        done += c
-    return total
+    occ = np.zeros(g.n, dtype=np.int64)
+    occ[g.root] = count
+    for _ in range(stride * k):
+        occ = _step(classes, occ, rng, lazy)
+    return int(occ[g.root])
 
 
 def sample_first_returns(g: RootedGraph, count: int, seed,
                          lazy: bool = False) -> np.ndarray:
-    """`count` independent first-return times, vectorized.  Gaps between
-    successive returns are iid copies of T1, so these samples have the
-    observer's gap distribution."""
-    adj = _flat_adjacency(g)
+    """`count` independent first-return times.  The walker counts evolve
+    with the root absorbing; the count absorbed at tick t is the number of
+    first returns at t, and a shuffle of that histogram is an i.i.d.
+    sample.  Gaps between successive returns are iid copies of T1, so
+    these samples have the observer's gap distribution."""
+    classes = _degree_classes(g)
     rng = np.random.default_rng(seed)
-    out = np.empty(count, dtype=np.int64)
-    filled = 0
-    while filled < count:
-        c = min(1 << 19, count - filled)
-        alive = np.arange(filled, filled + c)    # slots in `out` still walking
-        pos = np.full(c, g.root, dtype=np.int64)
-        t = 0
-        while alive.size:
-            t += 1
-            pos = _advance(adj, pos, rng, 1, lazy)
-            away = pos != g.root
-            out[alive[~away]] = t
-            alive, pos = alive[away], pos[away]
-        filled += c
+    occ = np.zeros(g.n, dtype=np.int64)
+    occ[g.root] = count
+    absorbed = []
+    left = count
+    while left:
+        occ = _step(classes, occ, rng, lazy)
+        absorbed.append(int(occ[g.root]))
+        left -= absorbed[-1]
+        occ[g.root] = 0
+    out = np.repeat(np.arange(1, len(absorbed) + 1, dtype=np.int64), absorbed)
+    rng.shuffle(out)
     return out

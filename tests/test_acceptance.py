@@ -157,7 +157,6 @@ def gap_runs():
     return runs
 
 
-@pytest.mark.slow
 def test_criterion_06_statistical_gap_estimation(gap_runs):
     for name in ("c8", "k4"):
         tau = nd_lazy_tau(FIXTURES[name])
@@ -187,7 +186,6 @@ def test_criterion_07_estimator_calibration():
           f"of P'_3={exact:.4f}, {dt:.0f}s")
 
 
-@pytest.mark.slow
 def test_criterion_08_cost_accounting(gap_runs):
     for name in ("c8", "k4"):
         g = FIXTURES[name]

@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import batecho
 from batecho import first_return_series, return_gen_fun
@@ -79,27 +84,27 @@ def test_forge_certificate_is_pinned(capsys, tmp_path):
         "8c4eeb1f52a0b901b1c873012b8bbfadb38a04e1ba607e9b3f405b266f5543b6")
 
 
-# sha256 of seeded statistical payloads as the walk code before the
-# shared step function printed them: lazy and plain walks on regular and
-# irregular graphs, through the gap search (with and without estimated
-# n), the even-time mixing-gap search and first-return sampling.
+# sha256 of seeded statistical payloads as the occupancy-vector walk
+# printed them under the paper's accuracy rule: lazy and plain walks on
+# regular and irregular graphs, through the gap search (with and without
+# estimated n), the even-time mixing-gap search and first-return sampling.
 @pytest.mark.parametrize("argv,digest", [
     ("gap --family gab:2,2 --seed 1",
-     "a96576df3da6904bb47ff8b80176f5eea37dff459372e79da2736f829d1ab7dc"),
+     "e9225c8d75920f97383906d012b3a4379957603a51d7a43cd5b60da9021fe8dd"),
     ("gap --family complete:4 --seed 2",
-     "6b4c78820017e4977b222f69bc66e9149efc3a87cfd91fc47b18335a1c851905"),
+     "c4f3347f9a511d626ad2fb6f10f470c54de8177ed4f97b1369985b8d96c7d59c"),
     ("gap --family cycle:4 --n estimate --seed 3",
-     "c95bf6818e25623dfb185707ec666e9bd4f7dd787a10993a51726a7794563e40"),
+     "3ddaae60ea6f6f0f4ffb774668dc1559dc3d40ee0e55396caa0946b7ac93cb4c"),
     ("mixing-gap --family complete:4 --seed 1",
-     "6b617ad9848d0a542941d38e2f76c9ae4039f91b01f0c700e1a9b57ff2d4d099"),
+     "4c13674d69261db8787f0a9a42578f3e3f9086e8d538782e8b4c25f1cc943f93"),
     ("mixing-gap --family cycle:5 --seed 2",
-     "b4cf7a18d0ebad98d7faa2cc67bd0699affd521da852f7ab08b80aa642bdae69"),
+     "005f9e143bf800fb5356e860b960e980ec2c1d4065ab685a99476824f6cff911"),
     ("observe --family star:3 --m 50000 --lazy --seed 1",
-     "0bf2bffad5857b2d03aa10f51cd2a35a661415902337f37c5c271c67c38612b5"),
+     "3f1a82e0f558994e02eec06289e99f65aa5ade7548fac9710b262edd0fb65f5c"),
     ("observe --family path:4 --m 50000 --seed 2",
-     "37ee93854bd21fe368b9a0b85d9b46eebb8ed8090d412f2038cc338deae07344"),
+     "f9110243ee185dd29dd9e373b55f8c0dd8e8cf68f48464eaf05ad90d0c4dc034"),
     ("observe --family cycle:64 --m 100000 --seed 3",
-     "d2fe1a80944b8a8b298d3350aae1e9426bcd06802a36847c1b61c33144317ad9"),
+     "9848ceb70076fdc294f28e483a77d36bb8fcd2497c1bf8ce2323cfb724ba9357"),
 ])
 def test_seeded_payload_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
@@ -254,6 +259,7 @@ def test_config_values_get_flag_types(capsys, tmp_path, command, config, flags):
 @pytest.mark.parametrize("command,config", [
     ("simulate", {"family": "cycle:4", "m": "x"}),
     ("gap", {"family": "complete:4", "pk_rule": "bogus"}),
+    ("gap", {"family": "complete:4", "pk_rule": "desk"}),
 ])
 def test_bad_config_value_exits_2(capsys, tmp_path, command, config):
     cfg = tmp_path / "cfg.json"
@@ -295,6 +301,9 @@ def test_render_rejects_unknown_format():
     "observe --family cycle:4 --m 0",
     "simulate --family cycle:4 --m -1",
     "gap --family complete:4 --eps 2",
+    "gap --family cycle:64 --c inf",
+    "gap --family cycle:64 --c 1e308",
+    "gap --family cycle:64 --c 6",
 ])
 def test_bad_input_exits_2_without_traceback(argv):
     src = os.path.dirname(os.path.dirname(batecho.__file__))
@@ -304,3 +313,57 @@ def test_bad_input_exits_2_without_traceback(argv):
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("batecho: ")
+
+
+# Argument values for the argv fuzz test, bounded so that no example is
+# expensive: graphs of at most 8 vertices (plus malformed specs), at most
+# 10^4 samples, forge k <= 10 and k_max <= 50.
+_FAMILY = st.one_of(
+    st.builds("path:{}".format, st.integers(2, 8)),
+    st.builds("cycle:{}".format, st.integers(3, 8)),
+    st.builds("complete:{}".format, st.integers(2, 8)),
+    st.builds("star:{}".format, st.integers(1, 7)),
+    st.builds("hypercube:{}".format, st.integers(1, 3)),
+    st.builds("gab:{},{}".format, st.integers(1, 3), st.integers(1, 3)),
+    st.sampled_from(["cycle:2", "cycle:x", "path:", "hypercube:0", "gab:1",
+                     "leafy:1,1,bogus", "tesseract:4", ":", "cycle:3,4"]))
+_FLOAT = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+_COMMON = {"--family": _FAMILY, "--seed": st.integers(-3, 2 ** 64).map(str),
+           "--format": st.sampled_from(["json", "csv", "yaml"]),
+           "--graph": st.just("/nonexistent/graph.txt")}
+_SEARCH = {**_COMMON, "--c": _FLOAT, "--eps": _FLOAT, "--delta": _FLOAT,
+           "--n": st.sampled_from(["estimate", "x", "-3", "0", "1", "2", "5", "8"]),
+           "--pk-rule": st.sampled_from(["paper", "desk"])}
+_SAMPLES = {**_COMMON, "--m": st.integers(-2, 10 ** 4).map(str), "--lazy": st.just(None)}
+_FLAGS = {
+    "exact": {**_COMMON, "--k-max": st.integers(-2, 50).map(str)},
+    "forge": {"--k": st.integers(-2, 10).map(str), "--k-max": st.integers(-2, 50).map(str)},
+    "gap": _SEARCH,
+    "mixing-gap": _SEARCH,
+    "observe": _SAMPLES,
+    "simulate": _SAMPLES,
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FLAGS))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzzed_argv_exits_with_a_documented_code(command, data):
+    """Any argv for any subcommand ends in exit 0, 2, 3 or 4, or in
+    argparse's own exit 2, and never in another exception."""
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        if data.draw(st.booleans(), label=f"has {flag}"):
+            value = data.draw(values, label=flag)
+            argv.append(flag if value is None else f"{flag}={value}")
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        if command == "forge":
+            argv.append(f"--out={out}")
+        try:
+            code = main(argv)
+        except SystemExit as exc:      # argparse rejecting the argv
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 2, 3, 4), argv

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -132,10 +131,7 @@ def test_search_budget_values():
 
 
 def test_per_eval_eta_rules():
-    assert per_eval_eta(8, 2.0, 0.25, "paper") == 0.25 / (8 * 64)
-    assert per_eval_eta(8, 2.0, 0.25, "desk") == 0.25 / (8 * 8)
-    with pytest.raises(ValueError):
-        per_eval_eta(8, 2.0, 0.25, "bogus")
+    assert per_eval_eta(8, 2.0, 0.25) == 0.25 / (8 * 64)
 
 
 def test_estimate_gap_k4_bracket_and_audits():
@@ -154,12 +150,11 @@ def test_estimate_gap_k4_bracket_and_audits():
 
 
 def test_audit_reads_the_recorded_pk_rule():
-    """A paper-rule run is audited against the paper tolerance, not the
-    looser desk one."""
+    """A run is audited against the paper tolerance: an evaluation off by
+    more than 4 eps/(8 n^c) fails the check."""
     n, c, eps = 4, 2.0, 0.25
-    eta_paper = per_eval_eta(n, c, eps, "paper")
-    eta_desk = per_eval_eta(n, c, eps, "desk")
-    err = 0.5 * (4 * eta_paper + 4 * eta_desk)
+    eta_paper = per_eval_eta(n, c, eps)
+    err = 5 * eta_paper
     exact_q = 0.01
     est = GapEstimate(k_star=3, q_k=exact_q + err, q_k_minus_1=0.5,
                       tau_hat=0.5, tau_lower=0.4, tau_upper=0.6, n_used=n,
@@ -169,9 +164,6 @@ def test_audit_reads_the_recorded_pk_rule():
                               "successes": 0, "retry": 0}])
     checks = audit_error_chain(est, exact_q=lambda k: exact_q)
     assert checks["evaluations_accurate"] is False
-    desk = audit_error_chain(dataclasses.replace(est, pk_rule="desk"),
-                             exact_q=lambda k: exact_q)
-    assert desk["evaluations_accurate"] is True
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -184,11 +176,15 @@ def test_estimate_gap_rejects_bad_parameters(kwargs):
 
 
 def test_sibling_seeds_give_distinct_estimates():
+    """Each seed's whole trace (k and successes of every evaluation) is
+    compared: a single root count of two distinct streams can match by
+    chance."""
     g = FIXTURES["k4"]
     seeds = [np.random.SeedSequence(3, spawn_key=(i,)) for i in (1, 2)]
     seeds.append(np.random.SeedSequence(3))
-    qs = [estimate_gap(g, seed=s).trace[0]["successes"] for s in seeds]
-    assert len(set(qs)) == 3
+    traces = [tuple((e["k"], e["successes"]) for e in estimate_gap(g, seed=s).trace)
+              for s in seeds]
+    assert len(set(traces)) == 3
 
 
 def test_estimate_gap_is_deterministic():
@@ -196,7 +192,7 @@ def test_estimate_gap_is_deterministic():
     a = estimate_gap(g, seed=5)
     b = estimate_gap(g, seed=5)
     assert a.to_json() == b.to_json()
-    assert a.to_json()["pk_rule"] == "desk"
+    assert a.to_json()["pk_rule"] == "paper"
 
 
 def test_estimate_gap_with_estimated_n():
@@ -224,7 +220,7 @@ def test_mixing_gap_k4():
     assert report["mixing_gap_lower"] <= 2 / 3 <= report["mixing_gap_upper"]
 
 
-@pytest.mark.parametrize("name", ["c4", pytest.param("q3", marks=pytest.mark.slow)])
+@pytest.mark.parametrize("name", ["c4", "q3"])
 def test_mixing_gap_bipartite_reports_near_zero(name):
     report = estimate_mixing_gap(FIXTURES[name], seed=71)
     assert report["status"] == "exhausted"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 
 from batecho import (
     ReturnTimes,
@@ -17,8 +18,10 @@ from batecho import (
     sample_first_returns,
     transition_series,
 )
+from batecho import walk
 from batecho.walk import batch_return_successes, child_seed
 
+import walk_oracle
 from conftest import FIXTURES
 from walk_oracle import from_walk, simulate
 
@@ -217,3 +220,77 @@ def test_sibling_seed_sequences_give_distinct_streams():
     kids = root.spawn(2)
     states = {tuple(child_seed(s, 0).generate_state(4)) for s in [root] + kids}
     assert len(states) == 3
+
+
+# The law tests below run the occupancy-vector samplers of batecho.walk
+# and the per-walker oracle through the same chi-square checks.
+SAMPLERS = [pytest.param(walk, id="occupancy"),
+            pytest.param(walk_oracle, id="per_walker")]
+LAW_GRAPHS = ["c8", "k4", "q3", "star3", "path4", "leafy_cutpoint", "tree_left"]
+
+
+def _chi2_pvalue(observed, expected):
+    """Chi-square p-value of category counts against expected counts.  A
+    category expected (to rounding) empty must be empty and is dropped."""
+    assert all(o == 0 for o, e in zip(observed, expected) if e < 1e-6)
+    pairs = [(o, e) for o, e in zip(observed, expected) if e >= 1e-6]
+    chi2 = sum((o - e) ** 2 / e for o, e in pairs)
+    return scipy.stats.chi2.sf(chi2, len(pairs) - 1) if len(pairs) > 1 else 1.0
+
+
+@pytest.mark.parametrize("lazy,k,stride", [(True, 3, 1), (False, 4, 1), (False, 3, 2)],
+                         ids=["lazy", "plain", "plain-stride2"])
+@pytest.mark.parametrize("name", LAW_GRAPHS)
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_batch_success_counts_are_binomial(sampler, name, lazy, k, stride):
+    """The success counts of 100 seeded batches against Binomial(count,
+    P_{stride k}(r,r)), by the dispersion chi-square sum (x - count p)^2 /
+    (count p (1 - p)) on 100 degrees of freedom: a wrong mean or a wrong
+    spread both fail it."""
+    g = FIXTURES[name]
+    count = 10 ** 6 if sampler is walk else 10 ** 4   # the oracle pays per walker
+    ticks = stride * k
+    p = float((lazy_series if lazy else transition_series)(g, ticks).p[ticks])
+    hits = np.array([sampler.batch_return_successes(g, k, count, seed, lazy=lazy,
+                                                    stride=stride)
+                     for seed in range(100)])
+    if p in (0.0, 1.0):       # a periodic return: every batch is exact
+        assert (hits == count * p).all()
+        return
+    chi2 = float(np.sum((hits - count * p) ** 2) / (count * p * (1 - p)))
+    assert scipy.stats.chi2.sf(chi2, hits.size) > 1e-4, (chi2, hits.mean() / count, p)
+
+
+def _first_return_law(g, lazy, k_max):
+    """Exact P(T1 = k) for k <= k_max: first_return_series for the plain
+    walk, and for the lazy walk the same renewal inversion
+    p'_k = sum_j s_j p'_{k-j} of the exact lazy return series."""
+    if not lazy:
+        return first_return_series(return_gen_fun(g), k_max).s
+    p = lazy_series(g, k_max).p
+    s = [Fraction(0)] * (k_max + 1)
+    for k in range(1, k_max + 1):
+        s[k] = p[k] - sum(s[j] * p[k - j] for j in range(1, k))
+    return s
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
+@pytest.mark.parametrize("name", LAW_GRAPHS)
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_first_return_histogram_follows_exact_law(sampler, name, lazy):
+    """Chi-square of the first-return histogram against the exact law:
+    every k with at least 40 expected samples is a bucket, the rest pool
+    into one tail bucket.  The first tenth of the sample is checked on its
+    own too, because callers read the samples in order."""
+    g = FIXTURES[name]
+    m = 20000
+    gaps = sampler.sample_first_returns(g, m, 29, lazy=lazy)
+    assert gaps.size == m
+    s = _first_return_law(g, lazy, 80)
+    for part in (gaps, gaps[: m // 10]):
+        buckets = [k for k in range(81) if part.size * s[k] >= 40]
+        observed = [int(np.sum(part == k)) for k in buckets]
+        expected = [part.size * float(s[k]) for k in buckets]
+        observed.append(part.size - sum(observed))
+        expected.append(part.size - sum(expected))
+        assert _chi2_pvalue(observed, expected) > 1e-4, (part.size, observed, expected)

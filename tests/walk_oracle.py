@@ -1,6 +1,7 @@
-"""The sequential walk, kept as a test oracle for the vectorized samplers
-in `batecho.walk`: one walker advanced a tick at a time, read by the
-observer as a stream of at-root bits."""
+"""Two test oracles for the occupancy-vector samplers in `batecho.walk`:
+the sequential walk, one walker advanced a tick at a time and read by the
+observer as a stream of at-root bits; and the per-walker batch samplers,
+which move every walker of a batch with one uniform draw per tick."""
 import numpy as np
 
 from batecho.walk import ReturnTimes
@@ -56,3 +57,55 @@ def simulate(g, seed, lazy: bool = False) -> WalkStream:
 def from_walk(g, seed, lazy: bool = False) -> ReturnTimes:
     """The observer's return times of one sequential walk."""
     return ReturnTimes(simulate(g, seed, lazy).bits(), graph=g)
+
+
+def _flat_adjacency(g):
+    """(neighbors, offsets, degrees) for vectorized per-walker stepping."""
+    degs = np.array([g.degree(i) for i in range(g.n)], dtype=np.int64)
+    offsets = np.zeros(g.n + 1, dtype=np.int64)
+    np.cumsum(degs, out=offsets[1:])
+    flat = np.array([v for u in range(g.n) for v in g.adjacency[u]], dtype=np.int64)
+    return flat, offsets, degs
+
+
+def _advance(adj, pos, rng, ticks, lazy):
+    """Move walkers at `pos` through `ticks` ticks, drawing one uniform u
+    per walker per tick: a walker of degree d moves to neighbor
+    floor(u*d); in lazy mode j = floor(2*u*d) keeps it in place for j < d
+    and moves it to neighbor j - d otherwise."""
+    flat, offsets, degs = adj
+    for _ in range(ticks):
+        u = rng.random(pos.size)
+        d = degs[pos]
+        if lazy:
+            j = (u * (2 * d)).astype(np.int64)
+            move = j >= d
+            pos[move] = flat[offsets[pos[move]] + (j[move] - d[move])]
+        else:
+            pos = flat[offsets[pos] + (u * d).astype(np.int64)]
+    return pos
+
+
+def batch_return_successes(g, k, count, seed, lazy=True, stride=1):
+    """Per-walker twin of `batecho.walk.batch_return_successes`."""
+    pos = np.full(count, g.root, dtype=np.int64)
+    pos = _advance(_flat_adjacency(g), pos, np.random.default_rng(seed),
+                   stride * k, lazy)
+    return int(np.sum(pos == g.root))
+
+
+def sample_first_returns(g, count, seed, lazy=False):
+    """Per-walker twin of `batecho.walk.sample_first_returns`: each walker
+    is stepped until it is back at the root."""
+    adj, rng = _flat_adjacency(g), np.random.default_rng(seed)
+    out = np.empty(count, dtype=np.int64)
+    alive = np.arange(count)                 # slots in `out` still walking
+    pos = np.full(count, g.root, dtype=np.int64)
+    t = 0
+    while alive.size:
+        t += 1
+        pos = _advance(adj, pos, rng, 1, lazy)
+        away = pos != g.root
+        out[alive[~away]] = t
+        alive, pos = alive[away], pos[away]
+    return out
