@@ -42,12 +42,10 @@ from .graphs import (
     from_edge_list,
     from_text,
     glue_at_roots,
-    is_bipartite,
 )
 from .ratfun import IntPoly, RatFun, find_dependency
 from .treefun import (
     ahu_canonical,
-    eigenvalues_from_h,
     forge_tree_pair,
     h_from_series,
     h_of_tree,
@@ -62,4 +60,4 @@ from .walk import (
     sample_first_returns,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

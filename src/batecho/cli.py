@@ -66,9 +66,9 @@ def load_graph(opts) -> graphs.RootedGraph:
         raise BatechoError("give either --graph or --family, not both")
     if opts.get("graph"):
         try:
-            with open(opts["graph"]) as fh:
+            with open(opts["graph"], encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise BatechoError(f"cannot read graph {opts['graph']}: {exc}") from exc
         return graphs.from_text(text)
     if opts.get("family"):
@@ -106,8 +106,11 @@ def emit(payload: dict, opts) -> None:
     text = render(payload, opts.get("format", "json"))
     out = opts.get("out")
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise BatechoError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -153,16 +156,19 @@ def cmd_forge(opts) -> int:
         "isomorphic": treefun.ahu_canonical(left) == treefun.ahu_canonical(right),
     }
     out_dir = opts.get("out") or "."
-    os.makedirs(out_dir, exist_ok=True)
     paths = {}
-    for name, t in (("left", left), ("right", right)):
-        path = os.path.join(out_dir, f"forged_{name}_k{k}.txt")
-        with open(path, "w") as fh:
-            fh.write(t.graph.to_text())
-        paths[name] = path
     cert_path = os.path.join(out_dir, f"forged_certificate_k{k}.json")
-    with open(cert_path, "w") as fh:
-        fh.write(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        for name, t in (("left", left), ("right", right)):
+            path = os.path.join(out_dir, f"forged_{name}_k{k}.txt")
+            with open(path, "w") as fh:
+                fh.write(t.graph.to_text())
+            paths[name] = path
+        with open(cert_path, "w") as fh:
+            fh.write(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+    except OSError as exc:
+        raise BatechoError(f"cannot write to {out_dir}: {exc}") from exc
     payload = {"k": k, "files": paths, "certificate": cert_path,
                "n_left": left.n, "n_right": right.n}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
@@ -264,7 +270,7 @@ def _add_search(p: argparse.ArgumentParser):
     p.add_argument("--c", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--n", help='vertex count, or "estimate"')
+    p.add_argument("--n", help='vertex count, at most the graph\'s, or "estimate"')
     p.add_argument("--pk-rule", dest="pk_rule", choices=["paper"],
                    help="per-evaluation accuracy rule; the paper's "
                         "eps/(8 n^c) is the only rule")
@@ -309,8 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 def _convert_config_value(action: argparse.Action, value):
     """Apply the flag's argparse `type` and `choices` to a config value,
     as if it had been given on the command line."""
-    if action.nargs == 0:      # store_const flags take no argument
-        return value
+    if action.nargs == 0:      # store_const flags: true, or false for absent
+        if not isinstance(value, bool):
+            raise BatechoError(f"config value for {action.dest!r} must be "
+                               f"true or false, got {value!r}")
+        return action.const if value else None
     try:
         value = (action.type or str)(str(value))
     except (TypeError, ValueError) as exc:
@@ -329,9 +338,9 @@ def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -
     config_path = getattr(args, "config", None)
     if config_path:
         try:
-            with open(config_path) as fh:
+            with open(config_path, encoding="utf-8") as fh:
                 loaded = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BatechoError(f"cannot read config {config_path}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise BatechoError("config file must hold a JSON object")

@@ -114,10 +114,10 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     """Estimate the lazy spectral gap of the walk from return observations.
 
     Pass n="estimate" to have the routine infer n from return times first
-    (regular graphs).  Raises SearchExhausted if the centered return
-    probability never drops below the 1/n^c threshold by the horizon K0,
-    which signals a gap too small to resolve at this c.  The confirming
-    evaluation at k* is retried at most twice, doubling its experiments.
+    (regular graphs); an explicit n may not exceed the vertex count.
+    Raises SearchExhausted if the centered return probability at the top
+    of the bracket is not in (0, 1/n^c], which signals a gap too small to
+    resolve at this c.  Each k is evaluated once, with n_exp experiments.
     """
     if not (math.isfinite(c) and c > 0):
         raise DomainError(f"c must be positive and finite, got {c}")
@@ -131,6 +131,8 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
         n_used = g.n
     else:
         n_used = int(n)
+        if n_used > g.n:
+            raise DomainError(f"n={n_used} exceeds the graph's {g.n} vertices")
     if n_used < 2:
         raise DomainError(f"n must be at least 2, got {n_used}")
 
@@ -139,38 +141,27 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
         n_exp = hoeffding_count(per_eval_eta(n_used, c, eps), delta / levels)
     except (OverflowError, ZeroDivisionError):
         n_exp = math.inf
-    # the second retry counts 4 n_exp walkers in an int64 occupancy vector
-    if 4 * n_exp > np.iinfo(np.int64).max:
+    # an evaluation counts n_exp walkers in an int64 occupancy vector
+    if n_exp > np.iinfo(np.int64).max:
         raise DomainError(f"c={c}, eps={eps}, delta={delta} on n={n_used} need "
-                          f"{n_exp:.3g} experiments per evaluation; 4 times that "
-                          f"must fit in a 64-bit count")
+                          f"{n_exp:.3g} experiments per evaluation, more than "
+                          f"a 64-bit count holds")
     threshold = 1.0 / n_used ** c
 
     trace = []
-    total_experiments = 0
-    total_ticks = 0
-    cache: dict[int, float] = {}
-    eval_index = 0
+    # Q_0 is known exactly: the walk is at the root, so Q_0 = 1 - 1/n.
+    cache: dict[int, float] = {0: 1.0 - 1.0 / n_used}
 
-    def q_hat(k: int, retry: int = 0) -> float:
-        nonlocal total_experiments, total_ticks, eval_index
-        if k in cache and retry == 0:
-            return cache[k]
-        count = n_exp * (2 ** retry)
-        succ = batch_return_successes(g, k, count, child_seed(seed, eval_index),
-                                      lazy=lazy, stride=stride)
-        qv = succ / count - 1.0 / n_used
-        eval_index += 1
-        total_experiments += count
-        total_ticks += count * stride * k
-        cache[k] = qv
-        trace.append({"k": k, "q_hat": qv, "experiments": count,
-                      "successes": succ, "retry": retry})
-        return qv
+    def q_hat(k: int) -> float:
+        if k not in cache:
+            succ = batch_return_successes(g, k, n_exp, child_seed(seed, len(trace)),
+                                          lazy=lazy, stride=stride)
+            cache[k] = succ / n_exp - 1.0 / n_used
+            trace.append({"k": k, "q_hat": cache[k], "experiments": n_exp,
+                          "successes": succ})
+        return cache[k]
 
     lo, hi = 0, k0
-    # Q_0 is known exactly: the walk is at the root, so Q_0 = 1 - 1/n.
-    cache[0] = 1.0 - 1.0 / n_used
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if q_hat(mid) > threshold:
@@ -180,11 +171,6 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
 
     # Confirm the top of the bracket; the horizon was trusted on faith.
     q_star = q_hat(hi)
-    retry = 0
-    while not (0.0 < q_star <= threshold) and retry < 2:
-        retry += 1
-        q_star = q_hat(hi, retry=retry)
-        flags.append(f"retry_k{hi}_x{retry}")
     if not (0.0 < q_star <= threshold):
         raise SearchExhausted(
             f"q_{hi} estimated at {q_star:.3g}, never confirmed below "
@@ -195,8 +181,9 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
                        tau_hat=tau_hat, tau_lower=tau_lower,
                        tau_upper=tau_upper, n_used=n_used, c=c, eps=eps,
                        delta=delta, pk_rule="paper",
-                       total_experiments=total_experiments,
-                       total_ticks=total_ticks, trace=trace, flags=flags)
+                       total_experiments=n_exp * len(trace),
+                       total_ticks=n_exp * stride * sum(e["k"] for e in trace),
+                       trace=trace, flags=flags)
 
 
 def estimate_gap_exact(g: RootedGraph, c: float = 2.0) -> GapEstimate:
@@ -309,8 +296,7 @@ def audit_error_chain(est: GapEstimate, exact_q=None) -> dict:
         worst = 0.0
         for entry in est.trace:
             err = abs(entry["q_hat"] - float(exact_q(entry["k"])))
-            slack = eta / math.sqrt(2 ** entry.get("retry", 0))
-            worst = max(worst, err / slack if slack else math.inf)
+            worst = max(worst, err / eta if eta else math.inf)
         checks["evaluations_accurate"] = worst <= 4.0
         checks["worst_eval_ratio"] = worst
     checks["ok"] = all(v for k, v in checks.items()

@@ -359,34 +359,3 @@ def build_leafy(h: int, d: int, mode: str = "expander", seed: int = 0) -> Rooted
             edges += _circulant_edges(block, d)
 
     return _make(n, edges, 0)
-
-
-def is_bipartite(g: RootedGraph):
-    """Two-color the graph.  Returns (True, coloring) or
-    (False, odd_cycle_vertices)."""
-    color = [-1] * g.n
-    color[g.root] = 0
-    parent = [-1] * g.n
-    q = deque([g.root])
-    while q:
-        u = q.popleft()
-        for v in g.adjacency[u]:
-            if color[v] == -1:
-                color[v] = 1 - color[u]
-                parent[v] = u
-                q.append(v)
-            elif color[v] == color[u]:
-                # walk both endpoints up to a common ancestor
-                pu, pv = u, v
-                path_u, path_v = [pu], [pv]
-                anc_u = set(path_u)
-                while parent[pu] != -1:
-                    pu = parent[pu]
-                    path_u.append(pu)
-                    anc_u.add(pu)
-                while pv not in anc_u:
-                    pv = parent[pv]
-                    path_v.append(pv)
-                cycle = path_u[: path_u.index(pv) + 1] + path_v[-2::-1]
-                return False, cycle
-    return True, color

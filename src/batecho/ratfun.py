@@ -75,12 +75,6 @@ class IntPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "IntPoly":
-        """Multiply by t^k."""
-        if self.is_zero:
-            return self
-        return IntPoly((0,) * k + self.c)
-
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact polynomial division; raises if the quotient is not an
         integer polynomial (used to divide out a primitive gcd, where

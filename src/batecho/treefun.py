@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import DomainError, NoThreeDivisorPairs, RootFindingFailure
+from .errors import DomainError, NoThreeDivisorPairs
 from .exact import first_return_series, return_gen_fun
 from .graphs import TreeHandle, attach_new_root, build_gab, glue_at_roots
 from .ratfun import IntPoly, RatFun, find_dependency
@@ -117,30 +115,3 @@ def forge_tree_pair(k: int) -> tuple[TreeHandle, TreeHandle]:
     if ahu_canonical(t1) == ahu_canonical(t2):
         raise AssertionError("forged trees are isomorphic; construction bug")
     return t1, t2
-
-
-def h_numerator_roots(h: RatFun) -> list[float]:
-    """Real roots of the numerator of h (imaginary part within
-    1e-9 (1 + |x|)).  Each root x corresponds to the nondegenerate
-    eigenvalue pair +-1/sqrt(x)."""
-    num = h.num
-    if num.degree < 1:
-        return []
-    roots = np.roots(list(reversed(num.c)))
-    if np.any(~np.isfinite(roots)):
-        raise RootFindingFailure("non-finite numerator root")
-    return sorted(
-        float(r.real) for r in roots if abs(r.imag) <= 1e-9 * (1 + abs(r))
-    )
-
-
-def eigenvalues_from_h(h: RatFun) -> list[float]:
-    """The nonzero nondegenerate eigenvalues implied by h, excluding the
-    trivial pair +-1: {+-1/sqrt(x) : x numerator root}."""
-    eigs = []
-    for x in h_numerator_roots(h):
-        if x <= 0:
-            raise RootFindingFailure(f"nonpositive numerator root {x}")
-        lam = 1.0 / x**0.5
-        eigs.extend([lam, -lam])
-    return sorted(eigs, reverse=True)

@@ -85,20 +85,21 @@ def test_forge_certificate_is_pinned(capsys, tmp_path):
 
 
 # sha256 of seeded statistical payloads as the occupancy-vector walk
-# printed them under the paper's accuracy rule: lazy and plain walks on
-# regular and irregular graphs, through the gap search (with and without
-# estimated n), the even-time mixing-gap search and first-return sampling.
+# printed them under the paper's accuracy rule, one evaluation per
+# bisection step: lazy and plain walks on regular and irregular graphs,
+# through the gap search (with and without estimated n), the even-time
+# mixing-gap search and first-return sampling.
 @pytest.mark.parametrize("argv,digest", [
     ("gap --family gab:2,2 --seed 1",
-     "e9225c8d75920f97383906d012b3a4379957603a51d7a43cd5b60da9021fe8dd"),
+     "d6241060ec09a37cfadc45076f69b9d3093b9c8ea7b948cb5144fbbf7f3b2f5a"),
     ("gap --family complete:4 --seed 2",
-     "c4f3347f9a511d626ad2fb6f10f470c54de8177ed4f97b1369985b8d96c7d59c"),
+     "fac67700825111a3ae7d33e8f15c463f655f2a3b86a4912da83606ea7079c39a"),
     ("gap --family cycle:4 --n estimate --seed 3",
-     "3ddaae60ea6f6f0f4ffb774668dc1559dc3d40ee0e55396caa0946b7ac93cb4c"),
+     "3ea09ec35329816ad72307d8ff482ca5bf7831a6017ed7180902a984d3b53220"),
     ("mixing-gap --family complete:4 --seed 1",
-     "4c13674d69261db8787f0a9a42578f3e3f9086e8d538782e8b4c25f1cc943f93"),
+     "0a45b38a0708728bb6bacef5580fb224174d013de9983b9e8a4be1a099a4815e"),
     ("mixing-gap --family cycle:5 --seed 2",
-     "005f9e143bf800fb5356e860b960e980ec2c1d4065ab685a99476824f6cff911"),
+     "f664f39aca261a6ca659a6fd46ba89eda6dfaf6621560a4a60425a07a35218a8"),
     ("observe --family star:3 --m 50000 --lazy --seed 1",
      "3f1a82e0f558994e02eec06289e99f65aa5ade7548fac9710b262edd0fb65f5c"),
     ("observe --family path:4 --m 50000 --seed 2",
@@ -131,6 +132,25 @@ def test_gap_exhaustion_exit_code(capsys):
     code, out, err = run(capsys, "gap", "--family", "star:3", "--seed", "1")
     assert code == 3
     assert "exhausted" in err
+
+
+@pytest.mark.parametrize("family", ["path:2", "gab:3,1", "complete:2 --n estimate"])
+def test_unconfirmed_top_of_bracket_exits_3(capsys, family):
+    """On K2 (lazy q_k = 0 for k >= 1) and on a star rooted at a leaf
+    (q_k tends to pi(r) - 1/n < 0) the estimate at k* can fall at or below
+    zero.  Each k is evaluated once, so such a run ends in exit 3 and never
+    overruns the budget (exit 4); a run that succeeds spends exactly one
+    evaluation's experiments per trace entry."""
+    for seed in range(5):
+        code, out, err = run(capsys, "gap", "--family", *family.split(),
+                             "--seed", str(seed))
+        assert code in (0, 3), (seed, code, err)
+        if code == 0:
+            est = json.loads(out)["estimate"]
+            n_exp = est["trace"][0]["experiments"]
+            assert all(set(e) == {"k", "q_hat", "experiments", "successes"}
+                       and e["experiments"] == n_exp for e in est["trace"])
+            assert est["total_experiments"] == n_exp * len(est["trace"])
 
 
 def test_mixing_gap_bipartite_reports_instead_of_failing(capsys):
@@ -260,6 +280,7 @@ def test_config_values_get_flag_types(capsys, tmp_path, command, config, flags):
     ("simulate", {"family": "cycle:4", "m": "x"}),
     ("gap", {"family": "complete:4", "pk_rule": "bogus"}),
     ("gap", {"family": "complete:4", "pk_rule": "desk"}),
+    ("observe", {"family": "cycle:4", "lazy": "false"}),
 ])
 def test_bad_config_value_exits_2(capsys, tmp_path, command, config):
     cfg = tmp_path / "cfg.json"
@@ -276,6 +297,15 @@ def test_bad_config_file(capsys, tmp_path):
     code, out, err = run(capsys, "simulate", "--config", str(cfg),
                          "--family", "cycle:4")
     assert code == 2
+
+
+@pytest.mark.parametrize("source", ["--graph", "--config"])
+def test_non_utf8_input_file_exits_2(capsys, tmp_path, source):
+    p = tmp_path / "bad"
+    p.write_bytes(b"\xff")
+    code, out, err = run(capsys, "exact", source, str(p))
+    assert code == 2
+    assert err.startswith("batecho: cannot read")
 
 
 def test_csv_format_flattens_json(capsys):
@@ -304,6 +334,9 @@ def test_render_rejects_unknown_format():
     "gap --family cycle:64 --c inf",
     "gap --family cycle:64 --c 1e308",
     "gap --family cycle:64 --c 6",
+    "gap --family cycle:8 --n 1000",
+    "observe --family cycle:4 --m 10 --out /dev/null/x.json",
+    "forge --k 4 --out /dev/null",
 ])
 def test_bad_input_exits_2_without_traceback(argv):
     src = os.path.dirname(os.path.dirname(batecho.__file__))

@@ -161,14 +161,14 @@ def test_audit_reads_the_recorded_pk_rule():
                       c=c, eps=eps, delta=0.1, pk_rule="paper",
                       total_experiments=1, total_ticks=3,
                       trace=[{"k": 3, "q_hat": exact_q + err, "experiments": 1,
-                              "successes": 0, "retry": 0}])
+                              "successes": 0}])
     checks = audit_error_chain(est, exact_q=lambda k: exact_q)
     assert checks["evaluations_accurate"] is False
 
 
 @pytest.mark.parametrize("kwargs", [
     {"c": 0.0}, {"c": -1.0}, {"eps": 0.0}, {"eps": 2.0},
-    {"delta": 0.0}, {"delta": 1.0}, {"n": 1},
+    {"delta": 0.0}, {"delta": 1.0}, {"n": 1}, {"n": 5},
 ])
 def test_estimate_gap_rejects_bad_parameters(kwargs):
     with pytest.raises(DomainError):

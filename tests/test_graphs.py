@@ -11,7 +11,6 @@ from batecho import (
     from_edge_list,
     from_text,
     glue_at_roots,
-    is_bipartite,
 )
 from batecho.errors import (
     DuplicateEdge,
@@ -145,14 +144,6 @@ def test_leafy_cutpoint_root_articulates_at_height_3():
 
 def test_leafy_expander_seed_determinism():
     assert build_leafy(2, 2, seed=5) == build_leafy(2, 2, seed=5)
-
-
-def test_is_bipartite():
-    ok, coloring = is_bipartite(build_family("cycle", 4))
-    assert ok and len(set(coloring)) == 2
-    bad, cycle = is_bipartite(build_family("cycle", 3))
-    assert not bad
-    assert len(cycle) % 2 == 1
 
 
 @given(st.integers(3, 12))

@@ -1,6 +1,5 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,12 +8,10 @@ from batecho import (
     attach_new_root,
     build_family,
     build_gab,
-    eigenvalues_from_h,
     forge_tree_pair,
     glue_at_roots,
     h_from_series,
     h_of_tree,
-    spectrum,
 )
 from batecho.errors import NoThreeDivisorPairs
 from batecho.graphs import TreeHandle, _make
@@ -106,15 +103,3 @@ def test_forged_k4_reproduces_known_pair(forged_pair):
     degs = lambda t: sorted(t.graph.degree(v) for v in range(t.n))
     assert degs(left) == [1] * 8 + [4] * 3
     assert degs(right) == [1] * 4 + [2] * 6 + [4]
-
-
-def test_eigenvalues_from_h_match_spectrum(forged_pair):
-    left, _ = forged_pair
-    eigs = eigenvalues_from_h(h_of_tree(left))
-    sp = spectrum(left.graph)
-    # h's numerator roots give the nondegenerate nonzero eigenvalues in
-    # +/- pairs, except the trivial pair +/-1
-    nd_nontrivial = sorted({round(v, 9) for v, w, ok in sp.clusters
-                            if ok and 1e-9 < abs(v) < 1 - 1e-9}, reverse=True)
-    assert len(eigs) == len(nd_nontrivial)
-    assert np.allclose(eigs, nd_nontrivial, atol=1e-7)
