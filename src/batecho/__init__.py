@@ -54,6 +54,7 @@ from .walk import (
     ReturnTimes,
     SampledReturnTimes,
     estimate_pk,
+    first_return_counts,
     hoeffding_count,
     observer_stats,
     run_experiment,

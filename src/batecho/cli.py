@@ -213,15 +213,15 @@ def cmd_observe(opts) -> int:
     g = load_graph(opts)
     m = _sample_count(opts, 10000)
     lazy = bool(opts.get("lazy", False))
-    gaps = walk.sample_first_returns(g, m, opts.get("seed", 0), lazy=lazy)
-    mean, mean_sq, all_even = walk.observer_stats(gaps)
+    counts = walk.first_return_counts(g, m, opts.get("seed", 0), lazy=lazy)
+    mean, mean_sq, all_even = walk.observer_stats(counts)
     d_r = g.root_degree
     payload = {
         "samples": m,
         "lazy": lazy,
         "mean_gap": mean,
         "mean_gap_sq": mean_sq,
-        "hitting_estimate": gp.estimate_hitting(gaps),
+        "hitting_estimate": gp.estimate_hitting(counts),
         "all_gaps_even": all_even,
         # E[T1] = 2|E| / deg(root); on a regular graph it equals n
         "edges_hat": int(round(d_r * mean / 2.0)),

@@ -24,7 +24,8 @@ import numpy as np
 from .errors import DomainError, SearchExhausted
 from .exact import MAX_EXACT_K, lazy_series
 from .graphs import RootedGraph
-from .walk import batch_return_successes, child_seed, hoeffding_count, sample_first_returns
+from .walk import (batch_return_successes, child_seed, first_return_counts,
+                   hoeffding_count, observer_stats)
 
 
 def gap_bounds(q_k: float, k: int, n: int) -> tuple[float, float]:
@@ -87,8 +88,8 @@ def estimate_n(g: RootedGraph, seed, lazy: bool = True) -> int:
     prev = None
     idx = 0
     while m <= 1 << 22:
-        gaps = sample_first_returns(g, m, child_seed(seed, 9000 + idx), lazy=lazy)
-        cur = int(round(float(np.mean(gaps))))
+        counts = first_return_counts(g, m, child_seed(seed, 9000 + idx), lazy=lazy)
+        cur = int(round(observer_stats(counts)[0]))
         if prev is not None and cur == prev:
             return cur
         prev = cur
@@ -248,14 +249,11 @@ def estimate_mixing_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     }
 
 
-def estimate_hitting(gaps) -> float:
-    """Plug-in estimate of the stationary hitting time H(pi, r) from
-    observed return gaps: E[T1^2] / (2 E[T1]) - 1/2."""
-    arr = np.asarray(gaps, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("need at least one gap")
-    m1 = float(np.mean(arr))
-    m2 = float(np.mean(arr * arr))
+def estimate_hitting(counts) -> float:
+    """Plug-in estimate of the stationary hitting time H(pi, r) from the
+    histogram of observed return gaps (counts[j - 1] gaps equal j):
+    E[T1^2] / (2 E[T1]) - 1/2."""
+    m1, m2, _ = observer_stats(counts)
     return m2 / (2.0 * m1) - 0.5
 
 

@@ -162,16 +162,20 @@ def estimate_pk(rt: ReturnTimes, k: int, eps: float, delta: float,
                       successes=successes, eps=eps, delta=delta)
 
 
-def observer_stats(gaps):
+def observer_stats(counts):
     """Sample mean and second moment of the observed return gaps, plus the
-    all-gaps-even parity flag."""
-    gaps = np.asarray(gaps)
-    if gaps.size == 0:
+    all-gaps-even parity flag, from the gaps' histogram: counts[j - 1]
+    gaps equal j.  The sums are exact integers, so neither the order of
+    the gaps nor their number costs precision."""
+    counts = np.asarray(counts, dtype=np.int64)
+    ticks = np.flatnonzero(counts) + 1
+    pairs = list(zip(ticks.tolist(), counts[ticks - 1].tolist()))
+    m = sum(c for _, c in pairs)
+    if m == 0:
         raise ValueError("need at least one gap")
-    mean = float(gaps.mean())
-    mean_sq = float((gaps.astype(float) ** 2).mean())
-    all_even = bool((gaps % 2 == 0).all())
-    return mean, mean_sq, all_even
+    mean = sum(t * c for t, c in pairs) / m
+    mean_sq = sum(t * t * c for t, c in pairs) / m
+    return mean, mean_sq, bool((ticks % 2 == 0).all())
 
 
 # ---------------------------------------------------------------------------
@@ -195,13 +199,12 @@ def batch_return_successes(g: RootedGraph, k: int, count: int, seed,
     return int(occ[g.root])
 
 
-def sample_first_returns(g: RootedGraph, count: int, seed,
-                         lazy: bool = False) -> np.ndarray:
-    """`count` independent first-return times.  The walker counts evolve
+def first_return_counts(g: RootedGraph, count: int, seed,
+                        lazy: bool = False) -> np.ndarray:
+    """The histogram of `count` independent first-return times:
+    counts[j - 1] walks first return at tick j.  The walker counts evolve
     with the root absorbing; the count absorbed at tick t is the number of
-    first returns at t, and a shuffle of that histogram is an i.i.d.
-    sample.  Gaps between successive returns are iid copies of T1, so
-    these samples have the observer's gap distribution."""
+    first returns at t.  `seed` is anything np.random.default_rng takes."""
     classes = _degree_classes(g)
     rng = np.random.default_rng(seed)
     occ = np.zeros(g.n, dtype=np.int64)
@@ -213,6 +216,17 @@ def sample_first_returns(g: RootedGraph, count: int, seed,
         absorbed.append(int(occ[g.root]))
         left -= absorbed[-1]
         occ[g.root] = 0
-    out = np.repeat(np.arange(1, len(absorbed) + 1, dtype=np.int64), absorbed)
+    return np.array(absorbed, dtype=np.int64)
+
+
+def sample_first_returns(g: RootedGraph, count: int, seed,
+                         lazy: bool = False) -> np.ndarray:
+    """`count` independent first-return times, in random order: a shuffle
+    of the first_return_counts histogram, drawn from the same stream.
+    Gaps between successive returns are iid copies of T1, so these
+    samples have the observer's gap distribution."""
+    rng = np.random.default_rng(seed)
+    counts = first_return_counts(g, count, rng, lazy=lazy)
+    out = np.repeat(np.arange(1, counts.size + 1, dtype=np.int64), counts)
     rng.shuffle(out)
     return out
