@@ -3,52 +3,57 @@
 The observer at the root sees only the clock and the return bits; every
 estimator in the library consumes that interface.  A batch of independent
 walkers is simulated as an occupancy vector, the number of walkers at
-each vertex, which one step function advances a tick at a time with one
-multinomial draw per degree class.  Streams are deterministic functions
-of (graph, seed, lazy), split from a master seed via numpy's
-SeedSequence, so parallel and serial runs see the same randomness.
+each vertex.  The walkers are i.i.d., so a block of ticks moves the whole
+vector with one multinomial draw per occupied vertex over that vertex's
+row of a dense kernel: the row of P^t for return bits at a fixed tick,
+and the n-tick law of the walk with the root absorbing for first-return
+times.  Streams are deterministic functions of (graph, seed, lazy), split
+from a master seed via numpy's SeedSequence, so parallel and serial runs
+see the same randomness.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from .errors import DomainError
 from .graphs import RootedGraph
 
-
-@lru_cache(maxsize=64)
-def _degree_classes(g: RootedGraph) -> tuple:
-    """The vertices grouped by degree, one (vertices, moves) entry per
-    degree d.  moves[lazy] is (targets, shares): the walkers at
-    vertices[i] move to targets[i, j] with share shares[j].  The plain walk
-    moves to each neighbour with share 1/d; the lazy walk stays with share
-    1/2 (its first target column is the vertex itself) and moves to each
-    neighbour with share 1/(2d)."""
-    by_degree: dict[int, list[int]] = {}
-    for v in range(g.n):
-        by_degree.setdefault(g.degree(v), []).append(v)
-    classes = []
-    for d, vs in sorted(by_degree.items()):
-        verts = np.array(vs)
-        nbrs = np.array([g.adjacency[v] for v in vs])
-        classes.append((verts, ((nbrs, np.full(d, 1.0 / d)),
-                                (np.c_[verts, nbrs], np.r_[0.5, np.full(d, 0.5 / d)]))))
-    return tuple(classes)
+# the first-return kernel takes 16 n^2 bytes (64 MiB at n = 2048)
+MAX_WALK_N = 2048
 
 
-def _step(classes, occ: np.ndarray, rng: np.random.Generator,
-          lazy: bool) -> np.ndarray:
-    """One tick of every walker, given the walker count at each vertex:
-    one multinomial draw per degree class splits each vertex's count over
-    its targets.  Returns the new counts."""
-    new = np.zeros(occ.size, dtype=np.int64)
-    for verts, moves in classes:
-        targets, shares = moves[lazy]
-        np.add.at(new, targets, rng.multinomial(occ[verts], shares))
-    return new
+def _transition(g: RootedGraph, lazy: bool) -> np.ndarray:
+    """The one-tick transition matrix P in float64: P[v, u] = 1/d(v) for
+    each neighbour u of v; the lazy walk is (I + P)/2.  Graphs above
+    MAX_WALK_N vertices are refused before anything is allocated."""
+    if g.n > MAX_WALK_N:
+        raise DomainError(f"walk simulation capped at n <= {MAX_WALK_N}, got {g.n}")
+    p = np.zeros((g.n, g.n))
+    for v, nbrs in enumerate(g.adjacency):
+        p[v, list(nbrs)] = 1.0 / len(nbrs)
+    return (p + np.eye(g.n)) / 2 if lazy else p
+
+
+def _first_return_kernel(g: RootedGraph, lazy: bool) -> np.ndarray:
+    """The n-tick law of one walker with the root absorbing, as an n x 2n
+    matrix K.  For a walker started at v, K[v, j - 1] (j = 1..n) is the
+    probability that tick j is its first visit to the root, and K[v, n + u]
+    that it is at u after n ticks without having visited the root.  With Q
+    the transition matrix with its root column zeroed, the first block's
+    column j is Q^(j-1) P[:, root] and the second block is Q^n."""
+    p = _transition(g, lazy)
+    q = p.copy()
+    q[:, g.root] = 0.0
+    kernel = np.empty((g.n, 2 * g.n))
+    hit = p[:, g.root]
+    for j in range(g.n):
+        kernel[:, j] = hit
+        hit = q @ hit
+    kernel[:, g.n:] = np.linalg.matrix_power(q, g.n)
+    return kernel
 
 
 def child_seed(seed, index: int) -> np.random.SeedSequence:
@@ -187,36 +192,34 @@ def batch_return_successes(g: RootedGraph, k: int, count: int, seed,
     """Number of independent experiments (out of `count`) whose walk is
     back at the root at tick stride*k.  The success indicator equals the
     return bit a_{stride*k}, exactly the observable the sequential
-    experiment protocol tests.  The walkers are i.i.d., so only their
-    count at each vertex is simulated: the cost is O(|E| stride k),
+    experiment protocol tests.  The walkers are i.i.d. and all start at
+    the root, so their counts at tick stride*k are one multinomial draw
+    over the root's row of P^(stride k): the cost is O(n^3 log(stride k)),
     whatever `count` is."""
-    classes = _degree_classes(g)
-    rng = np.random.default_rng(seed)
-    occ = np.zeros(g.n, dtype=np.int64)
-    occ[g.root] = count
-    for _ in range(stride * k):
-        occ = _step(classes, occ, rng, lazy)
-    return int(occ[g.root])
+    row = np.linalg.matrix_power(_transition(g, lazy), stride * k)[g.root]
+    return int(np.random.default_rng(seed).multinomial(count, row)[g.root])
 
 
 def first_return_counts(g: RootedGraph, count: int, seed,
                         lazy: bool = False) -> np.ndarray:
     """The histogram of `count` independent first-return times:
-    counts[j - 1] walks first return at tick j.  The walker counts evolve
-    with the root absorbing; the count absorbed at tick t is the number of
-    first returns at t.  `seed` is anything np.random.default_rng takes."""
-    classes = _degree_classes(g)
+    counts[j - 1] walks first return at tick j, and the last entry is not
+    zero.  The walker counts advance n ticks per draw: one multinomial
+    over the first-return kernel's row for each occupied vertex, all in
+    one call, splits its walkers into first returns at each tick of the
+    block and positions away from the root at its end.  `seed` is
+    anything np.random.default_rng takes."""
+    kernel = _first_return_kernel(g, lazy)
     rng = np.random.default_rng(seed)
     occ = np.zeros(g.n, dtype=np.int64)
     occ[g.root] = count
-    absorbed = []
-    left = count
-    while left:
-        occ = _step(classes, occ, rng, lazy)
-        absorbed.append(int(occ[g.root]))
-        left -= absorbed[-1]
-        occ[g.root] = 0
-    return np.array(absorbed, dtype=np.int64)
+    blocks = [np.zeros(0, dtype=np.int64)]
+    while occ.any():
+        at = np.flatnonzero(occ)
+        moved = rng.multinomial(occ[at], kernel[at]).sum(axis=0)
+        blocks.append(moved[:g.n])
+        occ = moved[g.n:]
+    return np.trim_zeros(np.concatenate(blocks), "b")
 
 
 def sample_first_returns(g: RootedGraph, count: int, seed,

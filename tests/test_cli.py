@@ -18,6 +18,7 @@ from batecho import first_return_series, return_gen_fun
 from batecho.cli import main, parse_family, render
 from batecho.errors import BatechoError
 from batecho.graphs import RootedGraph
+from batecho.walk import MAX_WALK_N
 
 
 def run(capsys, *argv):
@@ -86,26 +87,27 @@ def test_forge_certificate_is_pinned(capsys, tmp_path):
 
 # sha256 of seeded statistical payloads as the occupancy-vector walk
 # printed them under the paper's accuracy rule, one evaluation per
-# bisection step: lazy and plain walks on regular and irregular graphs,
-# through the gap search (with and without estimated n), the even-time
-# mixing-gap search and first-return sampling.
+# bisection step, with return bits drawn from a row of P^t and first
+# returns drawn n ticks at a time: lazy and plain walks on regular and
+# irregular graphs, through the gap search (with and without estimated
+# n), the even-time mixing-gap search and first-return sampling.
 @pytest.mark.parametrize("argv,digest", [
     ("gap --family gab:2,2 --seed 1",
-     "d6241060ec09a37cfadc45076f69b9d3093b9c8ea7b948cb5144fbbf7f3b2f5a"),
+     "fb8d8a29c2e155a70d17d25538b614c6dfbcb6bbfd37102c133be8339350009d"),
     ("gap --family complete:4 --seed 2",
-     "fac67700825111a3ae7d33e8f15c463f655f2a3b86a4912da83606ea7079c39a"),
+     "ba7b9aeada3beaac284c3fc9ee0e15d55211e3d633bb3295ee60d365cb0f07c8"),
     ("gap --family cycle:4 --n estimate --seed 3",
-     "3ea09ec35329816ad72307d8ff482ca5bf7831a6017ed7180902a984d3b53220"),
+     "28e0d6cd86d813d425a886b04448ffd563c078c0b1ce9173f94235717f0f4b4a"),
     ("mixing-gap --family complete:4 --seed 1",
-     "0a45b38a0708728bb6bacef5580fb224174d013de9983b9e8a4be1a099a4815e"),
+     "3409b7c454aa715c94602b45ec489244ba08c60e806f57629a684659ee70c251"),
     ("mixing-gap --family cycle:5 --seed 2",
-     "f664f39aca261a6ca659a6fd46ba89eda6dfaf6621560a4a60425a07a35218a8"),
+     "d3bb1ba3a734c9c2c769303653268ddbd56f97de2b893f4d725c174b97cdbbdf"),
     ("observe --family star:3 --m 50000 --lazy --seed 1",
-     "3f1a82e0f558994e02eec06289e99f65aa5ade7548fac9710b262edd0fb65f5c"),
+     "746675a078ea7c6891f05959eed584ade2a418be7eac180dc2d0c1ba23ca9189"),
     ("observe --family path:4 --m 50000 --seed 2",
-     "f9110243ee185dd29dd9e373b55f8c0dd8e8cf68f48464eaf05ad90d0c4dc034"),
+     "4336cfc9bc7547075134f5dab6db3cab76b4fbc7e2f17c00929df591d5f62ed0"),
     ("observe --family cycle:64 --m 100000 --seed 3",
-     "9848ceb70076fdc294f28e483a77d36bb8fcd2497c1bf8ce2323cfb724ba9357"),
+     "d3f5c3efdf8b01825831d5ec37fb9a36b113ff6c3a5b891acb06cb80546b36b8"),
 ])
 def test_seeded_payload_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
@@ -306,6 +308,18 @@ def test_non_utf8_input_file_exits_2(capsys, tmp_path, source):
     code, out, err = run(capsys, "exact", source, str(p))
     assert code == 2
     assert err.startswith("batecho: cannot read")
+
+
+@pytest.mark.parametrize("command", ["observe", "simulate"])
+def test_walk_above_its_vertex_cap_exits_2(capsys, tmp_path, command):
+    """A graph above walk.MAX_WALK_N vertices is refused before the
+    16 n^2-byte first-return kernel is allocated."""
+    n = MAX_WALK_N + 1
+    p = tmp_path / "path.txt"
+    p.write_text(f"{n} 0\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
+    code, out, err = run(capsys, command, "--graph", str(p), "--m", "10")
+    assert code == 2
+    assert err.startswith("batecho: walk simulation capped at n <= 2048")
 
 
 def test_csv_format_flattens_json(capsys):

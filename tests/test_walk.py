@@ -8,8 +8,11 @@ import scipy.stats
 from batecho import (
     ReturnTimes,
     SampledReturnTimes,
+    build_family,
     estimate_pk,
+    first_return_counts,
     first_return_series,
+    hitting_from_stationary,
     hoeffding_count,
     lazy_series,
     observer_stats,
@@ -151,10 +154,15 @@ def test_lazify_matches_direct_lazy_law():
 
 
 def test_sampled_return_times_match_sequential_law():
+    """Mean gaps of the sequential walk and of the sampled stream, each of
+    3000 gaps, within 4 sigma of each other and of E T1, sigma taken from
+    the exact moments (E T1 = 8 and E T1^2 = 176 on c8)."""
     g = FIXTURES["c8"]
+    moments = hitting_from_stationary(g, return_gen_fun(g))
     seq = from_walk(g, seed=9)
     fast = SampledReturnTimes(g, seed=9)
     m = 3000
+    sigma = math.sqrt(float(moments.mean_t1_sq - moments.mean_t1 ** 2) / m)
     mean_seq = sum(seq.gaps(m)) / m
     gaps_fast = [0] * m
     prev = 0
@@ -162,8 +170,9 @@ def test_sampled_return_times_match_sequential_law():
         t = next(fast)
         gaps_fast[i] = t - prev
         prev = t
-    assert abs(mean_seq - sum(gaps_fast) / m) < 0.4
-    assert abs(sum(gaps_fast) / m - 8.0) < 0.4      # E T1 = n on a cycle
+    mean_fast = sum(gaps_fast) / m
+    assert abs(mean_seq - mean_fast) < 4 * math.sqrt(2) * sigma
+    assert abs(mean_fast - float(moments.mean_t1)) < 4 * sigma
 
 
 @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "plain"])
@@ -201,6 +210,32 @@ def test_sample_first_returns_mean(name, lazy):
     sigma = float(gaps.std()) / math.sqrt(gaps.size)
     assert abs(float(gaps.mean()) - mean) <= 5 * sigma   # T1 = 2 on star3-plain
     assert gaps.min() >= (1 if lazy else 2)
+
+
+def test_first_return_kernel_rows_are_laws():
+    """Each row of the n-tick kernel is a probability law, and on the
+    bipartite c4 the plain walk's first returns at odd ticks are exactly
+    impossible."""
+    for name in ("c4", "c8", "star3", "leafy_cutpoint", "tree_left"):
+        for lazy in (False, True):
+            kernel = walk._first_return_kernel(FIXTURES[name], lazy)
+            assert np.abs(kernel.sum(axis=1) - 1.0).max() <= 1e-12, (name, lazy)
+    g = FIXTURES["c4"]
+    first = walk._first_return_kernel(g, False)[g.root, : g.n]
+    assert (first[0::2] == 0.0).all() and (first[1::2] > 0.0).all()
+
+
+def test_sample_first_returns_shuffles_the_histogram():
+    """With the same seed, the samples are a permutation of the
+    histogram's times, and the histogram sums to the count with no
+    trailing zero."""
+    for name, lazy in (("c8", False), ("star3", True), ("leafy_cutpoint", True)):
+        g = FIXTURES[name]
+        counts = first_return_counts(g, 5000, 37, lazy=lazy)
+        assert counts.sum() == 5000 and counts[-1] > 0
+        gaps = sample_first_returns(g, 5000, 37, lazy=lazy)
+        times = np.repeat(np.arange(1, counts.size + 1), counts)
+        assert (np.sort(gaps) == times).all()
 
 
 def test_child_seed_keeps_int_and_root_streams():
@@ -294,3 +329,22 @@ def test_first_return_histogram_follows_exact_law(sampler, name, lazy):
         observed.append(part.size - sum(observed))
         expected.append(part.size - sum(expected))
         assert _chi2_pvalue(observed, expected) > 1e-4, (part.size, observed, expected)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
+def test_first_return_counts_follow_exact_law_across_blocks(lazy):
+    """10^6 first returns on cycle:64 against the exact law out to k = 4n,
+    so the histogram spans four n-tick blocks of a large graph: every k
+    with at least 40 expected samples is a bucket, the rest pool into one
+    tail bucket."""
+    g = build_family("cycle", 64)
+    m, k_max = 10 ** 6, 4 * g.n
+    counts = first_return_counts(g, m, 31, lazy=lazy)
+    assert counts.sum() == m and counts[-1] > 0
+    s = _first_return_law(g, lazy, k_max)
+    buckets = [k for k in range(1, k_max + 1) if m * s[k] >= 40]
+    observed = [int(counts[k - 1]) if k <= counts.size else 0 for k in buckets]
+    expected = [m * float(s[k]) for k in buckets]
+    observed.append(m - sum(observed))
+    expected.append(m - sum(expected))
+    assert _chi2_pvalue(observed, expected) > 1e-4, (observed, expected)
