@@ -193,11 +193,13 @@ def batch_return_successes(g: RootedGraph, k: int, count: int, seed,
     back at the root at tick stride*k.  The success indicator equals the
     return bit a_{stride*k}, exactly the observable the sequential
     experiment protocol tests.  The walkers are i.i.d. and all start at
-    the root, so their counts at tick stride*k are one multinomial draw
-    over the root's row of P^(stride k): the cost is O(n^3 log(stride k)),
-    whatever `count` is."""
-    row = np.linalg.matrix_power(_transition(g, lazy), stride * k)[g.root]
-    return int(np.random.default_rng(seed).multinomial(count, row)[g.root])
+    the root, so the count back at the root is one binomial draw with the
+    root's entry of P^(stride k): the cost is O(n^3 log(stride k)),
+    whatever `count` is.  (A multinomial over the whole row would trip on
+    numpy's check that its shares sum to at most 1 + 1e-12, which the
+    rounding of a long matrix power can break.)"""
+    p = np.linalg.matrix_power(_transition(g, lazy), stride * k)[g.root, g.root]
+    return int(np.random.default_rng(seed).binomial(count, p))
 
 
 def first_return_counts(g: RootedGraph, count: int, seed,

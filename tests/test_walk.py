@@ -200,6 +200,17 @@ def test_batch_stride_observes_even_time_chain():
     assert abs(hits / n - exact) < 4 * sigma
 
 
+def test_batch_successes_survive_rounding_of_long_powers():
+    """At tick 25552 the plain walk on hypercube:5 cannot be at the last
+    vertex, and the computed root row of P^25552 sums to 1 + 1.8e-12;
+    the draw must still succeed, near P_t(r,r) -> 2/n on the bipartite
+    cube."""
+    g = build_family("hypercube", 5)
+    count, p = 10 ** 6, 2 / 32
+    hits = batch_return_successes(g, 12776, count, seed=19, lazy=False, stride=2)
+    assert abs(hits / count - p) < 4 * math.sqrt(p * (1 - p) / count)
+
+
 @pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
 @pytest.mark.parametrize("name", ["star3", "path4", "c8"])
 def test_sample_first_returns_mean(name, lazy):
