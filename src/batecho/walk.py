@@ -3,13 +3,14 @@
 The observer at the root sees only the clock and the return bits; every
 estimator in the library consumes that interface.  A batch of independent
 walkers is simulated as an occupancy vector, the number of walkers at
-each vertex.  The walkers are i.i.d., so a block of ticks moves the whole
-vector with one multinomial draw per occupied vertex over that vertex's
-row of a dense kernel: the row of P^t for return bits at a fixed tick,
-and the n-tick law of the walk with the root absorbing for first-return
-times.  Streams are deterministic functions of (graph, seed, lazy), split
-from a master seed via numpy's SeedSequence, so parallel and serial runs
-see the same randomness.
+each vertex.  The walkers are i.i.d., so many ticks are drawn at once
+from dense kernels built from the one-tick transition matrix P: the
+return-bit count at tick t is one binomial draw with the root's entry of
+P^t, and first returns advance n ticks per multinomial draw over the
+n-tick law of the walk with the root absorbing.  Streams are
+deterministic functions of (graph, seed, lazy), split from a master seed
+via numpy's SeedSequence, so parallel and serial runs see the same
+randomness.
 """
 from __future__ import annotations
 
