@@ -24,6 +24,7 @@ from .exact import (
 )
 from .gap import (
     GapEstimate,
+    MixingGapEstimate,
     audit_budget,
     audit_error_chain,
     estimate_gap,

@@ -198,7 +198,7 @@ def cmd_mixing_gap(opts) -> int:
         g, c=opts.get("c", 2.0), eps=opts.get("eps", 0.25),
         delta=opts.get("delta", 0.1), n=opts.get("n"),
         seed=opts.get("seed", 0))
-    emit(report, opts)
+    emit(report.to_json(), opts)
     return EXIT_OK
 
 

@@ -4,9 +4,12 @@ the closed-form reconstruction identities.
 
 The series come from one walk iteration in integers: S^k times the
 distribution after k steps, with S the lcm of the degrees (twice that on
-the lazy chain).  The generating function is recovered from the first
-2n+1 terms of that walk by Berlekamp-Massey; the tests check it against
-the determinant formula d(r) det(Delta' - tA') / det(Delta - tA).
+the lazy chain).  The walk runs 2n ticks; Berlekamp-Massey recovers the
+linear recurrence of the first 2n+1 terms, which gives the generating
+function and every later term.  The tests check the generating function
+against the determinant formula d(r) det(Delta' - tA') / det(Delta - tA)
+and the later terms against the full walk.  Hitting times solve the
+reduced Laplacian system by elimination in integer rows.
 
 Everything statistical elsewhere in the library is validated against the
 exact rationals produced here.
@@ -108,7 +111,13 @@ def _scaled_returns(g: RootedGraph, k_max: int, lazy: bool) -> tuple[list[int], 
     S is the lcm L of the degrees (2L for the lazy chain), so S^k times
     the distribution after k steps stays a vector of integers w: one step
     sends w[i] * L / d(i) to each neighbour of i, and on the lazy chain
-    keeps w[i] * L at i."""
+    keeps w[i] * L at i.  The walk runs for at most 2n ticks.  Both
+    chains' generating functions have numerator degree <= n-1 and
+    denominator degree <= n (the lazy one is 2/(2-t) f(t/(2-t)) for the
+    plain f), so those 2n+1 terms fix the recurrence that
+    Berlekamp-Massey finds (see return_gen_fun), and the later terms
+    follow from it: a_k = -sum_{i>=1} C[i] a_{k-i} / C[0], an exact
+    integer division."""
     degs = [g.degree(i) for i in range(g.n)]
     lcm = math.lcm(*degs)
     scale = 2 * lcm if lazy else lcm
@@ -116,7 +125,7 @@ def _scaled_returns(g: RootedGraph, k_max: int, lazy: bool) -> tuple[list[int], 
     w = [0] * g.n
     w[g.root] = 1
     a = [1]
-    for _ in range(k_max):
+    for _ in range(min(k_max, 2 * g.n)):
         nxt = [x * lcm for x in w] if lazy else [0] * g.n
         for i, x in enumerate(w):
             if x:
@@ -125,6 +134,15 @@ def _scaled_returns(g: RootedGraph, k_max: int, lazy: bool) -> tuple[list[int], 
                     nxt[j] += share
         w = nxt
         a.append(w[g.root])
+    if k_max > 2 * g.n:
+        c, _ = _connection_polynomial(a)
+        lead, tail = c[0], c[1:]
+        for k in range(len(a), k_max + 1):
+            q, rem = divmod(-sum(x * y for x, y in zip(tail, reversed(a[k - len(tail):k]))),
+                            lead)
+            if rem:
+                raise ArithmeticError(f"recurrence leaves a remainder at k={k}")
+            a.append(q)
     return a, scale
 
 
@@ -304,28 +322,43 @@ class HittingResult:
     mean_t1_sq: Fraction
 
 
-def _solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]):
-    """Gaussian elimination with back substitution.  Each pivot updates
-    only the rows below it with a nonzero entry in the pivot column, and
-    in them only the pivot row's nonzero columns; entries left of the
-    diagonal are never read again, so they are not cleared."""
-    n = len(b)
-    m = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if m[i][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        row = m[col]
-        nonzero = [j for j in range(col + 1, n + 1) if row[j]]
-        for other in m[col + 1:]:
-            if other[col]:
-                f = other[col] / row[col]
-                for j in nonzero:
-                    other[j] -= f * row[j]
-    x = [Fraction(0)] * n
-    for i in reversed(range(n)):
-        row = m[i]
-        x[i] = (row[n] - sum(row[j] * x[j] for j in range(i + 1, n) if row[j])) / row[i]
-    return x
+def _hitting_times(g: RootedGraph) -> list[Fraction]:
+    """Expected steps H(v, r) to hit the root from each vertex v (0 at the
+    root), from the reduced Laplacian system: for v != r,
+    d(v) H(v) - sum of H(u) over non-root neighbours u = d(v).
+
+    The rows are eliminated in integers, in vertex order.  Each pivot
+    updates only the later rows with a nonzero entry in its column, and
+    in them only the pivot row's nonzero columns; each updated row is
+    divided by its content.  The system is symmetric positive definite,
+    so every pivot is nonzero.  Back substitution runs in Fractions."""
+    n, r = g.n, g.root
+    order = [v for v in range(n) if v != r]
+    # rows[i] maps column -> coefficient; column n holds the right-hand side
+    rows = []
+    for v in order:
+        row = {j: -1 for j in g.adjacency[v] if j != r}
+        row[v] = g.degree(v)
+        row[n] = g.degree(v)
+        rows.append(row)
+    for i, col in enumerate(order):
+        pivot = rows[i]
+        p = pivot[col]
+        for k in range(i + 1, len(rows)):
+            f = rows[k].pop(col, 0)
+            if f:
+                row = {j: p * x for j, x in rows[k].items()}
+                for j, y in pivot.items():
+                    if j != col:
+                        row[j] = row.get(j, 0) - f * y
+                content = math.gcd(*row.values())
+                rows[k] = {j: x // content for j, x in row.items() if x}
+    h = [Fraction(0)] * n
+    for i in reversed(range(len(order))):
+        row, col = rows[i], order[i]
+        rest = sum(y * h[j] for j, y in row.items() if j != col and j != n)
+        h[col] = Fraction(row.get(n, 0) - rest) / row[col]
+    return h
 
 
 def hitting_from_stationary(g: RootedGraph, f: RatFun) -> HittingResult:
@@ -338,22 +371,10 @@ def hitting_from_stationary(g: RootedGraph, f: RatFun) -> HittingResult:
         two moments of the first-return time taken from exact derivatives
         of g's return generating function `f` at t=1.
     """
-    n, r = g.n, g.root
-    # (i) hitting-time system: m[r]=0, m[i] = 1 + sum_j M[i][j] m[j]
-    a = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-    for i in range(n):
-        if i == r:
-            a[i][i] = Fraction(1)
-        else:
-            a[i][i] = Fraction(1)
-            d = g.degree(i)
-            for j in g.adjacency[i]:
-                a[i][j] -= Fraction(1, d)
-            b[i] = Fraction(1)
-    m = _solve_fraction_system(a, b)
-    total_deg = sum(g.degree(i) for i in range(n))
-    via_system = sum(Fraction(g.degree(i), total_deg) * m[i] for i in range(n))
+    # (i) the hitting-time system, averaged under pi(v) = d(v) / 2|E|
+    m = _hitting_times(g)
+    total_deg = sum(g.degree(i) for i in range(g.n))
+    via_system = sum(Fraction(g.degree(i), total_deg) * m[i] for i in range(g.n))
 
     # (ii) moments of T1 from g(t) = 1 - 1/f(t) = sum s_k t^k.  With
     # 1/f = D/N, the quotient rule at t=1 gives (1/f)' and (1/f)''.

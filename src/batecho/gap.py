@@ -212,8 +212,27 @@ def estimate_gap_exact(g: RootedGraph, c: float = 2.0) -> GapEstimate:
                        total_ticks=0, trace=[], flags=flags)
 
 
+@dataclass
+class MixingGapEstimate:
+    """The mixing-gap report.  `status` is "ok", with the even-time
+    chain's estimate and a point estimate, or "exhausted", when the
+    even-time search never confirmed its threshold (`detail` says why).
+    `to_json` leaves out the fields the outcome does not have."""
+
+    status: str
+    mixing_gap_lower: float
+    mixing_gap_upper: float
+    n_used: int
+    mixing_gap_hat: float | None = None
+    even_chain: GapEstimate | None = None
+    detail: str | None = None
+
+    def to_json(self) -> dict:
+        return {k: v for k, v in asdict(self).items() if v is not None}
+
+
 def estimate_mixing_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
-                        delta: float = 0.1, n=None, seed=0) -> dict:
+                        delta: float = 0.1, n=None, seed=0) -> MixingGapEstimate:
     """Estimate the mixing gap 1 - max(lambda_2, |lambda_n|) of the
     non-lazy walk by observing it at even times only: the even-time chain
     has transition matrix M^2, whose gap relates to the mixing gap by
@@ -230,23 +249,21 @@ def estimate_mixing_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
                            lazy=False, stride=2)
     except SearchExhausted as exc:
         n_used = exc.n_used
-        return {
-            "status": "exhausted",
-            "mixing_gap_upper": 1.0 - (1.0 - 1.0 / n_used ** c) ** 0.5,
-            "mixing_gap_lower": 0.0,
-            "detail": str(exc),
-            "n_used": n_used,
-        }
+        return MixingGapEstimate(
+            status="exhausted",
+            mixing_gap_lower=0.0,
+            mixing_gap_upper=1.0 - (1.0 - 1.0 / n_used ** c) ** 0.5,
+            n_used=n_used,
+            detail=str(exc))
     lam_sq_upper = 1.0 - est.tau_lower   # max|lambda|^2 <= this
     lam_sq_lower = max(0.0, 1.0 - est.tau_upper)
-    return {
-        "status": "ok",
-        "even_chain": est.to_json(),
-        "mixing_gap_hat": 1.0 - math.sqrt(max(0.0, 1.0 - est.tau_hat)),
-        "mixing_gap_lower": 1.0 - math.sqrt(lam_sq_upper) if lam_sq_upper > 0 else 1.0,
-        "mixing_gap_upper": 1.0 - math.sqrt(lam_sq_lower),
-        "n_used": est.n_used,
-    }
+    return MixingGapEstimate(
+        status="ok",
+        mixing_gap_lower=1.0 - math.sqrt(lam_sq_upper) if lam_sq_upper > 0 else 1.0,
+        mixing_gap_upper=1.0 - math.sqrt(lam_sq_lower),
+        n_used=est.n_used,
+        mixing_gap_hat=1.0 - math.sqrt(max(0.0, 1.0 - est.tau_hat)),
+        even_chain=est)
 
 
 def estimate_hitting(counts) -> float:

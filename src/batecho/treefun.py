@@ -10,6 +10,7 @@ roots adds their h's; attaching a new leaf root maps h to
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import groupby
 
 from .errors import DomainError, NoThreeDivisorPairs
 from .exact import first_return_series, return_gen_fun
@@ -20,41 +21,48 @@ _ONE = RatFun(IntPoly.one)
 _ONE_MINUS_X = RatFun(IntPoly([1, -1]))
 
 
-def _children_lists(t: TreeHandle) -> list[list[int]]:
+def _subtree_classes(t: TreeHandle) -> list[tuple[int, ...]]:
+    """The isomorphism classes of the rooted subtrees of `t` (AHU), from
+    one iterative post-order.  Class c is the sorted tuple of its
+    children's classes, so classes are numbered children first and the
+    whole tree, whose subtree no other vertex shares, is the last."""
     g = t.graph
-    children = [[] for _ in range(g.n)]
-    seen = [False] * g.n
-    seen[g.root] = True
-    stack = [g.root]
+    order, stack = [], [g.root]
+    parent = [-1] * g.n
+    parent[g.root] = g.root
     while stack:
         u = stack.pop()
+        order.append(u)
         for v in g.adjacency[u]:
-            if not seen[v]:
-                seen[v] = True
-                children[u].append(v)
+            if parent[v] < 0:
+                parent[v] = u
                 stack.append(v)
-    return children
+    below = [[] for _ in range(g.n)]
+    ids: dict[tuple[int, ...], int] = {}
+    for u in reversed(order):
+        c = ids.setdefault(tuple(sorted(below[u])), len(ids))
+        if u != g.root:
+            below[parent[u]].append(c)
+    return list(ids)
 
 
 def h_of_tree(t: TreeHandle) -> RatFun:
-    """Exact h by recursive decomposition at the root: each root branch is
-    a new-leaf-root extension of the child's subtree, and branches glue
-    additively."""
-    children = _children_lists(t)
+    """Exact h, once per subtree class: a class's h glues, additively, one
+    branch per child, and a child's branch is the new-leaf-root extension
+    of the child's subtree (1 for a leaf)."""
+    classes = _subtree_classes(t)
+    branch: list[RatFun] = []
 
-    def branch(v: int) -> RatFun:
-        if not children[v]:
-            return _ONE
-        h = subtree(v)
-        return (_ONE + h) / (_ONE + _ONE_MINUS_X * h)
-
-    def subtree(u: int) -> RatFun:
+    def glued(key: tuple[int, ...]) -> RatFun:
         acc = RatFun(IntPoly.zero)
-        for v in children[u]:
-            acc = acc + branch(v)
+        for child, group in groupby(key):
+            acc = acc + branch[child] * len(list(group))
         return acc
 
-    return subtree(t.root)
+    for key in classes[:-1]:
+        h = glued(key)
+        branch.append((_ONE + h) / (_ONE + _ONE_MINUS_X * h) if key else _ONE)
+    return glued(classes[-1])
 
 
 def h_from_series(t: TreeHandle, k_max: int) -> list[Fraction]:
@@ -71,18 +79,10 @@ def h_from_series(t: TreeHandle, k_max: int) -> list[Fraction]:
 def ahu_canonical(t: TreeHandle):
     """Rooted-tree canonical form (sorted-subtree encoding); equal
     encodings iff the rooted trees are isomorphic."""
-    children = _children_lists(t)
-
-    def enc(v: int):
-        return tuple(sorted(enc(c) for c in children[v]))
-
-    import sys
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 2 * t.n + 100))
-    try:
-        return enc(t.root)
-    finally:
-        sys.setrecursionlimit(old)
+    enc: list[tuple] = []
+    for key in _subtree_classes(t):
+        enc.append(tuple(sorted(enc[c] for c in key)))
+    return enc[-1]
 
 
 def _divisor_pairs(k: int):

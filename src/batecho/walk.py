@@ -103,7 +103,7 @@ class SampledReturnTimes(ReturnTimes):
 
     def __init__(self, graph: RootedGraph, seed, lazy: bool = False):
         super().__init__(iter(()), graph=graph)
-        self._lazy = lazy
+        self._kernel = _first_return_kernel(graph, lazy)
         self._seed = seed
         self._spawned = 0
         self._gaps = np.empty(0, dtype=np.int64)
@@ -113,8 +113,8 @@ class SampledReturnTimes(ReturnTimes):
         if self._i >= len(self._gaps):
             child = child_seed(self._seed, self._spawned)
             self._spawned += 1
-            self._gaps = sample_first_returns(self.graph, 1 << 16, child,
-                                              lazy=self._lazy)
+            self._gaps = _shuffled_returns(self._kernel, self.graph.root, 1 << 16,
+                                           child)
             self._i = 0
         gap = int(self._gaps[self._i])
         self._i += 1
@@ -203,6 +203,30 @@ def batch_return_successes(g: RootedGraph, k: int, count: int, seed,
     return int(np.random.default_rng(seed).binomial(count, p))
 
 
+def _return_histogram(kernel: np.ndarray, root: int, count: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """first_return_counts on a prebuilt first-return kernel."""
+    n = kernel.shape[0]
+    occ = np.zeros(n, dtype=np.int64)
+    occ[root] = count
+    blocks = [np.zeros(0, dtype=np.int64)]
+    while occ.any():
+        at = np.flatnonzero(occ)
+        moved = rng.multinomial(occ[at], kernel[at]).sum(axis=0)
+        blocks.append(moved[:n])
+        occ = moved[n:]
+    return np.trim_zeros(np.concatenate(blocks), "b")
+
+
+def _shuffled_returns(kernel: np.ndarray, root: int, count: int, seed) -> np.ndarray:
+    """sample_first_returns on a prebuilt first-return kernel."""
+    rng = np.random.default_rng(seed)
+    counts = _return_histogram(kernel, root, count, rng)
+    out = np.repeat(np.arange(1, counts.size + 1, dtype=np.int64), counts)
+    rng.shuffle(out)
+    return out
+
+
 def first_return_counts(g: RootedGraph, count: int, seed,
                         lazy: bool = False) -> np.ndarray:
     """The histogram of `count` independent first-return times:
@@ -212,17 +236,8 @@ def first_return_counts(g: RootedGraph, count: int, seed,
     one call, splits its walkers into first returns at each tick of the
     block and positions away from the root at its end.  `seed` is
     anything np.random.default_rng takes."""
-    kernel = _first_return_kernel(g, lazy)
-    rng = np.random.default_rng(seed)
-    occ = np.zeros(g.n, dtype=np.int64)
-    occ[g.root] = count
-    blocks = [np.zeros(0, dtype=np.int64)]
-    while occ.any():
-        at = np.flatnonzero(occ)
-        moved = rng.multinomial(occ[at], kernel[at]).sum(axis=0)
-        blocks.append(moved[:g.n])
-        occ = moved[g.n:]
-    return np.trim_zeros(np.concatenate(blocks), "b")
+    return _return_histogram(_first_return_kernel(g, lazy), g.root, count,
+                             np.random.default_rng(seed))
 
 
 def sample_first_returns(g: RootedGraph, count: int, seed,
@@ -231,8 +246,4 @@ def sample_first_returns(g: RootedGraph, count: int, seed,
     of the first_return_counts histogram, drawn from the same stream.
     Gaps between successive returns are iid copies of T1, so these
     samples have the observer's gap distribution."""
-    rng = np.random.default_rng(seed)
-    counts = first_return_counts(g, count, rng, lazy=lazy)
-    out = np.repeat(np.arange(1, counts.size + 1, dtype=np.int64), counts)
-    rng.shuffle(out)
-    return out
+    return _shuffled_returns(_first_return_kernel(g, lazy), g.root, count, seed)

@@ -1,11 +1,13 @@
 """Oracle checks for the exact engine.
 
-The return-probability series has three independent routes here: brute
-walk enumeration, transition-operator iteration, and the determinant
-generating function of `det_oracle`, which also checks the generating
-function the engine recovers from the walk.  The spectrum likewise is
-checked against numpy's eigensolver.  These must all agree before
-anything statistical is trusted.
+The return-probability series has four independent routes here: brute
+walk enumeration, transition-operator iteration, the full-length integer
+walk of `exact_oracle` (against which the engine's recurrence-extended
+series is checked), and the determinant generating function of
+`det_oracle`, which also checks the generating function the engine
+recovers from the walk.  The hitting times are checked against Gaussian
+elimination in Fractions, and the spectrum against numpy's eigensolver.
+These must all agree before anything statistical is trusted.
 """
 import math
 from fractions import Fraction
@@ -27,12 +29,13 @@ from batecho import (
     transition_series,
 )
 from batecho.errors import NonIntegerResult
-from batecho.exact import reconstruct_counts
+from batecho.exact import _hitting_times, _scaled_returns, reconstruct_counts
 from batecho.graphs import from_edge_list
 from batecho.ratfun import RatFun
 
 from conftest import FIXTURES, TREES, fixture_params, regular_params
 from det_oracle import determinant_gen_fun
+from exact_oracle import full_walk_returns, hitting_times
 
 
 def _enumerate_returns(g, k_max):
@@ -138,9 +141,18 @@ def test_gen_fun_recurrence_edge_cases():
 
 @st.composite
 def connected_graphs(draw, max_n=7):
+    """A random spanning tree plus random extra edges; for about half the
+    draws the extra edges join the tree's two colour classes only, so
+    the graph stays bipartite."""
     n = draw(st.integers(2, max_n))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    parent = [draw(st.integers(0, v - 1)) for v in range(1, n)]
+    edges = {(u, v) for v, u in enumerate(parent, start=1)}
+    side = [0]
+    for u in parent:
+        side.append(1 - side[u])
+    bipartite = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if not bipartite or side[u] != side[v]]
     edges |= set(draw(st.lists(st.sampled_from(pairs), max_size=len(pairs))))
     return from_edge_list(sorted(edges), draw(st.integers(0, n - 1)))
 
@@ -148,6 +160,14 @@ def connected_graphs(draw, max_n=7):
 @given(connected_graphs())
 def test_gen_fun_equals_determinant_formula_on_random_graphs(g):
     assert return_gen_fun(g) == determinant_gen_fun(g)
+
+
+@given(connected_graphs(max_n=12), st.booleans())
+def test_recurrence_extended_series_equals_full_walk(g, lazy):
+    """Past 2n ticks the series continues by the recurrence; every term up
+    to 6n, including the first two it supplies, equals the walk's."""
+    for k_max in (2 * g.n, 2 * g.n + 1, 6 * g.n):
+        assert _scaled_returns(g, k_max, lazy) == full_walk_returns(g, k_max, lazy)
 
 
 def test_survival_and_first_return_are_consistent():
@@ -295,6 +315,11 @@ def test_hitting_two_routes_agree(g):
     one = Fraction(1)
     assert res.mean_t1 == -d1.eval(one)
     assert res.mean_t1_sq == -d2.eval(one) + res.mean_t1
+
+
+@given(connected_graphs(max_n=12))
+def test_integer_hitting_solve_equals_fraction_oracle(g):
+    assert _hitting_times(g) == hitting_times(g)
 
 
 def test_hitting_known_values():

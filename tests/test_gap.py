@@ -215,17 +215,17 @@ def test_non_regular_graph_exhausts_search():
 
 def test_mixing_gap_k4():
     report = estimate_mixing_gap(FIXTURES["k4"], seed=61)
-    assert report["status"] == "ok"
+    assert report.status == "ok"
     # non-lazy eigenvalues are {1, -1/3 x3}: mixing gap = 2/3
-    assert report["mixing_gap_lower"] <= 2 / 3 <= report["mixing_gap_upper"]
+    assert report.mixing_gap_lower <= 2 / 3 <= report.mixing_gap_upper
 
 
 @pytest.mark.parametrize("name", ["c4", "q3"])
 def test_mixing_gap_bipartite_reports_near_zero(name):
     report = estimate_mixing_gap(FIXTURES[name], seed=71)
-    assert report["status"] == "exhausted"
-    assert report["mixing_gap_lower"] == 0.0
-    assert report["mixing_gap_upper"] < 0.05
+    assert report.status == "exhausted"
+    assert report.mixing_gap_lower == 0.0
+    assert report.mixing_gap_upper < 0.05
 
 
 def test_estimate_hitting_k2_is_exact():

@@ -17,6 +17,8 @@ from batecho.errors import NoThreeDivisorPairs
 from batecho.graphs import TreeHandle, _make
 from batecho.ratfun import IntPoly, RatFun
 
+from exact_oracle import recursive_ahu, recursive_h
+
 
 def gab_closed_form(a, b):
     return RatFun(IntPoly([a * b, -(b - 1)]), IntPoly([a * b, -(a * b - 1)]))
@@ -62,6 +64,20 @@ def test_h_matches_survival_series(parents):
     t = _random_tree(parents)
     k = 12
     assert h_of_tree(t).series(k - 1) == h_from_series(t, k)
+
+
+@given(st.lists(st.integers(0, 1000), min_size=1, max_size=24))
+def test_per_class_h_and_encoding_equal_recursive_routes(parents):
+    t = _random_tree(parents)
+    assert h_of_tree(t) == recursive_h(t)
+    assert ahu_canonical(t) == recursive_ahu(t)
+
+
+@pytest.mark.parametrize("k", [4, 6, 8, 9, 10])
+def test_per_class_h_on_forged_pairs(k):
+    for t in forge_tree_pair(k):
+        assert h_of_tree(t) == recursive_h(t)
+        assert ahu_canonical(t) == recursive_ahu(t)
 
 
 @given(st.lists(st.integers(0, 1000), min_size=1, max_size=8),

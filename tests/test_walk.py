@@ -255,6 +255,26 @@ def test_child_seed_keeps_int_and_root_streams():
     assert (child_seed(np.random.SeedSequence(5), 2).generate_state(4) == want).all()
 
 
+@pytest.mark.parametrize("lazy", [False, True])
+def test_sampled_stream_builds_its_kernel_once(monkeypatch, lazy):
+    """Three refills of 2^16 gaps build the first-return kernel once, and
+    the stream is the concatenation of sample_first_returns over the
+    seed's children 0, 1, 2."""
+    g = FIXTURES["star3"]
+    builds = []
+    real = walk._first_return_kernel
+    monkeypatch.setattr(walk, "_first_return_kernel",
+                        lambda *a: builds.append(a) or real(*a))
+    rt = SampledReturnTimes(g, seed=17, lazy=lazy)
+    refill = 1 << 16
+    times = np.array([next(rt) for _ in range(2 * refill + 1)])
+    assert len(builds) == 1
+    monkeypatch.setattr(walk, "_first_return_kernel", real)
+    want = np.concatenate([sample_first_returns(g, refill, child_seed(17, i), lazy=lazy)
+                           for i in range(3)])
+    assert (np.diff(times, prepend=0) == want[:times.size]).all()
+
+
 def test_sibling_seed_sequences_give_distinct_streams():
     """Children of SeedSequence siblings must not collide: the parent's
     spawn key is part of the child's."""
