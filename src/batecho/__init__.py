@@ -20,7 +20,6 @@ from .exact import (
     poles_to_eigenvalues,
     return_gen_fun,
     spectrum,
-    transition_series,
 )
 from .gap import (
     GapEstimate,
@@ -28,7 +27,6 @@ from .gap import (
     audit_budget,
     audit_error_chain,
     estimate_gap,
-    estimate_gap_exact,
     estimate_hitting,
     estimate_mixing_gap,
     gap_bounds,
@@ -44,7 +42,7 @@ from .graphs import (
     from_text,
     glue_at_roots,
 )
-from .ratfun import IntPoly, RatFun, find_dependency
+from .ratfun import IntPoly, RatFun
 from .treefun import (
     ahu_canonical,
     forge_tree_pair,

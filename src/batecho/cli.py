@@ -258,7 +258,6 @@ _COMMANDS = {
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--graph", help="graph file (edge list text format)")
     p.add_argument("--family", help="named graph, e.g. cycle:8 or gab:2,2")
-    p.add_argument("--seed", type=int)
     p.add_argument("--config", help="JSON file with default option values")
     p.add_argument("--out", help="write output to this path instead of stdout")
     p.add_argument("--format", choices=["json", "csv"])
@@ -267,6 +266,7 @@ def _add_common(p: argparse.ArgumentParser):
 def _add_search(p: argparse.ArgumentParser):
     """The options of the two gap searches."""
     _add_common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--c", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
@@ -301,11 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("observe", help="return-gap summary statistics")
     _add_common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--m", type=int, help="number of return gaps to sample")
     p.add_argument("--lazy", action="store_const", const=True)
 
     p = sub.add_parser("simulate", help="raw return times")
     _add_common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--m", type=int, help="number of return times")
     p.add_argument("--lazy", action="store_const", const=True)
 

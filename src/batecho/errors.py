@@ -53,10 +53,6 @@ class MomentMismatch(BatechoError):
     pass
 
 
-class NonIntegerResult(BatechoError):
-    pass
-
-
 class NoThreeDivisorPairs(BatechoError):
     pass
 

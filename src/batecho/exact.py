@@ -1,6 +1,6 @@
-"""Ground-truth engine: exact return-probability series, spectra with
-root weights, generating functions, first-return and survival series, and
-the closed-form reconstruction identities.
+"""Ground-truth engine: exact lazy return-probability series, spectra
+with root weights, generating functions, first-return and survival
+series, hitting times and the mean return time.
 
 The series come from one walk iteration in integers: S^k times the
 distribution after k steps, with S the lcm of the degrees (twice that on
@@ -26,7 +26,6 @@ from .errors import (
     ConvergenceFailure,
     DomainError,
     MomentMismatch,
-    NonIntegerResult,
     RootFindingFailure,
 )
 from .graphs import RootedGraph
@@ -153,14 +152,6 @@ def _unscale(a: list[int], scale: int) -> list[Fraction]:
         out.append(Fraction(x, power))
         power *= scale
     return out
-
-
-def transition_series(g: RootedGraph, k_max: int) -> SeriesTable:
-    """Exact P_k(r,r) for k = 0..k_max by iterating the transition
-    operator on the root indicator, in integers scaled by L^k."""
-    _check_scale(g, k_max)
-    p = _unscale(*_scaled_returns(g, k_max, False))
-    return SeriesTable(n=g.n, k_max=k_max, p=p)
 
 
 def lazy_series(g: RootedGraph, k_max: int) -> SeriesTable:
@@ -311,7 +302,7 @@ def poles_to_eigenvalues(fgen: RatFun):
 
 
 # ---------------------------------------------------------------------------
-# moments and reconstruction
+# moments
 
 
 @dataclass
@@ -404,18 +395,3 @@ def mean_return_time(g: RootedGraph) -> Fraction:
     """Exact E(T1) = 2|E| / d(r)."""
     return Fraction(2 * g.edge_count, g.root_degree)
 
-
-def reconstruct_counts(mean_t1: Fraction, d_root: int, regular: bool):
-    """Edge count from |E| = d(r) E(T1) / 2; node count n = E(T1) when the
-    graph is known to be regular."""
-    if mean_t1 <= 0:
-        raise ValueError("mean return time must be positive")
-    e = Fraction(d_root) * mean_t1 / 2
-    if e.denominator != 1:
-        raise NonIntegerResult(f"|E| = {e} is not an integer")
-    n = None
-    if regular:
-        if mean_t1.denominator != 1:
-            raise NonIntegerResult(f"n = {mean_t1} is not an integer")
-        n = int(mean_t1)
-    return int(e), n

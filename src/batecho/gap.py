@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, SearchExhausted
-from .exact import MAX_EXACT_K, lazy_series
 from .graphs import RootedGraph
 from .walk import (batch_return_successes, child_seed, first_return_counts,
                    hoeffding_count, observer_stats)
@@ -116,9 +115,10 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
 
     Pass n="estimate" to have the routine infer n from return times first
     (regular graphs); an explicit n may not exceed the vertex count.
-    Raises SearchExhausted if the centered return probability at the top
-    of the bracket is not in (0, 1/n^c], which signals a gap too small to
-    resolve at this c.  Each k is evaluated once, with n_exp experiments.
+    Raises SearchExhausted if no evaluated k reads at most 1/n^c, which
+    signals a gap too small to resolve at this c, or if the estimate at
+    the top of the bracket is not positive.  Each k is evaluated once,
+    with n_exp experiments, and at most L = ceil(log2 K0) k's are.
     """
     if not (math.isfinite(c) and c > 0):
         raise DomainError(f"c must be positive and finite, got {c}")
@@ -170,12 +170,17 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
         else:
             hi = mid
 
-    # Confirm the top of the bracket; the horizon was trusted on faith.
-    q_star = q_hat(hi)
-    if not (0.0 < q_star <= threshold):
+    # The top of the bracket must be an evaluated midpoint: K0 itself is
+    # never evaluated, so the search makes at most L evaluations.
+    if hi == k0:
         raise SearchExhausted(
-            f"q_{hi} estimated at {q_star:.3g}, never confirmed below "
-            f"threshold {threshold:.3g} (horizon K0={k0})", n_used)
+            f"every estimate up to k={lo} stayed above threshold "
+            f"{threshold:.3g} (horizon K0={k0})", n_used)
+    q_star = cache[hi]
+    if q_star <= 0.0:
+        raise SearchExhausted(
+            f"q_{hi} estimated at {q_star:.3g}, not positive "
+            f"(threshold {threshold:.3g}, horizon K0={k0})", n_used)
 
     tau_hat, tau_lower, tau_upper = _bracket(q_star, hi, n_used, flags)
     return GapEstimate(k_star=hi, q_k=q_star, q_k_minus_1=cache[lo],
@@ -185,31 +190,6 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
                        total_experiments=n_exp * len(trace),
                        total_ticks=n_exp * stride * sum(e["k"] for e in trace),
                        trace=trace, flags=flags)
-
-
-def estimate_gap_exact(g: RootedGraph, c: float = 2.0) -> GapEstimate:
-    """Noiseless twin of estimate_gap: scans the exact lazy return series
-    for the first k with q_k <= 1/n^c.  Useful as an oracle for what the
-    statistical estimator converges to.  The scan stops at K0 or at the
-    exact engine's MAX_EXACT_K, whichever comes first; the series is
-    computed once, up to that horizon."""
-    n = g.n
-    threshold = 1.0 / n ** c
-    k0, _ = search_budget(n, c)
-    horizon = min(k0, MAX_EXACT_K)
-    table = lazy_series(g, horizon)
-    hit = next((k for k in range(1, horizon + 1) if table.q[k] <= threshold), None)
-    if hit is None:
-        raise SearchExhausted(
-            f"exact q_k above 1/n^c up to k={horizon} (K0={k0})", n)
-    q_star = float(table.q[hit])
-    flags = ["exact"]
-    tau_hat, tau_lower, tau_upper = _bracket(q_star, hit, n, flags)
-    return GapEstimate(k_star=hit, q_k=q_star, q_k_minus_1=float(table.q[hit - 1]),
-                       tau_hat=tau_hat, tau_lower=tau_lower,
-                       tau_upper=tau_upper, n_used=n, c=c, eps=0.0,
-                       delta=0.0, pk_rule="exact", total_experiments=0,
-                       total_ticks=0, trace=[], flags=flags)
 
 
 @dataclass

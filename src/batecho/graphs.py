@@ -264,14 +264,14 @@ def _circulant_edges(block: list[int], d: int) -> list[tuple[int, int]]:
     return sorted(edges)
 
 
-def _random_regular_edges(block: list[int], d: int, rng: random.Random,
-                          retries: int = 1000) -> list[tuple[int, int]]:
+def _random_regular_edges(block: list[int], d: int,
+                          rng: random.Random) -> list[tuple[int, int]]:
     """Configuration model with rejection of loops, multi-edges and
     disconnection."""
     s = len(block)
     if d >= s or (d * s) % 2:
         raise InfeasibleRegularGraph(f"no {d}-regular simple graph on {s} vertices")
-    for _ in range(retries):
+    for _ in range(1000):
         stubs = [i for i in range(s) for _ in range(d)]
         rng.shuffle(stubs)
         pairs = [(stubs[2 * i], stubs[2 * i + 1]) for i in range(len(stubs) // 2)]
@@ -292,7 +292,7 @@ def _random_regular_edges(block: list[int], d: int, rng: random.Random,
             continue
         return [(block[u], block[v]) for u, v in sorted(seen)]
     raise InfeasibleRegularGraph(
-        f"gave up after {retries} attempts at a connected {d}-regular graph "
+        f"gave up after 1000 attempts at a connected {d}-regular graph "
         f"on {s} vertices"
     )
 

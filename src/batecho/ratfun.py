@@ -273,61 +273,3 @@ def _coerce(x) -> RatFun:
         return RatFun(IntPoly([x.numerator]), IntPoly([x.denominator]))
     raise TypeError(f"cannot coerce {type(x)} to RatFun")
 
-
-def find_dependency(funs: list[RatFun]):
-    """Nonzero integer coefficients c with sum(c_i * funs_i) == 0, or None
-    if the functions are linearly independent.  The vector is
-    content-reduced with its first nonzero entry positive."""
-    if len(funs) < 2:
-        raise ValueError("need at least two functions")
-    # clear denominators: g_i = num_i * prod_{j != i} den_j
-    cleared = []
-    for i, f in enumerate(funs):
-        g = f.num
-        for j, other in enumerate(funs):
-            if j != i:
-                g = g * other.den
-        cleared.append(g)
-    deg = max((g.degree for g in cleared), default=-1)
-    rows = deg + 1
-    cols = len(cleared)
-    # solve A c = 0 where A[r][i] = coeff_r(g_i)
-    a = [[Fraction(cleared[i].c[r]) if r <= cleared[i].degree else Fraction(0)
-          for i in range(cols)] for r in range(rows)]
-    pivots = []
-    r = 0
-    for col in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = a[r][col]
-        a[r] = [x / inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == rows:
-            break
-    free = [c for c in range(cols) if c not in pivots]
-    if not free:
-        return None
-    fc = free[0]
-    vec = [Fraction(0)] * cols
-    vec[fc] = Fraction(1)
-    for ri, col in enumerate(pivots):
-        vec[col] = -a[ri][fc]
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    first = next(x for x in ints if x != 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)

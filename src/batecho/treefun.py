@@ -1,7 +1,7 @@
 """The degree-scaled survival generating function h for rooted trees,
-its structural recurrences, linear-dependency search, and the forge that
-turns an integer dependency into two distinct trees with identical
-return-time distributions.
+its structural recurrences, and the forge that turns the integer
+dependency among three height-3 trees into two distinct trees with
+identical return-time distributions.
 
 h is characterized by: h = 1 for a single edge; gluing trees at their
 roots adds their h's; attaching a new leaf root maps h to
@@ -9,13 +9,14 @@ roots adds their h's; attaching a new leaf root maps h to
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import groupby
 
 from .errors import DomainError, NoThreeDivisorPairs
 from .exact import first_return_series, return_gen_fun
 from .graphs import TreeHandle, attach_new_root, build_gab, glue_at_roots
-from .ratfun import IntPoly, RatFun, find_dependency
+from .ratfun import IntPoly, RatFun
 
 _ONE = RatFun(IntPoly.one)
 _ONE_MINUS_X = RatFun(IntPoly([1, -1]))
@@ -96,16 +97,21 @@ def _divisor_pairs(k: int):
 def forge_tree_pair(k: int) -> tuple[TreeHandle, TreeHandle]:
     """Two non-isomorphic rooted trees with identical h (hence identical
     return-time distributions), built from the dependency among the three
-    height-3 trees with root-neighbor-degree * leaf-degree = k."""
+    height-3 trees G_{a,b} (see `build_gab`) with ab = k.
+
+    Their h = (k - (b-1)x) / (k - (k-1)x) share one denominator, so
+    sum c_i h_i = 0 exactly when sum c_i = 0 and sum c_i b_i = 0: c is
+    the cross product of the b's and (1, 1, 1), content-reduced.  The
+    b's of `_divisor_pairs` are k > k/a > 1, so every c_i is nonzero and
+    the first is positive."""
     if k < 4:
         raise NoThreeDivisorPairs(f"need composite k >= 4, got {k}")
     pairs = _divisor_pairs(k)
     trees = [build_gab(a, b) for a, b in pairs]
-    dep = find_dependency([h_of_tree(t) for t in trees])
-    if dep is None or sum(1 for c in dep if c) < 3:
-        raise NoThreeDivisorPairs(
-            f"no three-term dependency among the divisor-pair trees of {k}"
-        )
+    b1, b2, b3 = (b for _, b in pairs)
+    dep = (b2 - b3, b3 - b1, b1 - b2)
+    content = math.gcd(*dep)
+    dep = [c // content for c in dep]
     left = [(t, c) for t, c in zip(trees, dep) if c > 0]
     right = [(t, -c) for t, c in zip(trees, dep) if c < 0]
     t1 = attach_new_root(glue_at_roots(left))

@@ -1,17 +1,25 @@
-"""Reference routes for the exact engine and the tree functions.
+"""Reference routes for the exact engine, the tree functions and the
+gap search.
 
-Each is the straightforward version of a route `src/` computes faster:
-the full-length integer walk behind `exact._scaled_returns`, Gaussian
-elimination in Fractions behind `exact._hitting_times`, and the
-recursive decompositions behind `treefun.h_of_tree` and
-`treefun.ahu_canonical`.
+Each is the straightforward version of a route `src/` computes faster or
+in closed form: the full-length integer walk behind
+`exact._scaled_returns` (and the plain series `transition_series` built
+on it), Gaussian elimination in Fractions behind `exact._hitting_times`,
+the recursive decompositions behind `treefun.h_of_tree` and
+`treefun.ahu_canonical`, the general linear-dependency search behind the
+forge's closed-form dependency, and `estimate_gap_exact`, the noiseless
+twin of `gap.estimate_gap`.
 """
 from __future__ import annotations
 
 import math
 import sys
 from fractions import Fraction
+from math import gcd
 
+from batecho.errors import SearchExhausted
+from batecho.exact import MAX_EXACT_K, SeriesTable, lazy_series
+from batecho.gap import GapEstimate, _bracket, search_budget
 from batecho.ratfun import IntPoly, RatFun
 
 
@@ -32,6 +40,13 @@ def full_walk_returns(g, k_max: int, lazy: bool) -> tuple[list[int], int]:
         w = nxt
         a.append(w[g.root])
     return a, 2 * lcm if lazy else lcm
+
+
+def transition_series(g, k_max: int) -> SeriesTable:
+    """Exact plain-walk P_k(r,r) for k = 0..k_max from the full walk."""
+    a, scale = full_walk_returns(g, k_max, False)
+    return SeriesTable(n=g.n, k_max=k_max,
+                       p=[Fraction(x, scale ** k) for k, x in enumerate(a)])
 
 
 def solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
@@ -120,3 +135,88 @@ def recursive_ahu(t):
         return enc(t.root)
     finally:
         sys.setrecursionlimit(old)
+
+
+def find_dependency(funs: list[RatFun]):
+    """Nonzero integer coefficients c with sum(c_i * funs_i) == 0, or None
+    if the functions are linearly independent, by Gauss-Jordan
+    elimination in Fractions.  The vector is content-reduced with its
+    first nonzero entry positive."""
+    if len(funs) < 2:
+        raise ValueError("need at least two functions")
+    # clear denominators: g_i = num_i * prod_{j != i} den_j
+    cleared = []
+    for i, f in enumerate(funs):
+        g = f.num
+        for j, other in enumerate(funs):
+            if j != i:
+                g = g * other.den
+        cleared.append(g)
+    deg = max((g.degree for g in cleared), default=-1)
+    rows = deg + 1
+    cols = len(cleared)
+    # solve A c = 0 where A[r][i] = coeff_r(g_i)
+    a = [[Fraction(cleared[i].c[r]) if r <= cleared[i].degree else Fraction(0)
+          for i in range(cols)] for r in range(rows)]
+    pivots = []
+    r = 0
+    for col in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = a[r][col]
+        a[r] = [x / inv for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == rows:
+            break
+    free = [c for c in range(cols) if c not in pivots]
+    if not free:
+        return None
+    fc = free[0]
+    vec = [Fraction(0)] * cols
+    vec[fc] = Fraction(1)
+    for ri, col in enumerate(pivots):
+        vec[col] = -a[ri][fc]
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, abs(x))
+    ints = [x // g for x in ints]
+    first = next(x for x in ints if x != 0)
+    if first < 0:
+        ints = [-x for x in ints]
+    return tuple(ints)
+
+
+def estimate_gap_exact(g, c: float = 2.0) -> GapEstimate:
+    """Noiseless twin of `gap.estimate_gap`: scans the exact lazy return
+    series for the first k with q_k <= 1/n^c, the k the statistical
+    estimator converges to.  The scan stops at K0 or at the exact
+    engine's MAX_EXACT_K, whichever comes first; the series is computed
+    once, up to that horizon."""
+    n = g.n
+    threshold = 1.0 / n ** c
+    k0, _ = search_budget(n, c)
+    horizon = min(k0, MAX_EXACT_K)
+    table = lazy_series(g, horizon)
+    hit = next((k for k in range(1, horizon + 1) if table.q[k] <= threshold), None)
+    if hit is None:
+        raise SearchExhausted(
+            f"exact q_k above 1/n^c up to k={horizon} (K0={k0})", n)
+    q_star = float(table.q[hit])
+    flags = ["exact"]
+    tau_hat, tau_lower, tau_upper = _bracket(q_star, hit, n, flags)
+    return GapEstimate(k_star=hit, q_k=q_star, q_k_minus_1=float(table.q[hit - 1]),
+                       tau_hat=tau_hat, tau_lower=tau_lower,
+                       tau_upper=tau_upper, n_used=n, c=c, eps=0.0,
+                       delta=0.0, pk_rule="exact", total_experiments=0,
+                       total_ticks=0, trace=[], flags=flags)

@@ -16,10 +16,8 @@ from batecho import (
     build_gab,
     build_leafy,
     estimate_gap,
-    estimate_gap_exact,
     estimate_hitting,
     estimate_pk,
-    find_dependency,
     first_return_counts,
     forge_tree_pair,
     gap_bounds,
@@ -31,7 +29,6 @@ from batecho import (
     poles_to_eigenvalues,
     return_gen_fun,
     spectrum,
-    transition_series,
 )
 from batecho.cli import main
 from batecho.gap import audit_budget, search_budget
@@ -40,6 +37,7 @@ from batecho.walk import SampledReturnTimes
 
 from conftest import FIXTURES, REGULAR, TREES
 from det_oracle import determinant_gen_fun
+from exact_oracle import estimate_gap_exact, find_dependency, transition_series
 
 EX1_LEFT = sorted([1, math.sqrt(3) / 2, math.sqrt(6) / 4, 0, 0, 0, 0, 0,
                    -math.sqrt(6) / 4, -math.sqrt(3) / 2, -1], reverse=True)

@@ -1,9 +1,9 @@
 """Oracle checks for the exact engine.
 
-The return-probability series has four independent routes here: brute
-walk enumeration, transition-operator iteration, the full-length integer
-walk of `exact_oracle` (against which the engine's recurrence-extended
-series is checked), and the determinant generating function of
+The return-probability series has three independent routes here: brute
+walk enumeration, the full-length integer walk of `exact_oracle` (the
+plain series `transition_series`, and the reference for the engine's
+recurrence-extended series), and the determinant generating function of
 `det_oracle`, which also checks the generating function the engine
 recovers from the walk.  The hitting times are checked against Gaussian
 elimination in Fractions, and the spectrum against numpy's eigensolver.
@@ -26,16 +26,14 @@ from batecho import (
     poles_to_eigenvalues,
     return_gen_fun,
     spectrum,
-    transition_series,
 )
-from batecho.errors import NonIntegerResult
-from batecho.exact import _hitting_times, _scaled_returns, reconstruct_counts
+from batecho.exact import MAX_EXACT_K, MAX_EXACT_N, _hitting_times, _scaled_returns
 from batecho.graphs import from_edge_list
 from batecho.ratfun import RatFun
 
 from conftest import FIXTURES, TREES, fixture_params, regular_params
 from det_oracle import determinant_gen_fun
-from exact_oracle import full_walk_returns, hitting_times
+from exact_oracle import full_walk_returns, hitting_times, transition_series
 
 
 def _enumerate_returns(g, k_max):
@@ -334,13 +332,8 @@ def test_mean_return_time():
     assert mean_return_time(FIXTURES["q3"]) == 8
 
 
-def test_reconstruct_counts():
-    assert reconstruct_counts(Fraction(4), 2, regular=True) == (4, 4)
-    assert reconstruct_counts(Fraction(2), 3, regular=False) == (3, None)
-    with pytest.raises(NonIntegerResult):
-        reconstruct_counts(Fraction(7, 3), 2, regular=False)
-
-
 def test_exact_scale_guard():
     with pytest.raises(ValueError):
-        transition_series(build_family("cycle", 80), 5)
+        lazy_series(build_family("cycle", MAX_EXACT_N + 16), 5)
+    with pytest.raises(ValueError):
+        lazy_series(FIXTURES["c4"], MAX_EXACT_K + 1)

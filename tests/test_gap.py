@@ -5,24 +5,26 @@ import numpy as np
 import pytest
 
 import batecho.gap as gap_module
+import exact_oracle
 from batecho import (
     SampledReturnTimes,
     build_family,
     audit_budget,
     audit_error_chain,
     estimate_gap,
-    estimate_gap_exact,
     estimate_hitting,
     estimate_mixing_gap,
     gap_bounds,
     lazy_series,
     spectrum,
 )
+from batecho.cli import main
 from batecho.errors import DomainError, SearchExhausted
 from batecho.exact import MAX_EXACT_K
 from batecho.gap import GapEstimate, estimate_n, per_eval_eta, search_budget
 
 from conftest import FIXTURES, regular_params
+from exact_oracle import estimate_gap_exact
 
 
 def lazy_tau(g):
@@ -119,7 +121,7 @@ def test_exact_estimator_computes_the_series_once(monkeypatch):
         calls.append(k_max)
         return lazy_series(g, k_max)
 
-    monkeypatch.setattr(gap_module, "lazy_series", counting_lazy_series)
+    monkeypatch.setattr(exact_oracle, "lazy_series", counting_lazy_series)
     assert estimate_gap_exact(build_family("cycle", 40), 2.0).k_star == 710
     assert calls == [MAX_EXACT_K]
 
@@ -211,6 +213,30 @@ def test_non_regular_graph_exhausts_search():
     # on a star the centered return probability stalls at pi(r) - 1/n > 0
     with pytest.raises(SearchExhausted):
         estimate_gap(FIXTURES["star3"], c=2.0, seed=51)
+
+
+def test_unevaluated_horizon_exits_3_within_l_evaluations(monkeypatch, capsys):
+    """A law whose q_k stays above 1/n^c at every midpoint and drops to it
+    only at K0 itself.  Confirming K0 would take an (L+1)-th evaluation,
+    beyond audit_budget's L * n_exp, so the search must stop at its last
+    midpoint: `gap` exits 3 after at most L evaluations, and `mixing-gap`
+    reports the search as exhausted."""
+    k0, levels = search_budget(8, 2.0)
+    calls = []
+
+    def law(g, k, count, seed, lazy=True, stride=1):
+        calls.append(k)
+        # all walkers home before K0 (q = 7/8), q = 1/128 <= 1/64 at K0
+        return count if k < k0 else count // 8 + count // 128
+
+    monkeypatch.setattr(gap_module, "batch_return_successes", law)
+    assert main(["gap", "--family", "cycle:8", "--seed", "1"]) == 3
+    assert "exhausted" in capsys.readouterr().err
+    assert 0 < len(calls) <= levels and k0 not in calls
+    calls.clear()
+    report = estimate_mixing_gap(build_family("cycle", 8), seed=1)
+    assert report.status == "exhausted"
+    assert 0 < len(calls) <= levels and k0 not in calls
 
 
 def test_mixing_gap_k4():

@@ -1,0 +1,49 @@
+"""Every module-level function and class in `src/batecho` has a caller in
+`src/`: alternative routes live in `tests/` as oracles, and a helper that
+nothing calls is deleted rather than kept."""
+import ast
+from collections import Counter
+from pathlib import Path
+
+import batecho
+
+SRC = Path(batecho.__file__).parent
+
+# Public entry points kept without a caller in src/, each for a reason.
+KEPT = {
+    "poles_to_eigenvalues",  # the paper's eigenvalue recovery; the README example
+    "from_edge_list",        # the graph constructor
+    "SampledReturnTimes",    # the sequential protocol perfbench and criterion 7 drive
+    "estimate_pk",           # the same protocol's estimator
+}
+
+
+def _definitions():
+    """(module, node) for every module-level function and class, and the
+    parsed modules, `__init__` left out."""
+    trees = [(path.stem, ast.parse(path.read_text(), str(path)))
+             for path in sorted(SRC.glob("*.py")) if path.stem != "__init__"]
+    defs = [(name, node) for name, tree in trees for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return defs, [tree for _, tree in trees]
+
+
+def _references(node) -> Counter:
+    """How often each name is loaded or looked up as an attribute under
+    `node`."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def test_every_module_level_definition_has_a_caller_in_src():
+    defs, trees = _definitions()
+    total = sum(map(_references, trees), Counter())
+    unreferenced = [f"{module}.{node.name}" for module, node in defs
+                    if node.name not in KEPT
+                    and total[node.name] == _references(node)[node.name]]
+    assert unreferenced == []
+
+
+def test_kept_names_are_defined():
+    defs, _ = _definitions()
+    assert KEPT <= {node.name for _, node in defs}

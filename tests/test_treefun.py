@@ -17,7 +17,9 @@ from batecho.errors import NoThreeDivisorPairs
 from batecho.graphs import TreeHandle, _make
 from batecho.ratfun import IntPoly, RatFun
 
-from exact_oracle import recursive_ahu, recursive_h
+from exact_oracle import find_dependency, recursive_ahu, recursive_h
+
+COMPOSITES = [k for k in range(4, 61) if any(k % a == 0 for a in range(2, k))]
 
 
 def gab_closed_form(a, b):
@@ -104,6 +106,22 @@ def test_forge_composite_k(k):
     assert h_of_tree(t1) == h_of_tree(t2)
     assert ahu_canonical(t1) != ahu_canonical(t2)
     assert h_from_series(t1, 20) == h_from_series(t2, 20)
+
+
+@pytest.mark.parametrize("k", COMPOSITES)
+def test_forge_closed_form_equals_the_dependency_search(k):
+    """The forge's closed-form dependency is the one the general search
+    finds among the three divisor-pair trees, so both build the same
+    graphs."""
+    a = next(a for a in range(2, k) if k % a == 0)
+    trees = [build_gab(1, k), build_gab(a, k // a), build_gab(k, 1)]
+    dep = find_dependency([h_of_tree(t) for t in trees])
+    assert dep is not None and all(dep)
+    want = [attach_new_root(glue_at_roots([(t, s * c) for t, c in zip(trees, dep)
+                                           if s * c > 0]))
+            for s in (1, -1)]
+    got = forge_tree_pair(k)
+    assert [t.graph.to_text() for t in got] == [t.graph.to_text() for t in want]
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 7])

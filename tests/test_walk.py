@@ -19,13 +19,13 @@ from batecho import (
     return_gen_fun,
     run_experiment,
     sample_first_returns,
-    transition_series,
 )
 from batecho import walk
 from batecho.walk import batch_return_successes, child_seed
 
 import walk_oracle
 from conftest import FIXTURES
+from exact_oracle import transition_series
 from walk_oracle import from_walk, simulate
 
 
