@@ -333,9 +333,9 @@ def _convert_config_value(action: argparse.Action, value):
 
 
 def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -> dict:
-    """Merge config-file values under explicit flags.  Config values go
-    through the same type conversion and choices as the subcommand's
-    flags."""
+    """Merge config-file values under explicit flags.  Each config key must
+    name a flag of the subcommand, and its value goes through that flag's
+    type conversion and choices."""
     opts = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -350,8 +350,9 @@ def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -
                    if isinstance(a, argparse._SubParsersAction))
         actions = {a.dest: a for a in sub.choices[args.command]._actions}
         for key, value in loaded.items():
-            opts[key] = (_convert_config_value(actions[key], value)
-                         if key in actions else value)
+            if key not in actions:
+                raise BatechoError(f"config key {key!r} matches no flag of {args.command}")
+            opts[key] = _convert_config_value(actions[key], value)
     for key, value in vars(args).items():
         if key in ("command", "config"):
             continue

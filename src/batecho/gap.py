@@ -2,17 +2,17 @@
 
 The estimator binary-searches for the first k where the centered lazy
 return probability Q_k = P'_k(r,r) - 1/n drops below 1/n^c, then converts
-(k, Q_k) into a two-sided bracket on the lazy gap via the decay inequality
+(k, Q_k) into a bracket on the lazy gap tau = 1 - lambda_2 by
 
-    (1 - tau)^k  <=  Q_k  <=  n * (1 - tau)^k,
-
-which rearranges to
+    lambda_2^k / n  <=  Q_k  <=  lambda_2^k:
 
     tau_upper = 1 - Q_k^(1/k)
-    tau_lower = (1 + ln n / ln Q_k) * (1 - Q_k^(1/k)).
+    tau_lower = (1 + ln n / ln Q_k) * (1 - Q_k^(1/k))   (by concavity),
 
-The point estimate is the geometric mean of the bracket endpoints; both
-endpoints are reported.
+with their geometric mean as the point estimate.  The upper end needs 1/n
+to be the root's stationary probability (true on regular graphs), and the
+lower end needs lambda_2's root weight to be at least 1/n (true on
+vertex-transitive graphs).
 """
 from __future__ import annotations
 
@@ -22,9 +22,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import DomainError, SearchExhausted
+from .exact import spectrum
 from .graphs import RootedGraph
-from .walk import (batch_return_successes, child_seed, first_return_counts,
-                   hoeffding_count, observer_stats)
+from .walk import (batch_return_successes, check_walk_size, child_seed,
+                   first_return_counts, hoeffding_count, observer_stats)
 
 
 def gap_bounds(q_k: float, k: int, n: int) -> tuple[float, float]:
@@ -142,20 +143,22 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
         n_exp = hoeffding_count(per_eval_eta(n_used, c, eps), delta / levels)
     except (OverflowError, ZeroDivisionError):
         n_exp = math.inf
-    # an evaluation counts n_exp walkers in an int64 occupancy vector
+    # an evaluation is one binomial draw, whose count numpy takes as int64
     if n_exp > np.iinfo(np.int64).max:
         raise DomainError(f"c={c}, eps={eps}, delta={delta} on n={n_used} need "
                           f"{n_exp:.3g} experiments per evaluation, more than "
                           f"a 64-bit count holds")
     threshold = 1.0 / n_used ** c
 
+    check_walk_size(g)
+    spec = spectrum(g)
     trace = []
     # Q_0 is known exactly: the walk is at the root, so Q_0 = 1 - 1/n.
     cache: dict[int, float] = {0: 1.0 - 1.0 / n_used}
 
     def q_hat(k: int) -> float:
         if k not in cache:
-            succ = batch_return_successes(g, k, n_exp, child_seed(seed, len(trace)),
+            succ = batch_return_successes(spec, k, n_exp, child_seed(seed, len(trace)),
                                           lazy=lazy, stride=stride)
             cache[k] = succ / n_exp - 1.0 / n_used
             trace.append({"k": k, "q_hat": cache[k], "experiments": n_exp,

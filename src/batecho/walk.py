@@ -3,14 +3,14 @@
 The observer at the root sees only the clock and the return bits; every
 estimator in the library consumes that interface.  A batch of independent
 walkers is simulated as an occupancy vector, the number of walkers at
-each vertex.  The walkers are i.i.d., so many ticks are drawn at once
-from dense kernels built from the one-tick transition matrix P: the
-return-bit count at tick t is one binomial draw with the root's entry of
-P^t, and first returns advance n ticks per multinomial draw over the
-n-tick law of the walk with the root absorbing.  Streams are
-deterministic functions of (graph, seed, lazy), split from a master seed
-via numpy's SeedSequence, so parallel and serial runs see the same
-randomness.
+each vertex.  The walkers are i.i.d., so many ticks are drawn at once:
+the return-bit count at tick t is one binomial draw with P_t(r,r), read
+from the walk's spectrum, and first returns advance n ticks per
+multinomial draw over the n-tick law of the walk with the root
+absorbing, a dense kernel built from the one-tick transition matrix.
+Streams are deterministic functions of (graph, seed, lazy), split from a
+master seed via numpy's SeedSequence, so parallel and serial runs see the
+same randomness.
 """
 from __future__ import annotations
 
@@ -26,26 +26,25 @@ from .graphs import RootedGraph
 MAX_WALK_N = 2048
 
 
-def _transition(g: RootedGraph, lazy: bool) -> np.ndarray:
-    """The one-tick transition matrix P in float64: P[v, u] = 1/d(v) for
-    each neighbour u of v; the lazy walk is (I + P)/2.  Graphs above
-    MAX_WALK_N vertices are refused before anything is allocated."""
+def check_walk_size(g: RootedGraph) -> None:
+    """Refuse a graph above MAX_WALK_N vertices before allocating for it."""
     if g.n > MAX_WALK_N:
         raise DomainError(f"walk simulation capped at n <= {MAX_WALK_N}, got {g.n}")
-    p = np.zeros((g.n, g.n))
-    for v, nbrs in enumerate(g.adjacency):
-        p[v, list(nbrs)] = 1.0 / len(nbrs)
-    return (p + np.eye(g.n)) / 2 if lazy else p
 
 
 def _first_return_kernel(g: RootedGraph, lazy: bool) -> np.ndarray:
     """The n-tick law of one walker with the root absorbing, as an n x 2n
     matrix K.  For a walker started at v, K[v, j - 1] (j = 1..n) is the
     probability that tick j is its first visit to the root, and K[v, n + u]
-    that it is at u after n ticks without having visited the root.  With Q
-    the transition matrix with its root column zeroed, the first block's
-    column j is Q^(j-1) P[:, root] and the second block is Q^n."""
-    p = _transition(g, lazy)
+    that it is at u after n ticks without having visited the root.  With P
+    the one-tick transition matrix (or (I + P)/2) and Q that matrix with
+    its root column zeroed, the first block's column j is Q^(j-1) P[:, root]
+    and the second block is Q^n."""
+    check_walk_size(g)
+    p = np.zeros((g.n, g.n))
+    for v, nbrs in enumerate(g.adjacency):
+        p[v, list(nbrs)] = 1.0 / len(nbrs)
+    p = (p + np.eye(g.n)) / 2 if lazy else p
     q = p.copy()
     q[:, g.root] = 0.0
     kernel = np.empty((g.n, 2 * g.n))
@@ -84,15 +83,6 @@ class ReturnTimes:
             if bit:
                 return self.tick
         raise StopIteration
-
-    def gaps(self, m: int) -> list[int]:
-        """The first m inter-return gaps (the first gap is T1 itself)."""
-        out, prev = [], 0
-        for _ in range(m):
-            t = next(self)
-            out.append(t - prev)
-            prev = t
-        return out
 
 
 class SampledReturnTimes(ReturnTimes):
@@ -188,18 +178,24 @@ def observer_stats(counts):
 # vectorized samplers
 
 
-def batch_return_successes(g: RootedGraph, k: int, count: int, seed,
+def _return_probability(spec, t: int, lazy: bool) -> float:
+    """P_t(r,r) = sum_i w_i mu_i^t over exact.spectrum's eigenvalues and root
+    weights, with mu = (1 + lambda)/2 on the lazy chain and lambda on the
+    plain one.  The exact eigenvalues +-1 are snapped, as mu^t amplifies
+    eigh's few ulp t-fold (any other lies order 1/n^3 inside), and the sum
+    is clipped to [0, 1], which rounding can leave by a few ulp."""
+    lam = spec.eigenvalues
+    lam = np.where(np.abs(np.abs(lam) - 1.0) < 1e-12, np.sign(lam), lam)
+    mu = (1.0 + lam) / 2 if lazy else lam
+    return float(np.clip(spec.root_weights @ mu ** t, 0.0, 1.0))
+
+
+def batch_return_successes(spec, k: int, count: int, seed,
                            lazy: bool = True, stride: int = 1) -> int:
-    """Number of independent experiments (out of `count`) whose walk is
-    back at the root at tick stride*k.  The success indicator equals the
-    return bit a_{stride*k}, exactly the observable the sequential
-    experiment protocol tests.  The walkers are i.i.d. and all start at
-    the root, so the count back at the root is one binomial draw with the
-    root's entry of P^(stride k): the cost is O(n^3 log(stride k)),
-    whatever `count` is.  (A multinomial over the whole row would trip on
-    numpy's check that its shares sum to at most 1 + 1e-12, which the
-    rounding of a long matrix power can break.)"""
-    p = np.linalg.matrix_power(_transition(g, lazy), stride * k)[g.root, g.root]
+    """Number of independent experiments (out of `count`) back at the root
+    at tick stride*k, the return bit the sequential protocol tests: one
+    binomial draw with P_{stride k}(r,r) from the walk's spectrum `spec`."""
+    p = _return_probability(spec, stride * k, lazy)
     return int(np.random.default_rng(seed).binomial(count, p))
 
 

@@ -12,7 +12,6 @@ import pytest
 
 from batecho import (
     ahu_canonical,
-    build_family,
     build_gab,
     build_leafy,
     estimate_gap,

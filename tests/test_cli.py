@@ -87,19 +87,19 @@ def test_forge_certificate_is_pinned(capsys, tmp_path):
 
 # sha256 of seeded statistical payloads as the occupancy-vector walk
 # printed them under the paper's accuracy rule, one evaluation per
-# bisection step, with return bits drawn from a row of P^t and first
-# returns drawn n ticks at a time: lazy and plain walks on regular and
-# irregular graphs, through the gap search (with and without estimated
-# n), the even-time mixing-gap search and first-return sampling.
+# bisection step, with return bits drawn with P_t(r,r) from the spectrum
+# and first returns drawn n ticks at a time: lazy and plain walks on
+# regular and irregular graphs, through the gap search (with and without
+# estimated n), the even-time mixing-gap search and first-return sampling.
 @pytest.mark.parametrize("argv,digest", [
     ("gap --family gab:2,2 --seed 1",
      "fb8d8a29c2e155a70d17d25538b614c6dfbcb6bbfd37102c133be8339350009d"),
     ("gap --family complete:4 --seed 2",
-     "ba7b9aeada3beaac284c3fc9ee0e15d55211e3d633bb3295ee60d365cb0f07c8"),
+     "d38b0fc3f598c1641d102e93d9bc778ae5b0cd3ddb984018464086a65ed93759"),
     ("gap --family cycle:4 --n estimate --seed 3",
      "28e0d6cd86d813d425a886b04448ffd563c078c0b1ce9173f94235717f0f4b4a"),
     ("mixing-gap --family complete:4 --seed 1",
-     "3409b7c454aa715c94602b45ec489244ba08c60e806f57629a684659ee70c251"),
+     "2164c3200c831d1789eb3fa3197f2944fffa48e402b27d3e68ddc6fa5bc645f8"),
     ("mixing-gap --family cycle:5 --seed 2",
      "d3bb1ba3a734c9c2c769303653268ddbd56f97de2b893f4d725c174b97cdbbdf"),
     ("observe --family star:3 --m 50000 --lazy --seed 1",
@@ -293,6 +293,21 @@ def test_bad_config_value_exits_2(capsys, tmp_path, command, config):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command,config,flags", [
+    ("simulate", {"family": "cycle:4", "sed": 5}, ["--m", "2", "--seed", "1"]),
+    ("exact", {"seed": 1}, []),
+])
+def test_unknown_config_key_exits_2(capsys, tmp_path, command, config, flags):
+    """A config key that names no flag of the subcommand (a misspelling,
+    or a flag of another subcommand) is an error, not silently ignored."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, command, "--config", str(cfg), *flags)
+    assert code == 2
+    assert err.startswith("batecho: config key")
+    assert "Traceback" not in err and out == ""
+
+
 def test_bad_config_file(capsys, tmp_path):
     cfg = tmp_path / "broken.json"
     cfg.write_text("{nope")
@@ -310,14 +325,17 @@ def test_non_utf8_input_file_exits_2(capsys, tmp_path, source):
     assert err.startswith("batecho: cannot read")
 
 
-@pytest.mark.parametrize("command", ["observe", "simulate"])
-def test_walk_above_its_vertex_cap_exits_2(capsys, tmp_path, command):
-    """A graph above walk.MAX_WALK_N vertices is refused before the
-    16 n^2-byte first-return kernel is allocated."""
+@pytest.mark.parametrize("command", ["observe", "simulate", "gap", "mixing-gap"])
+def test_walk_above_its_vertex_cap_exits_2(capsys, monkeypatch, tmp_path, command):
+    """A graph above walk.MAX_WALK_N vertices is refused by all four walk
+    commands, before the 16 n^2-byte first-return kernel or the gap
+    search's spectrum is built."""
+    monkeypatch.setattr(batecho.gap, "spectrum", lambda g: pytest.fail("spectrum built"))
     n = MAX_WALK_N + 1
     p = tmp_path / "path.txt"
     p.write_text(f"{n} 0\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))
-    code, out, err = run(capsys, command, "--graph", str(p), "--m", "10")
+    flags = ["--m", "10"] if command in ("observe", "simulate") else []
+    code, out, err = run(capsys, command, "--graph", str(p), *flags)
     assert code == 2
     assert err.startswith("batecho: walk simulation capped at n <= 2048")
 

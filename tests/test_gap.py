@@ -1,5 +1,5 @@
+import contextlib
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +18,7 @@ from batecho import (
     lazy_series,
     spectrum,
 )
+from batecho import walk
 from batecho.cli import main
 from batecho.errors import DomainError, SearchExhausted
 from batecho.exact import MAX_EXACT_K
@@ -25,6 +26,7 @@ from batecho.gap import GapEstimate, estimate_n, per_eval_eta, search_budget
 
 from conftest import FIXTURES, regular_params
 from exact_oracle import estimate_gap_exact
+from walk_oracle import matrix_power_return_probability
 
 
 def lazy_tau(g):
@@ -126,6 +128,51 @@ def test_exact_estimator_computes_the_series_once(monkeypatch):
     assert calls == [MAX_EXACT_K]
 
 
+@pytest.mark.parametrize("run", [
+    lambda: estimate_gap(FIXTURES["c8"], seed=1),
+    lambda: estimate_gap(FIXTURES["k4"], seed=31, n="estimate"),
+    lambda: estimate_mixing_gap(FIXTURES["k4"], seed=1).even_chain,
+], ids=["gap", "gap-estimated-n", "mixing-gap"])
+def test_search_decomposes_the_walk_once(monkeypatch, run):
+    """One exact.spectrum call per search, however many evaluations the
+    search makes."""
+    calls = []
+    real = gap_module.spectrum
+    monkeypatch.setattr(gap_module, "spectrum", lambda g: calls.append(g) or real(g))
+    est = run()
+    assert len(est.trace) > 1
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("stride", [1, 2], ids=["gap", "mixing-gap"])
+@pytest.mark.parametrize("name,size", [("cycle", 64), ("hypercube", 6), ("path", 9)])
+def test_search_probabilities_match_matrix_powers(monkeypatch, name, size, stride):
+    """At every k a seed-1 search evaluates (up to K0 where it exhausts),
+    P_{stride k}(r,r) from the spectrum agrees with the root entry of the
+    matrix power P^(stride k) to 1e-12: the lazy chain for `gap`, the
+    plain chain at even times for `mixing-gap`."""
+    g = build_family(name, size)
+    lazy = stride == 1
+    seen = []
+    real = gap_module.batch_return_successes
+
+    def recording(spec, k, *args, **kwargs):
+        seen.append((spec, k))
+        return real(spec, k, *args, **kwargs)
+
+    monkeypatch.setattr(gap_module, "batch_return_successes", recording)
+    if lazy:
+        with contextlib.suppress(SearchExhausted):
+            estimate_gap(g, seed=1)
+    else:
+        estimate_mixing_gap(g, seed=1)
+    assert len(seen) > 1
+    for spec, k in seen:
+        t = stride * k
+        spectral = walk._return_probability(spec, t, lazy)
+        assert abs(spectral - matrix_power_return_probability(g, t, lazy)) <= 1e-12, k
+
+
 def test_search_budget_values():
     k0, levels = search_budget(8, 2.0)
     assert k0 == math.ceil(3 * 64 * math.log(8)) == 400
@@ -224,7 +271,7 @@ def test_unevaluated_horizon_exits_3_within_l_evaluations(monkeypatch, capsys):
     k0, levels = search_budget(8, 2.0)
     calls = []
 
-    def law(g, k, count, seed, lazy=True, stride=1):
+    def law(spec, k, count, seed, lazy=True, stride=1):
         calls.append(k)
         # all walkers home before K0 (q = 7/8), q = 1/128 <= 1/64 at K0
         return count if k < k0 else count // 8 + count // 128

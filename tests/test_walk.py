@@ -19,6 +19,7 @@ from batecho import (
     return_gen_fun,
     run_experiment,
     sample_first_returns,
+    spectrum,
 )
 from batecho import walk
 from batecho.walk import batch_return_successes, child_seed
@@ -26,7 +27,7 @@ from batecho.walk import batch_return_successes, child_seed
 import walk_oracle
 from conftest import FIXTURES
 from exact_oracle import transition_series
-from walk_oracle import from_walk, simulate
+from walk_oracle import from_walk, gaps, simulate
 
 
 def test_walk_is_deterministic_in_seed():
@@ -81,7 +82,7 @@ def test_observer_stats_match_exact_moments():
     t = first_return_series(return_gen_fun(g), 200)
     mean_exact = float(sum(k * t.s[k] for k in range(201)))
     rt = SampledReturnTimes(g, seed=11)
-    mean, mean_sq, all_even = observer_stats(np.bincount(rt.gaps(20000))[1:])
+    mean, mean_sq, all_even = observer_stats(np.bincount(gaps(rt, 20000))[1:])
     assert abs(mean - mean_exact) < 0.05
     assert not all_even
 
@@ -92,7 +93,7 @@ def test_gap_distribution_chi_square():
     t = first_return_series(return_gen_fun(g), 12)
     rt = from_walk(g, seed=5)
     m = 4000
-    gaps = rt.gaps(m)
+    gaps = walk_oracle.gaps(rt, m)
     buckets = {2: 0, 4: 0, 6: 0, 8: 0}
     tail = 0
     for gp in gaps:
@@ -163,7 +164,7 @@ def test_sampled_return_times_match_sequential_law():
     fast = SampledReturnTimes(g, seed=9)
     m = 3000
     sigma = math.sqrt(float(moments.mean_t1_sq - moments.mean_t1 ** 2) / m)
-    mean_seq = sum(seq.gaps(m)) / m
+    mean_seq = sum(gaps(seq, m)) / m
     gaps_fast = [0] * m
     prev = 0
     for i in range(m):
@@ -185,7 +186,7 @@ def test_batch_successes_match_exact_probability(name, lazy):
     series = lazy_series if lazy else transition_series
     exact = float(series(g, k).p[k])
     n = 200000
-    hits = batch_return_successes(g, k, n, seed=13, lazy=lazy)
+    hits = batch_return_successes(spectrum(g), k, n, seed=13, lazy=lazy)
     sigma = math.sqrt(exact * (1 - exact) / n)
     assert abs(hits / n - exact) <= 4 * sigma   # sigma = 0 on star3-plain
 
@@ -195,20 +196,50 @@ def test_batch_stride_observes_even_time_chain():
     k = 2
     exact = float(transition_series(g, 2 * k).p[2 * k])
     n = 100000
-    hits = batch_return_successes(g, k, n, seed=17, lazy=False, stride=2)
+    hits = batch_return_successes(spectrum(g), k, n, seed=17, lazy=False, stride=2)
     sigma = math.sqrt(exact * (1 - exact) / n)
     assert abs(hits / n - exact) < 4 * sigma
 
 
 def test_batch_successes_survive_rounding_of_long_powers():
-    """At tick 25552 the plain walk on hypercube:5 cannot be at the last
-    vertex, and the computed root row of P^25552 sums to 1 + 1.8e-12;
-    the draw must still succeed, near P_t(r,r) -> 2/n on the bipartite
-    cube."""
+    """At tick 25552 the plain walk on the bipartite hypercube:5 is home
+    with probability 2/n to far below a double's precision; eigh's
+    few-ulp error in the eigenvalues +-1, raised to that power, must not
+    move the draw off it."""
     g = build_family("hypercube", 5)
     count, p = 10 ** 6, 2 / 32
-    hits = batch_return_successes(g, 12776, count, seed=19, lazy=False, stride=2)
+    hits = batch_return_successes(spectrum(g), 12776, count, seed=19, lazy=False,
+                                  stride=2)
     assert abs(hits / count - p) < 4 * math.sqrt(p * (1 - p) / count)
+
+
+@pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "plain"])
+@pytest.mark.parametrize("name", ["c8", "leafy_cutpoint", "path4", "star3"])
+def test_spectral_return_probability_equals_exact_series(name, lazy):
+    """P_t(r,r) from the spectrum against the exact series for every
+    t <= 200, on regular (c8, leafy_cutpoint) and irregular (path4, star3)
+    graphs, lazy and plain."""
+    g = FIXTURES[name]
+    spec = spectrum(g)
+    exact = (lazy_series if lazy else transition_series)(g, 200).p
+    worst = max(abs(walk._return_probability(spec, t, lazy) - float(exact[t]))
+                for t in range(201))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["k2", "c4", "q3", "star3"])
+def test_spectral_return_probability_is_a_probability(name):
+    """On a bipartite graph the plain walk is never home at odd ticks.
+    The spectral sum comes out there as +-1e-16; clipped, it is a valid
+    binomial parameter within 1e-15 of the exact one, and draws no walker
+    home."""
+    g = FIXTURES[name]
+    spec = spectrum(g)
+    exact = transition_series(g, 61).p
+    for t in range(1, 62):
+        p = walk._return_probability(spec, t, lazy=False)
+        assert 0.0 <= p <= 1.0 and abs(p - float(exact[t])) <= 1e-15, t
+    assert batch_return_successes(spec, 31, 10 ** 6, seed=3, lazy=False) == 0
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
@@ -317,7 +348,8 @@ def test_batch_success_counts_are_binomial(sampler, name, lazy, k, stride):
     count = 10 ** 6 if sampler is walk else 10 ** 4   # the oracle pays per walker
     ticks = stride * k
     p = float((lazy_series if lazy else transition_series)(g, ticks).p[ticks])
-    hits = np.array([sampler.batch_return_successes(g, k, count, seed, lazy=lazy,
+    source = spectrum(g) if sampler is walk else g
+    hits = np.array([sampler.batch_return_successes(source, k, count, seed, lazy=lazy,
                                                     stride=stride)
                      for seed in range(100)])
     if p in (0.0, 1.0):       # a periodic return: every batch is exact

@@ -1,7 +1,9 @@
-"""Two test oracles for the occupancy-vector samplers in `batecho.walk`:
-the sequential walk, one walker advanced a tick at a time and read by the
-observer as a stream of at-root bits; and the per-walker batch samplers,
-which move every walker of a batch with one uniform draw per tick."""
+"""Test oracles for the samplers in `batecho.walk`: the sequential walk,
+one walker advanced a tick at a time and read by the observer as a
+stream of at-root bits; the per-walker batch samplers, which move every
+walker of a batch with one uniform draw per tick; and the return
+probability P_t(r,r) as the root entry of a matrix power of the dense
+transition matrix."""
 import numpy as np
 
 from batecho.walk import ReturnTimes
@@ -59,6 +61,13 @@ def from_walk(g, seed, lazy: bool = False) -> ReturnTimes:
     return ReturnTimes(simulate(g, seed, lazy).bits(), graph=g)
 
 
+def gaps(rt, m):
+    """The first m inter-return gaps of a return-time stream (the first
+    gap is T1 itself)."""
+    times = [next(rt) for _ in range(m)]
+    return [t - prev for t, prev in zip(times, [0] + times[:-1])]
+
+
 def _flat_adjacency(g):
     """(neighbors, offsets, degrees) for vectorized per-walker stepping."""
     degs = np.array([g.degree(i) for i in range(g.n)], dtype=np.int64)
@@ -109,3 +118,14 @@ def sample_first_returns(g, count, seed, lazy=False):
         out[alive[~away]] = t
         alive, pos = alive[away], pos[away]
     return out
+
+
+def matrix_power_return_probability(g, t, lazy):
+    """P_t(r,r) as the root entry of P^t, P the one-tick transition
+    matrix in float64 (P[v, u] = 1/d(v) for each neighbour u of v, and
+    (I + P)/2 on the lazy walk)."""
+    p = np.zeros((g.n, g.n))
+    for v, nbrs in enumerate(g.adjacency):
+        p[v, list(nbrs)] = 1.0 / len(nbrs)
+    p = (p + np.eye(g.n)) / 2 if lazy else p
+    return float(np.linalg.matrix_power(p, t)[g.root, g.root])
