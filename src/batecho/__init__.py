@@ -7,7 +7,6 @@ from .errors import (
     Disconnected,
     DomainError,
     GraphError,
-    MomentMismatch,
     NoThreeDivisorPairs,
     SearchExhausted,
 )
@@ -15,7 +14,6 @@ from .exact import (
     first_return_series,
     hitting_from_stationary,
     lazy_series,
-    mean_return_time,
     nondegenerate_set,
     poles_to_eigenvalues,
     return_gen_fun,

@@ -125,7 +125,7 @@ def cmd_exact(opts) -> int:
     table = ex.lazy_series(g, k_max)
     fgen = ex.return_gen_fun(g)
     spec = ex.spectrum(g)
-    hit = ex.hitting_from_stationary(g, fgen)
+    hit = ex.hitting_from_stationary(fgen)
     payload = {
         "graph": g.to_json(),
         "series": table.to_json(),
@@ -136,7 +136,7 @@ def cmd_exact(opts) -> int:
             "mean_t1": str(hit.mean_t1),
             "mean_t1_sq": str(hit.mean_t1_sq),
         },
-        "mean_return_time": str(ex.mean_return_time(g)),
+        "mean_return_time": str(hit.mean_t1),
     }
     emit(payload, opts)
     return EXIT_OK
@@ -348,7 +348,9 @@ def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             raise BatechoError("config file must hold a JSON object")
         sub = next(a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction))
-        actions = {a.dest: a for a in sub.choices[args.command]._actions}
+        # neither --help nor --config takes a value from a config file
+        actions = {a.dest: a for a in sub.choices[args.command]._actions
+                   if a.dest not in ("help", "config")}
         for key, value in loaded.items():
             if key not in actions:
                 raise BatechoError(f"config key {key!r} matches no flag of {args.command}")

@@ -49,10 +49,6 @@ class RootFindingFailure(BatechoError):
     pass
 
 
-class MomentMismatch(BatechoError):
-    pass
-
-
 class NoThreeDivisorPairs(BatechoError):
     pass
 

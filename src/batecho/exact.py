@@ -1,6 +1,7 @@
 """Ground-truth engine: exact lazy return-probability series, spectra
 with root weights, generating functions, first-return and survival
-series, hitting times and the mean return time.
+series, and the stationary hitting time with the first two moments of
+the return time.
 
 The series come from one walk iteration in integers: S^k times the
 distribution after k steps, with S the lcm of the degrees (twice that on
@@ -8,8 +9,11 @@ the lazy chain).  The walk runs 2n ticks; Berlekamp-Massey recovers the
 linear recurrence of the first 2n+1 terms, which gives the generating
 function and every later term.  The tests check the generating function
 against the determinant formula d(r) det(Delta' - tA') / det(Delta - tA)
-and the later terms against the full walk.  Hitting times solve the
-reduced Laplacian system by elimination in integer rows.
+and the later terms against the full walk.  The root statistics are
+read off the generating function alone: the first two moments of the
+first-return time are exact derivatives at t=1, and the stationary
+hitting time follows from them; the tests check it against the hitting
+times of the linear system.
 
 Everything statistical elsewhere in the library is validated against the
 exact rationals produced here.
@@ -17,17 +21,12 @@ exact rationals produced here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    ConvergenceFailure,
-    DomainError,
-    MomentMismatch,
-    RootFindingFailure,
-)
+from .errors import ConvergenceFailure, DomainError, RootFindingFailure
 from .graphs import RootedGraph
 from .ratfun import IntPoly, RatFun
 
@@ -74,15 +73,14 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     root_weights: np.ndarray
-    clusters: list[tuple[float, float, bool]] = field(default_factory=list)
-    # clusters: (eigenvalue, summed root weight, nondegenerate flag)
 
     def to_json(self) -> dict:
         return {
             "eigenvalues": [float(x) for x in self.eigenvalues],
             "root_weights": [float(x) for x in self.root_weights],
             "nondegenerate": [
-                {"value": v, "weight": w, "flag": f} for v, w, f in self.clusters
+                {"value": v, "weight": w, "flag": f}
+                for v, w, f in nondegenerate_set(self)
             ],
         }
 
@@ -100,6 +98,8 @@ class GenFun(RatFun):
 def _check_scale(g: RootedGraph, k_max: int):
     if g.n > MAX_EXACT_N:
         raise DomainError(f"exact mode capped at n <= {MAX_EXACT_N}, got {g.n}")
+    if k_max < 0:
+        raise DomainError(f"k_max must be non-negative, got {k_max}")
     if k_max > MAX_EXACT_K:
         raise DomainError(f"exact mode capped at k_max <= {MAX_EXACT_K}, got {k_max}")
 
@@ -184,9 +184,7 @@ def spectrum(g: RootedGraph) -> Spectrum:
     order = np.argsort(-vals)
     vals = vals[order]
     weights = vecs[g.root, order] ** 2
-    spec = Spectrum(eigenvalues=vals, root_weights=weights)
-    spec.clusters = nondegenerate_set(spec)
-    return spec
+    return Spectrum(eigenvalues=vals, root_weights=weights)
 
 
 def nondegenerate_set(spec: Spectrum) -> list[tuple[float, float, bool]]:
@@ -308,66 +306,17 @@ def poles_to_eigenvalues(fgen: RatFun):
 @dataclass
 class HittingResult:
     value: Fraction
-    via_linear_system: Fraction
     mean_t1: Fraction
     mean_t1_sq: Fraction
 
 
-def _hitting_times(g: RootedGraph) -> list[Fraction]:
-    """Expected steps H(v, r) to hit the root from each vertex v (0 at the
-    root), from the reduced Laplacian system: for v != r,
-    d(v) H(v) - sum of H(u) over non-root neighbours u = d(v).
-
-    The rows are eliminated in integers, in vertex order.  Each pivot
-    updates only the later rows with a nonzero entry in its column, and
-    in them only the pivot row's nonzero columns; each updated row is
-    divided by its content.  The system is symmetric positive definite,
-    so every pivot is nonzero.  Back substitution runs in Fractions."""
-    n, r = g.n, g.root
-    order = [v for v in range(n) if v != r]
-    # rows[i] maps column -> coefficient; column n holds the right-hand side
-    rows = []
-    for v in order:
-        row = {j: -1 for j in g.adjacency[v] if j != r}
-        row[v] = g.degree(v)
-        row[n] = g.degree(v)
-        rows.append(row)
-    for i, col in enumerate(order):
-        pivot = rows[i]
-        p = pivot[col]
-        for k in range(i + 1, len(rows)):
-            f = rows[k].pop(col, 0)
-            if f:
-                row = {j: p * x for j, x in rows[k].items()}
-                for j, y in pivot.items():
-                    if j != col:
-                        row[j] = row.get(j, 0) - f * y
-                content = math.gcd(*row.values())
-                rows[k] = {j: x // content for j, x in row.items() if x}
-    h = [Fraction(0)] * n
-    for i in reversed(range(len(order))):
-        row, col = rows[i], order[i]
-        rest = sum(y * h[j] for j, y in row.items() if j != col and j != n)
-        h[col] = Fraction(row.get(n, 0) - rest) / row[col]
-    return h
-
-
-def hitting_from_stationary(g: RootedGraph, f: RatFun) -> HittingResult:
-    """Expected steps to hit the root from the stationary distribution,
-    computed two independent ways and asserted equal:
-
-    (i) the exact linear system for expected hitting times, averaged
-        under the stationary distribution;
-    (ii) the moment identity E(T1^2) / (2 E(T1)) - 1/2, with the first
-        two moments of the first-return time taken from exact derivatives
-        of g's return generating function `f` at t=1.
-    """
-    # (i) the hitting-time system, averaged under pi(v) = d(v) / 2|E|
-    m = _hitting_times(g)
-    total_deg = sum(g.degree(i) for i in range(g.n))
-    via_system = sum(Fraction(g.degree(i), total_deg) * m[i] for i in range(g.n))
-
-    # (ii) moments of T1 from g(t) = 1 - 1/f(t) = sum s_k t^k.  With
+def hitting_from_stationary(f: RatFun) -> HittingResult:
+    """Expected steps to hit the root from the stationary distribution, by
+    the moment identity H(pi, r) = E(T1^2) / (2 E(T1)) - 1/2, with the
+    first two moments of the first-return time T1 taken from exact
+    derivatives of the return generating function `f` at t=1.  E(T1) is
+    the mean return time, 2|E| / d(r) by Kac's formula."""
+    # moments of T1 from g(t) = 1 - 1/f(t) = sum s_k t^k.  With
     # 1/f = D/N, the quotient rule at t=1 gives (1/f)' and (1/f)''.
     one = Fraction(1)
 
@@ -381,17 +330,5 @@ def hitting_from_stationary(g: RootedGraph, f: RatFun) -> HittingResult:
     inv_d2 = (d2 * n0 - d0 * n2) / n0 ** 2 - 2 * n1 * inv_d1 / n0
     mean_t1 = -inv_d1
     mean_t1_sq = -inv_d2 + mean_t1
-    via_moments = mean_t1_sq / (2 * mean_t1) - Fraction(1, 2)
-
-    if via_moments != via_system:
-        raise MomentMismatch(
-            f"linear system gives {via_system}, moment identity gives {via_moments}"
-        )
-    return HittingResult(value=via_moments, via_linear_system=via_system,
+    return HittingResult(value=mean_t1_sq / (2 * mean_t1) - Fraction(1, 2),
                          mean_t1=mean_t1, mean_t1_sq=mean_t1_sq)
-
-
-def mean_return_time(g: RootedGraph) -> Fraction:
-    """Exact E(T1) = 2|E| / d(r)."""
-    return Fraction(2 * g.edge_count, g.root_degree)
-

@@ -4,7 +4,9 @@ gap search.
 Each is the straightforward version of a route `src/` computes faster or
 in closed form: the full-length integer walk behind
 `exact._scaled_returns` (and the plain series `transition_series` built
-on it), Gaussian elimination in Fractions behind `exact._hitting_times`,
+on it), Gaussian elimination in Fractions for the hitting times behind
+`exact.hitting_from_stationary`'s moment identity, Kac's formula for the
+mean return time it reads off the generating function,
 the recursive decompositions behind `treefun.h_of_tree` and
 `treefun.ahu_canonical`, the general linear-dependency search behind the
 forge's closed-form dependency, and `estimate_gap_exact`, the noiseless
@@ -81,6 +83,18 @@ def hitting_times(g) -> list[Fraction]:
                 a[i][j] -= Fraction(1, g.degree(i))
             b[i] = Fraction(1)
     return solve_fraction_system(a, b)
+
+
+def stationary_hitting_time(g) -> Fraction:
+    """H(pi, r): the hitting times averaged under pi(v) = d(v) / 2|E|."""
+    h = hitting_times(g)
+    total_deg = 2 * g.edge_count
+    return sum(Fraction(g.degree(v), total_deg) * h[v] for v in range(g.n))
+
+
+def mean_return_time(g) -> Fraction:
+    """Kac's formula E(T1) = 1 / pi(r) = 2|E| / d(r)."""
+    return Fraction(2 * g.edge_count, g.root_degree)
 
 
 def _children(t) -> list[list[int]]:

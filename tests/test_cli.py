@@ -296,10 +296,13 @@ def test_bad_config_value_exits_2(capsys, tmp_path, command, config):
 @pytest.mark.parametrize("command,config,flags", [
     ("simulate", {"family": "cycle:4", "sed": 5}, ["--m", "2", "--seed", "1"]),
     ("exact", {"seed": 1}, []),
+    ("simulate", {"family": "cycle:4", "help": True, "m": 2}, []),
+    ("simulate", {"config": "nope.json", "family": "cycle:4", "m": 2}, []),
 ])
 def test_unknown_config_key_exits_2(capsys, tmp_path, command, config, flags):
     """A config key that names no flag of the subcommand (a misspelling,
-    or a flag of another subcommand) is an error, not silently ignored."""
+    a flag of another subcommand, or --help and --config, which take no
+    value from a file) is an error, not silently ignored."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     code, out, err = run(capsys, command, "--config", str(cfg), *flags)
@@ -359,6 +362,7 @@ def test_render_rejects_unknown_format():
 
 @pytest.mark.parametrize("argv", [
     "exact --family cycle:4 --k-max 2000",
+    "exact --family cycle:4 --k-max -3",
     "exact --graph /nonexistent",
     "observe --family cycle:4 --m 0",
     "simulate --family cycle:4 --m -1",

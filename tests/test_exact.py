@@ -5,8 +5,10 @@ walk enumeration, the full-length integer walk of `exact_oracle` (the
 plain series `transition_series`, and the reference for the engine's
 recurrence-extended series), and the determinant generating function of
 `det_oracle`, which also checks the generating function the engine
-recovers from the walk.  The hitting times are checked against Gaussian
-elimination in Fractions, and the spectrum against numpy's eigensolver.
+recovers from the walk.  The stationary hitting time and the mean return
+time, both read off the generating function, are checked against
+Gaussian elimination in Fractions and Kac's formula, and the spectrum
+against numpy's eigensolver.
 These must all agree before anything statistical is trusted.
 """
 import math
@@ -21,19 +23,23 @@ from batecho import (
     first_return_series,
     hitting_from_stationary,
     lazy_series,
-    mean_return_time,
     nondegenerate_set,
     poles_to_eigenvalues,
     return_gen_fun,
     spectrum,
 )
-from batecho.exact import MAX_EXACT_K, MAX_EXACT_N, _hitting_times, _scaled_returns
+from batecho.exact import MAX_EXACT_K, MAX_EXACT_N, _scaled_returns
 from batecho.graphs import from_edge_list
 from batecho.ratfun import RatFun
 
 from conftest import FIXTURES, TREES, fixture_params, regular_params
 from det_oracle import determinant_gen_fun
-from exact_oracle import full_walk_returns, hitting_times, transition_series
+from exact_oracle import (
+    full_walk_returns,
+    mean_return_time,
+    stationary_hitting_time,
+    transition_series,
+)
 
 
 def _enumerate_returns(g, k_max):
@@ -302,12 +308,12 @@ def _ratfun_derivative(r):
 
 @pytest.mark.parametrize("g", fixture_params())
 def test_hitting_two_routes_agree(g):
-    """The linear-system and moment routes agree (MomentMismatch on drift),
-    and the T1 moments equal those read off the canonical derivatives of
-    1/f built with RatFun arithmetic."""
+    """The moment identity equals the oracle's hitting times averaged
+    under pi, and the T1 moments equal those read off the canonical
+    derivatives of 1/f built with RatFun arithmetic."""
     f = return_gen_fun(g)
-    res = hitting_from_stationary(g, f)
-    assert res.value == res.via_linear_system
+    res = hitting_from_stationary(f)
+    assert res.value == stationary_hitting_time(g)
     d1 = _ratfun_derivative(RatFun(f.den, f.num))
     d2 = _ratfun_derivative(d1)
     one = Fraction(1)
@@ -316,20 +322,23 @@ def test_hitting_two_routes_agree(g):
 
 
 @given(connected_graphs(max_n=12))
-def test_integer_hitting_solve_equals_fraction_oracle(g):
-    assert _hitting_times(g) == hitting_times(g)
+def test_hitting_moment_identity_equals_fraction_oracle(g):
+    assert hitting_from_stationary(return_gen_fun(g)).value == stationary_hitting_time(g)
 
 
 def test_hitting_known_values():
     for name, value in (("k2", Fraction(1, 2)), ("c4", Fraction(5, 2))):
         g = FIXTURES[name]
-        assert hitting_from_stationary(g, return_gen_fun(g)).value == value
+        assert hitting_from_stationary(return_gen_fun(g)).value == value
 
 
 def test_mean_return_time():
-    assert mean_return_time(FIXTURES["c4"]) == 4
-    assert mean_return_time(FIXTURES["star3"]) == 2
-    assert mean_return_time(FIXTURES["q3"]) == 8
+    """E(T1) from the generating function equals Kac's 2|E| / d(r), also
+    on the non-regular star."""
+    for name, value in (("c4", 4), ("star3", 2), ("q3", 8)):
+        g = FIXTURES[name]
+        mean_t1 = hitting_from_stationary(return_gen_fun(g)).mean_t1
+        assert mean_t1 == mean_return_time(g) == value, name
 
 
 def test_exact_scale_guard():

@@ -16,6 +16,7 @@ from batecho import (
     estimate_mixing_gap,
     gap_bounds,
     lazy_series,
+    nondegenerate_set,
     spectrum,
 )
 from batecho import walk
@@ -34,7 +35,8 @@ def lazy_tau(g):
     only carries nondegenerate eigenvalues, so that is the quantity any
     return-time estimator can converge to.  It equals the plain lazy gap
     whenever lambda_2 has weight at the root (all transitive fixtures)."""
-    lam2 = max(v for v, w, ok in spectrum(g).clusters if ok and v < 1 - 1e-9)
+    lam2 = max(v for v, w, ok in nondegenerate_set(spectrum(g))
+               if ok and v < 1 - 1e-9)
     return 1 - (1 + lam2) / 2
 
 

@@ -159,7 +159,7 @@ def test_sampled_return_times_match_sequential_law():
     3000 gaps, within 4 sigma of each other and of E T1, sigma taken from
     the exact moments (E T1 = 8 and E T1^2 = 176 on c8)."""
     g = FIXTURES["c8"]
-    moments = hitting_from_stationary(g, return_gen_fun(g))
+    moments = hitting_from_stationary(return_gen_fun(g))
     seq = from_walk(g, seed=9)
     fast = SampledReturnTimes(g, seed=9)
     m = 3000
