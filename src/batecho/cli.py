@@ -122,8 +122,8 @@ def emit(payload: dict, opts) -> None:
 def cmd_exact(opts) -> int:
     g = load_graph(opts)
     k_max = opts.get("k_max", 20)
-    table = ex.lazy_series(g, k_max)
     fgen = ex.return_gen_fun(g)
+    table = ex.lazy_series(g, fgen, k_max)
     spec = ex.spectrum(g)
     hit = ex.hitting_from_stationary(fgen)
     payload = {
@@ -202,16 +202,19 @@ def cmd_mixing_gap(opts) -> int:
     return EXIT_OK
 
 
-def _sample_count(opts, default: int) -> int:
+def _sample_count(opts, default: int, cap: int) -> int:
     m = opts.get("m", default)
     if m < 1:
         raise DomainError(f"--m must be at least 1, got {m}")
+    if m > cap:
+        raise DomainError(f"--m must be at most {cap}, got {m}")
     return m
 
 
 def cmd_observe(opts) -> int:
     g = load_graph(opts)
-    m = _sample_count(opts, 10000)
+    # the walk holds its walker counts in int64
+    m = _sample_count(opts, 10000, np.iinfo(np.int64).max)
     lazy = bool(opts.get("lazy", False))
     counts = walk.first_return_counts(g, m, opts.get("seed", 0), lazy=lazy)
     mean, mean_sq, all_even = walk.observer_stats(counts)
@@ -234,7 +237,8 @@ def cmd_observe(opts) -> int:
 
 def cmd_simulate(opts) -> int:
     g = load_graph(opts)
-    m = _sample_count(opts, 100)
+    # the largest int64 array of gaps numpy can size
+    m = _sample_count(opts, 100, np.iinfo(np.intp).max // np.dtype(np.int64).itemsize)
     lazy = bool(opts.get("lazy", False))
     # the gaps between returns are iid copies of the first-return time
     gaps = walk.sample_first_returns(g, m, opts.get("seed", 0), lazy=lazy)

@@ -3,17 +3,18 @@ with root weights, generating functions, first-return and survival
 series, and the stationary hitting time with the first two moments of
 the return time.
 
-The series come from one walk iteration in integers: S^k times the
-distribution after k steps, with S the lcm of the degrees (twice that on
-the lazy chain).  The walk runs 2n ticks; Berlekamp-Massey recovers the
-linear recurrence of the first 2n+1 terms, which gives the generating
-function and every later term.  The tests check the generating function
-against the determinant formula d(r) det(Delta' - tA') / det(Delta - tA)
-and the later terms against the full walk.  The root statistics are
-read off the generating function alone: the first two moments of the
-first-return time are exact derivatives at t=1, and the stationary
-hitting time follows from them; the tests check it against the hitting
-times of the linear system.
+One walk gives everything: the return generating function f.  The walk
+runs 2n ticks in integers, L^k times the distribution after k steps with
+L the lcm of the degrees, and Berlekamp-Massey recovers f from the first
+2n+1 root terms; the tests check f against the determinant formula
+d(r) det(Delta' - tA') / det(Delta - tA).  Each series is then one
+expansion of a ratio of integer polynomials by one integer recurrence
+(`_scaled_series`): the lazy return series of 2/(2-t) f(t/(2-t)), and
+the first-return and survival series of 1/f; the tests check both
+against the full walks.  The root statistics are read off f too: the
+first two moments of the first-return time are exact derivatives at
+t=1, and the stationary hitting time follows from them; the tests check
+it against the hitting times of the linear system.
 
 Everything statistical elsewhere in the library is validated against the
 exact rationals produced here.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -104,28 +106,19 @@ def _check_scale(g: RootedGraph, k_max: int):
         raise DomainError(f"exact mode capped at k_max <= {MAX_EXACT_K}, got {k_max}")
 
 
-def _scaled_returns(g: RootedGraph, k_max: int, lazy: bool) -> tuple[list[int], int]:
-    """The integers a_k = S^k P_k(r,r) for k = 0..k_max, and the scale S.
-
-    S is the lcm L of the degrees (2L for the lazy chain), so S^k times
-    the distribution after k steps stays a vector of integers w: one step
-    sends w[i] * L / d(i) to each neighbour of i, and on the lazy chain
-    keeps w[i] * L at i.  The walk runs for at most 2n ticks.  Both
-    chains' generating functions have numerator degree <= n-1 and
-    denominator degree <= n (the lazy one is 2/(2-t) f(t/(2-t)) for the
-    plain f), so those 2n+1 terms fix the recurrence that
-    Berlekamp-Massey finds (see return_gen_fun), and the later terms
-    follow from it: a_k = -sum_{i>=1} C[i] a_{k-i} / C[0], an exact
-    integer division."""
+def _scaled_returns(g: RootedGraph) -> tuple[list[int], int]:
+    """The integers a_k = L^k P_k(r,r) for k = 0..2n, and the scale L, the
+    lcm of the degrees.  L^k times the distribution after k steps stays a
+    vector of integers w: one step sends w[i] * L / d(i) to each
+    neighbour of i."""
     degs = [g.degree(i) for i in range(g.n)]
     lcm = math.lcm(*degs)
-    scale = 2 * lcm if lazy else lcm
     shares = [lcm // d for d in degs]
     w = [0] * g.n
     w[g.root] = 1
     a = [1]
-    for _ in range(min(k_max, 2 * g.n)):
-        nxt = [x * lcm for x in w] if lazy else [0] * g.n
+    for _ in range(2 * g.n):
+        nxt = [0] * g.n
         for i, x in enumerate(w):
             if x:
                 share = x * shares[i]
@@ -133,32 +126,49 @@ def _scaled_returns(g: RootedGraph, k_max: int, lazy: bool) -> tuple[list[int], 
                     nxt[j] += share
         w = nxt
         a.append(w[g.root])
-    if k_max > 2 * g.n:
-        c, _ = _connection_polynomial(a)
-        lead, tail = c[0], c[1:]
-        for k in range(len(a), k_max + 1):
-            q, rem = divmod(-sum(x * y for x, y in zip(tail, reversed(a[k - len(tail):k]))),
-                            lead)
-            if rem:
-                raise ArithmeticError(f"recurrence leaves a remainder at k={k}")
-            a.append(q)
-    return a, scale
+    return a, lcm
 
 
-def _unscale(a: list[int], scale: int) -> list[Fraction]:
-    """a_k / S^k as Fractions."""
-    out, power = [], 1
-    for x in a:
-        out.append(Fraction(x, power))
+def _scaled_series(num: IntPoly, den: IntPoly, scale: int, k_max: int) -> list[Fraction]:
+    """The power-series coefficients c_0..c_k_max of num/den, for a ratio
+    whose scale^k c_k are integers.  Under t = scale u the terms
+    a_k = scale^k c_k of num(scale u) / den(scale u) are integers, and
+    the series times den(scale u) is num(scale u), so each
+    a_k = (num_k scale^k - sum_{j>=1} den_j scale^j a_{k-j}) / den_0 is
+    an exact integer division."""
+    lead, *tail = (x * scale ** j for j, x in enumerate(den.c))
+    a, out, power = [], [], 1
+    for k in range(k_max + 1):
+        acc = num.c[k] * power if k < len(num.c) else 0
+        q, rem = divmod(acc - sum(x * y for x, y in zip(tail, reversed(a))), lead)
+        if rem:
+            raise ArithmeticError(f"series leaves a remainder at k={k}")
+        a.append(q)
+        out.append(Fraction(q, power))
         power *= scale
     return out
 
 
-def lazy_series(g: RootedGraph, k_max: int) -> SeriesTable:
-    """Lazy-chain return probabilities P'_k by iterating (I+M)/2 on the
-    root indicator, in integers scaled by (2L)^k, plus q_k = P'_k - 1/n."""
+def lazy_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
+    """Lazy-chain return probabilities P'_k, plus q_k = P'_k - 1/n, from
+    the plain generating function f = N/D.  The lazy chain (I+M)/2 has
+    generating function 2/(2-t) f(t/(2-t)), which is 2 N~ / ((2-t) D~)
+    with p~(t) = (2-t)^m p(t/(2-t)) and m the larger degree of N and D.
+    (2L)^k P'_k is an integer, L the lcm of the degrees, so
+    _scaled_series expands it."""
     _check_scale(g, k_max)
-    p = _unscale(*_scaled_returns(g, k_max, True))
+    m = max(f.num.degree, f.den.degree)
+    two_minus_t = IntPoly([2, -1])
+
+    def homogenised(p: IntPoly) -> IntPoly:
+        # sum_k p_k t^k (2-t)^(m-k), one factor (2-t) per step
+        acc = IntPoly.zero
+        for k, x in enumerate(p.c + (0,) * (m + 1 - len(p.c))):
+            acc = acc * two_minus_t + IntPoly([0] * k + [x])
+        return acc
+
+    p = _scaled_series(2 * homogenised(f.num), homogenised(f.den) * two_minus_t,
+                       2 * math.lcm(*map(len, g.adjacency)), k_max)
     one_over_n = Fraction(1, g.n)
     return SeriesTable(n=g.n, k_max=k_max, p=p, q=[x - one_over_n for x in p],
                        lazy=True)
@@ -243,12 +253,12 @@ def return_gen_fun(g: RootedGraph) -> GenFun:
     so its series obeys a linear recurrence of length <= n.  The first
     2n+1 terms therefore fix f (two recurrences of length <= n that agree
     on 2n terms agree everywhere): Berlekamp-Massey finds the recurrence
-    from the integer-scaled terms a_k = S^k P_k, the numerator is the
+    from the integer-scaled terms a_k = L^k P_k, the numerator is the
     product of the series and the connection polynomial truncated below
-    the recurrence length, and the substitution t = S u undoes the
+    the recurrence length, and the substitution t = L u undoes the
     scaling."""
     _check_scale(g, 0)
-    a, scale = _scaled_returns(g, 2 * g.n, False)
+    a, scale = _scaled_returns(g)
     c, length = _connection_polynomial(a)
     num = IntPoly([sum(x * y for x, y in zip(c, a[k::-1])) for k in range(length)])
     den = IntPoly(c)
@@ -258,19 +268,14 @@ def return_gen_fun(g: RootedGraph) -> GenFun:
     return GenFun(num, den)
 
 
-def first_return_series(fgen: RatFun, k_max: int) -> SeriesTable:
+def first_return_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
     """First-return probabilities s_k from the power-series inversion
-    1/f = 1 - sum s_k t^k, and survival z_k = 1 - sum_{j<=k} s_j."""
-    inv = (RatFun(fgen.den, fgen.num)).series(k_max)
-    if inv[0] != 1:
-        raise ValueError("1/f must have constant term 1")
-    s = [Fraction(0)] + [-c for c in inv[1:]]
-    z, acc = [], Fraction(0)
-    for k in range(k_max + 1):
-        acc += s[k]
-        z.append(1 - acc)
-    # n is not recoverable from f alone; callers merge with other tables
-    return SeriesTable(n=0, k_max=k_max, s=s, z=z)
+    1/f = 1 - sum_{k>=1} s_k t^k, and survival z_k = 1 - sum_{j<=k} s_j,
+    the partial sums of 1/f.  L^k s_k is an integer, L the lcm of the
+    degrees, so _scaled_series expands 1/f."""
+    inv = _scaled_series(f.den, f.num, math.lcm(*map(len, g.adjacency)), k_max)
+    return SeriesTable(n=g.n, k_max=k_max, s=[Fraction(0)] + [-c for c in inv[1:]],
+                       z=list(accumulate(inv)))
 
 
 def poles_to_eigenvalues(fgen: RatFun):

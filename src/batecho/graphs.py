@@ -102,6 +102,8 @@ def _make(n: int, edges, root: int, tags=()) -> RootedGraph:
         raise ParameterTooSmall(f"need at least 2 vertices, got {n}")
     if not (0 <= root < n):
         raise RootOutOfRange(f"root {root} not in [0, {n})")
+    if len(edges) < n - 1:
+        raise Disconnected(f"{len(edges)} edges cannot connect {n} vertices")
     adj = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:

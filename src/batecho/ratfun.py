@@ -242,21 +242,6 @@ class RatFun:
             raise DivisionByZero(f"pole at {x}")
         return self.num.eval(x) / d
 
-    def series(self, k_max: int) -> list[Fraction]:
-        """Power-series coefficients around 0 up to degree k_max."""
-        b0 = self.den.c[0] if self.den.c else 0
-        if b0 == 0:
-            raise DivisionByZero("series expansion at a pole of the denominator")
-        a = self.num.c
-        b = self.den.c
-        out = []
-        for k in range(k_max + 1):
-            acc = Fraction(a[k] if k < len(a) else 0)
-            for j in range(1, min(k, len(b) - 1) + 1):
-                acc -= b[j] * out[k - j]
-            out.append(acc / b0)
-        return out
-
     def to_json_dict(self) -> dict:
         return {"num": [str(x) for x in self.num.c],
                 "den": [str(x) for x in self.den.c]}

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import groupby
 
 from .errors import DomainError, NoThreeDivisorPairs
-from .exact import first_return_series, return_gen_fun
+from .exact import MAX_EXACT_K, first_return_series, return_gen_fun
 from .graphs import TreeHandle, attach_new_root, build_gab, glue_at_roots
 from .ratfun import IntPoly, RatFun
 
@@ -69,12 +69,11 @@ def h_of_tree(t: TreeHandle) -> RatFun:
 def h_from_series(t: TreeHandle, k_max: int) -> list[Fraction]:
     """First k_max coefficients of h computed independently from the
     exact survival series, d(r) * sum_k z_{2k} x^k."""
-    if k_max < 1:
-        raise DomainError("k_max must be >= 1")
-    f = return_gen_fun(t.graph)
-    table = first_return_series(f, 2 * (k_max - 1) + 1)
-    d = t.graph.root_degree
-    return [d * table.z[2 * k] for k in range(k_max)]
+    if not 1 <= k_max <= MAX_EXACT_K:
+        raise DomainError(f"k_max must lie in [1, {MAX_EXACT_K}], got {k_max}")
+    g = t.graph
+    table = first_return_series(g, return_gen_fun(g), 2 * (k_max - 1) + 1)
+    return [g.root_degree * table.z[2 * k] for k in range(k_max)]
 
 
 def ahu_canonical(t: TreeHandle):

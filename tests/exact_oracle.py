@@ -2,9 +2,11 @@
 gap search.
 
 Each is the straightforward version of a route `src/` computes faster or
-in closed form: the full-length integer walk behind
-`exact._scaled_returns` (and the plain series `transition_series` built
-on it), Gaussian elimination in Fractions for the hitting times behind
+in closed form: the full-length integer walks, plain, lazy and with the
+root absorbing, behind the series `exact` expands from the generating
+function (and the plain series `transition_series` built on them), the
+Fraction power-series expansion behind `exact._scaled_series`, Gaussian
+elimination in Fractions for the hitting times behind
 `exact.hitting_from_stationary`'s moment identity, Kac's formula for the
 mean return time it reads off the generating function,
 the recursive decompositions behind `treefun.h_of_tree` and
@@ -20,7 +22,7 @@ from fractions import Fraction
 from math import gcd
 
 from batecho.errors import SearchExhausted
-from batecho.exact import MAX_EXACT_K, SeriesTable, lazy_series
+from batecho.exact import MAX_EXACT_K, SeriesTable, lazy_series, return_gen_fun
 from batecho.gap import GapEstimate, _bracket, search_budget
 from batecho.ratfun import IntPoly, RatFun
 
@@ -42,6 +44,39 @@ def full_walk_returns(g, k_max: int, lazy: bool) -> tuple[list[int], int]:
         w = nxt
         a.append(w[g.root])
     return a, 2 * lcm if lazy else lcm
+
+
+def full_walk_first_returns(g, k_max: int) -> list[Fraction]:
+    """First-return probabilities s_k for k = 0..k_max by walking all
+    k_max ticks in integers scaled by L^k, with the mass that reaches
+    the root taken off the walk."""
+    degs = [g.degree(i) for i in range(g.n)]
+    lcm = math.lcm(*degs)
+    w = [0] * g.n
+    w[g.root] = 1
+    s = [Fraction(0)]
+    for k in range(1, k_max + 1):
+        nxt = [0] * g.n
+        for i, x in enumerate(w):
+            for j in g.adjacency[i]:
+                nxt[j] += x * (lcm // degs[i])
+        s.append(Fraction(nxt[g.root], lcm ** k))
+        nxt[g.root] = 0
+        w = nxt
+    return s
+
+
+def power_series(r: RatFun, k_max: int) -> list[Fraction]:
+    """Power-series coefficients of r around 0 up to degree k_max, by the
+    recurrence den * series = num in Fractions."""
+    a, b = r.num.c, r.den.c
+    out = []
+    for k in range(k_max + 1):
+        acc = Fraction(a[k] if k < len(a) else 0)
+        for j in range(1, min(k, len(b) - 1) + 1):
+            acc -= b[j] * out[k - j]
+        out.append(acc / b[0])
+    return out
 
 
 def transition_series(g, k_max: int) -> SeriesTable:
@@ -221,7 +256,7 @@ def estimate_gap_exact(g, c: float = 2.0) -> GapEstimate:
     threshold = 1.0 / n ** c
     k0, _ = search_budget(n, c)
     horizon = min(k0, MAX_EXACT_K)
-    table = lazy_series(g, horizon)
+    table = lazy_series(g, return_gen_fun(g), horizon)
     hit = next((k for k in range(1, horizon + 1) if table.q[k] <= threshold), None)
     if hit is None:
         raise SearchExhausted(

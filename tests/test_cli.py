@@ -209,7 +209,8 @@ def test_simulate_gaps_follow_first_return_law(capsys, family):
     assert code == 0, err
     times = json.loads(out)["return_times"]
     gaps = np.diff([0] + times)
-    s = first_return_series(return_gen_fun(parse_family(family)), 60).s
+    g = parse_family(family)
+    s = first_return_series(g, return_gen_fun(g), 60).s
     buckets = [k for k in range(61) if m * s[k] >= 40]
     observed = [int(np.sum(gaps == k)) for k in buckets]
     expected = [m * float(s[k]) for k in buckets]
@@ -355,6 +356,13 @@ def test_csv_format_flattens_json(capsys):
     assert rows["parity_verdict"] == doc["parity_verdict"]
 
 
+def test_observe_takes_the_largest_int64_count(capsys):
+    m = np.iinfo(np.int64).max
+    code, out, err = run(capsys, "observe", "--family", "cycle:4", "--m", str(m))
+    assert code == 0, err
+    assert json.loads(out)["samples"] == m
+
+
 def test_render_rejects_unknown_format():
     with pytest.raises(BatechoError):
         render({}, "yaml")
@@ -366,6 +374,10 @@ def test_render_rejects_unknown_format():
     "exact --graph /nonexistent",
     "observe --family cycle:4 --m 0",
     "simulate --family cycle:4 --m -1",
+    "observe --family cycle:4 --m 10000000000000000000",
+    "simulate --family cycle:4 --m 10000000000000000000",
+    "simulate --family cycle:4 --m 4611686018427387904",
+    "forge --k 4 --k-max 1001",
     "gap --family complete:4 --eps 2",
     "gap --family cycle:64 --c inf",
     "gap --family cycle:64 --c 1e308",

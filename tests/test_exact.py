@@ -1,14 +1,15 @@
 """Oracle checks for the exact engine.
 
 The return-probability series has three independent routes here: brute
-walk enumeration, the full-length integer walk of `exact_oracle` (the
-plain series `transition_series`, and the reference for the engine's
-recurrence-extended series), and the determinant generating function of
-`det_oracle`, which also checks the generating function the engine
-recovers from the walk.  The stationary hitting time and the mean return
-time, both read off the generating function, are checked against
-Gaussian elimination in Fractions and Kac's formula, and the spectrum
-against numpy's eigensolver.
+walk enumeration, the full-length integer walks of `exact_oracle` (the
+plain series `transition_series`, and the reference for the lazy and
+first-return series the engine expands from the generating function),
+and the determinant generating function of `det_oracle`, which also
+checks the generating function the engine recovers from the walk.  The
+stationary hitting time and the mean return time, both read off the
+generating function, are checked against Gaussian elimination in
+Fractions and Kac's formula, and the spectrum against numpy's
+eigensolver.
 These must all agree before anything statistical is trusted.
 """
 import math
@@ -28,15 +29,17 @@ from batecho import (
     return_gen_fun,
     spectrum,
 )
-from batecho.exact import MAX_EXACT_K, MAX_EXACT_N, _scaled_returns
+from batecho.exact import MAX_EXACT_K, MAX_EXACT_N, _scaled_series
 from batecho.graphs import from_edge_list
-from batecho.ratfun import RatFun
+from batecho.ratfun import IntPoly, RatFun
 
 from conftest import FIXTURES, TREES, fixture_params, regular_params
 from det_oracle import determinant_gen_fun
 from exact_oracle import (
+    full_walk_first_returns,
     full_walk_returns,
     mean_return_time,
+    power_series,
     stationary_hitting_time,
     transition_series,
 )
@@ -91,7 +94,7 @@ def test_transition_series_against_enumeration(name):
 def test_first_return_series_against_enumeration(name):
     g = FIXTURES[name]
     k = 8
-    table = first_return_series(return_gen_fun(g), k)
+    table = first_return_series(g, return_gen_fun(g), k)
     assert table.s == _enumerate_first_returns(g, k)
 
 
@@ -107,13 +110,14 @@ def _binomial_mixture(g, k_max):
 def test_lazy_series_two_routes_agree(g):
     k = 30
     mix = _binomial_mixture(g, k)
-    direct = lazy_series(g, k)
+    direct = lazy_series(g, return_gen_fun(g), k)
     assert direct.p == mix
     assert direct.q == [pk - Fraction(1, g.n) for pk in mix]
 
 
 def test_lazy_c4_q_closed_form():
-    t = lazy_series(FIXTURES["c4"], 12)
+    g = FIXTURES["c4"]
+    t = lazy_series(g, return_gen_fun(g), 12)
     for k in range(1, 13):
         assert t.q[k] == Fraction(1, 2 ** (k + 1))
 
@@ -122,7 +126,7 @@ def test_lazy_c4_q_closed_form():
 def test_genfun_series_equals_transition_series(g):
     k = 40
     f = return_gen_fun(g)
-    assert f.series(k) == transition_series(g, k).p
+    assert power_series(f, k) == transition_series(g, k).p
 
 
 @pytest.mark.parametrize(
@@ -166,17 +170,43 @@ def test_gen_fun_equals_determinant_formula_on_random_graphs(g):
     assert return_gen_fun(g) == determinant_gen_fun(g)
 
 
-@given(connected_graphs(max_n=12), st.booleans())
-def test_recurrence_extended_series_equals_full_walk(g, lazy):
-    """Past 2n ticks the series continues by the recurrence; every term up
-    to 6n, including the first two it supplies, equals the walk's."""
+@given(connected_graphs(max_n=12))
+def test_series_from_gen_fun_equal_full_walks(g):
+    """The lazy, first-return and survival series, all expanded from f,
+    equal the full lazy walk and the walk with the root absorbing at
+    every term up to 6n, including the two past the 2n ticks that fix f."""
+    f = return_gen_fun(g)
     for k_max in (2 * g.n, 2 * g.n + 1, 6 * g.n):
-        assert _scaled_returns(g, k_max, lazy) == full_walk_returns(g, k_max, lazy)
+        a, scale = full_walk_returns(g, k_max, True)
+        assert lazy_series(g, f, k_max).p == [Fraction(x, scale ** k)
+                                              for k, x in enumerate(a)]
+        s = full_walk_first_returns(g, k_max)
+        table = first_return_series(g, f, k_max)
+        assert table.s == s
+        assert table.z == [1 - sum(s[:k + 1]) for k in range(k_max + 1)]
+
+
+@given(st.lists(st.integers(-9, 9), max_size=5), st.lists(st.integers(-9, 9), max_size=5),
+       st.sampled_from([1, -1]), st.integers(1, 6))
+def test_scaled_series_equals_fraction_expansion(p, q, q0, scale):
+    """num/den = P(t/s) / Q(t/s) with Q(0) = +-1 has integer s^k c_k, and
+    its expansion equals the Fraction recurrence's."""
+    q = [q0] + q
+    m = max(len(p), len(q)) - 1
+    num = IntPoly([x * scale ** (m - k) for k, x in enumerate(p)])
+    den = IntPoly([x * scale ** (m - k) for k, x in enumerate(q)])
+    assert _scaled_series(num, den, scale, 12) == power_series(RatFun(num, den), 12)
+
+
+def test_scaled_series_refuses_a_non_integer_term():
+    """1/(2 - t) = sum t^k / 2^(k+1) has no integer 2^k c_k."""
+    with pytest.raises(ArithmeticError):
+        _scaled_series(IntPoly.one, IntPoly([2, -1]), 2, 3)
 
 
 def test_survival_and_first_return_are_consistent():
     g = FIXTURES["c4"]
-    t = first_return_series(return_gen_fun(g), 20)
+    t = first_return_series(g, return_gen_fun(g), 20)
     assert t.z[0] == 1
     assert all(t.z[k] == 1 - sum(t.s[1:k + 1]) for k in range(21))
     assert all(0 <= x <= 1 for x in t.s[1:])
@@ -272,7 +302,7 @@ def test_q_decrease_bounded(g):
     Regularity matters: q_k = P'_k - 1/n only decays to zero when 1/n is
     the root's stationary mass, i.e. on regular graphs.
     """
-    t = lazy_series(g, 60)
+    t = lazy_series(g, return_gen_fun(g), 60)
     for k in range(60):
         assert t.q[k + 1] >= t.q[k] / 3
 
@@ -343,6 +373,7 @@ def test_mean_return_time():
 
 def test_exact_scale_guard():
     with pytest.raises(ValueError):
-        lazy_series(build_family("cycle", MAX_EXACT_N + 16), 5)
+        return_gen_fun(build_family("cycle", MAX_EXACT_N + 16))
+    g = FIXTURES["c4"]
     with pytest.raises(ValueError):
-        lazy_series(FIXTURES["c4"], MAX_EXACT_K + 1)
+        lazy_series(g, return_gen_fun(g), MAX_EXACT_K + 1)

@@ -17,6 +17,7 @@ from batecho import (
     gap_bounds,
     lazy_series,
     nondegenerate_set,
+    return_gen_fun,
     spectrum,
 )
 from batecho import walk
@@ -68,7 +69,7 @@ def test_gap_bounds_lower_clamped():
 def test_bracket_contains_tau_for_all_k(g):
     """lower <= tau <= upper at every k <= 200, using exact lazy q_k."""
     tau = lazy_tau(g)
-    t = lazy_series(g, 200)
+    t = lazy_series(g, return_gen_fun(g), 200)
     for k in range(1, 201):
         q = float(t.q[k])
         if not (0.0 < q < 1.0):
@@ -102,8 +103,8 @@ def test_exact_estimator_doubling_stops_at_exact_cap():
     g = build_family("cycle", 40)
     est = estimate_gap_exact(g, 2.0)
     assert est.k_star == 710
-    assert float(lazy_series(g, 710).q[710]) <= 1 / 40 ** 2 < float(
-        lazy_series(g, 709).q[709])
+    assert float(lazy_series(g, return_gen_fun(g), 710).q[710]) <= 1 / 40 ** 2 < float(
+        lazy_series(g, return_gen_fun(g), 709).q[709])
     with pytest.raises(SearchExhausted):
         estimate_gap_exact(build_family("cycle", 60), 2.0)
 
@@ -121,9 +122,9 @@ def test_exact_estimator_flags_a_vacuous_lower_bound():
 def test_exact_estimator_computes_the_series_once(monkeypatch):
     calls = []
 
-    def counting_lazy_series(g, k_max):
+    def counting_lazy_series(g, f, k_max):
         calls.append(k_max)
-        return lazy_series(g, k_max)
+        return lazy_series(g, f, k_max)
 
     monkeypatch.setattr(exact_oracle, "lazy_series", counting_lazy_series)
     assert estimate_gap_exact(build_family("cycle", 40), 2.0).k_star == 710
@@ -195,7 +196,7 @@ def test_estimate_gap_k4_bracket_and_audits():
     budget = audit_budget(est)
     assert budget["within_budget"]
     k_top = max(entry["k"] for entry in est.trace)
-    t = lazy_series(g, k_top)
+    t = lazy_series(g, return_gen_fun(g), k_top)
     checks = audit_error_chain(est, exact_q=lambda k: t.q[k])
     assert checks["ok"], checks
 

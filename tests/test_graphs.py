@@ -34,8 +34,17 @@ def test_duplicate_edge_rejected():
 
 
 def test_disconnected_rejected():
-    with pytest.raises(Disconnected):
+    with pytest.raises(Disconnected, match="edges cannot connect"):
         _make(4, [(0, 1), (2, 3)], 0)
+    with pytest.raises(Disconnected, match="vertex 2 unreachable from root 0"):
+        _make(5, [(0, 1), (2, 3), (3, 4), (4, 2)], 0)
+
+
+def test_too_few_edges_rejected_before_allocating():
+    """A file declaring a million vertices and one edge is refused by its
+    edge count, before n adjacency sets are built."""
+    with pytest.raises(Disconnected, match="^1 edges cannot connect 1000000 vertices$"):
+        from_text("1000000 0\n0 1\n")
 
 
 def test_root_out_of_range():

@@ -1,6 +1,7 @@
 """Every module-level function and class in `src/batecho` has a caller in
-`src/`: alternative routes live in `tests/` as oracles, and a helper that
-nothing calls is deleted rather than kept."""
+`src/`, and every method and property of its classes is looked up as an
+attribute in `src/`: alternative routes live in `tests/` as oracles, and
+a helper that nothing calls is deleted rather than kept."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -47,3 +48,16 @@ def test_every_module_level_definition_has_a_caller_in_src():
 def test_kept_names_are_defined():
     defs, _ = _definitions()
     assert KEPT <= {node.name for _, node in defs}
+
+
+def test_every_method_and_property_is_used_in_src():
+    """A method counts as used when its name is looked up as an attribute
+    anywhere in `src/`; dunder methods are called by the language."""
+    defs, trees = _definitions()
+    looked_up = {n.attr for tree in trees for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute)}
+    unused = [f"{module}.{cls.name}.{node.name}" for module, cls in defs
+              if isinstance(cls, ast.ClassDef) for node in cls.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
+              and node.name not in looked_up]
+    assert unused == []

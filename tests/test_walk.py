@@ -63,7 +63,7 @@ def test_run_experiment_advances_origin():
 def test_estimate_pk_within_three_sigma_of_exact():
     g = FIXTURES["c4"]
     k, eps, delta = 3, 0.05, 0.05
-    exact = float(lazy_series(g, k).p[k])
+    exact = float(lazy_series(g, return_gen_fun(g), k).p[k])
     est = estimate_pk(from_walk(g, seed=7, lazy=True), k, eps, delta)
     n = est.experiments
     sigma = math.sqrt(exact * (1 - exact) / n)
@@ -79,7 +79,7 @@ def test_estimate_pk_validates_inputs():
 
 def test_observer_stats_match_exact_moments():
     g = FIXTURES["triangle"]
-    t = first_return_series(return_gen_fun(g), 200)
+    t = first_return_series(g, return_gen_fun(g), 200)
     mean_exact = float(sum(k * t.s[k] for k in range(201)))
     rt = SampledReturnTimes(g, seed=11)
     mean, mean_sq, all_even = observer_stats(np.bincount(gaps(rt, 20000))[1:])
@@ -90,7 +90,7 @@ def test_observer_stats_match_exact_moments():
 def test_gap_distribution_chi_square():
     """Gaps of the sequential walk follow the exact first-return law."""
     g = FIXTURES["c4"]
-    t = first_return_series(return_gen_fun(g), 12)
+    t = first_return_series(g, return_gen_fun(g), 12)
     rt = from_walk(g, seed=5)
     m = 4000
     gaps = walk_oracle.gaps(rt, m)
@@ -146,7 +146,7 @@ def test_lazify_matches_direct_lazy_law():
     lazy chain's return probability (cross-route, fixed seeds)."""
     g = FIXTURES["c4"]
     k = 4
-    exact = float(lazy_series(g, k).p[k])
+    exact = float(lazy_series(g, return_gen_fun(g), k).p[k])
     rt = _lazify_returns(simulate(g, seed=21).bits(), seed=22)
     n = 4000
     hits = sum(run_experiment(rt, k) for _ in range(n))
@@ -176,6 +176,12 @@ def test_sampled_return_times_match_sequential_law():
     assert abs(mean_fast - float(moments.mean_t1)) < 4 * sigma
 
 
+def _exact_returns(g, k_max, lazy):
+    """Exact P_k(r,r) for k <= k_max on the lazy or the plain walk."""
+    return (lazy_series(g, return_gen_fun(g), k_max) if lazy
+            else transition_series(g, k_max)).p
+
+
 @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "plain"])
 @pytest.mark.parametrize("name", ["k4", "star3", "path4"])
 def test_batch_successes_match_exact_probability(name, lazy):
@@ -183,8 +189,7 @@ def test_batch_successes_match_exact_probability(name, lazy):
     the shared step against the exact return probability."""
     g = FIXTURES[name]
     k = 3 if lazy else 4     # even: the plain walk on a tree is periodic
-    series = lazy_series if lazy else transition_series
-    exact = float(series(g, k).p[k])
+    exact = float(_exact_returns(g, k, lazy)[k])
     n = 200000
     hits = batch_return_successes(spectrum(g), k, n, seed=13, lazy=lazy)
     sigma = math.sqrt(exact * (1 - exact) / n)
@@ -221,7 +226,7 @@ def test_spectral_return_probability_equals_exact_series(name, lazy):
     graphs, lazy and plain."""
     g = FIXTURES[name]
     spec = spectrum(g)
-    exact = (lazy_series if lazy else transition_series)(g, 200).p
+    exact = _exact_returns(g, 200, lazy)
     worst = max(abs(walk._return_probability(spec, t, lazy) - float(exact[t]))
                 for t in range(201))
     assert worst <= 1e-12
@@ -347,7 +352,7 @@ def test_batch_success_counts_are_binomial(sampler, name, lazy, k, stride):
     g = FIXTURES[name]
     count = 10 ** 6 if sampler is walk else 10 ** 4   # the oracle pays per walker
     ticks = stride * k
-    p = float((lazy_series if lazy else transition_series)(g, ticks).p[ticks])
+    p = float(_exact_returns(g, ticks, lazy)[ticks])
     source = spectrum(g) if sampler is walk else g
     hits = np.array([sampler.batch_return_successes(source, k, count, seed, lazy=lazy,
                                                     stride=stride)
@@ -364,8 +369,8 @@ def _first_return_law(g, lazy, k_max):
     walk, and for the lazy walk the same renewal inversion
     p'_k = sum_j s_j p'_{k-j} of the exact lazy return series."""
     if not lazy:
-        return first_return_series(return_gen_fun(g), k_max).s
-    p = lazy_series(g, k_max).p
+        return first_return_series(g, return_gen_fun(g), k_max).s
+    p = lazy_series(g, return_gen_fun(g), k_max).p
     s = [Fraction(0)] * (k_max + 1)
     for k in range(1, k_max + 1):
         s[k] = p[k] - sum(s[j] * p[k - j] for j in range(1, k))
