@@ -1,15 +1,6 @@
 """Spectral inference from random-walk return times at a single vertex."""
 
-from .errors import (
-    BatechoError,
-    BudgetOverflow,
-    ConvergenceFailure,
-    Disconnected,
-    DomainError,
-    GraphError,
-    NoThreeDivisorPairs,
-    SearchExhausted,
-)
+from .errors import BatechoError, BudgetOverflow, DomainError, SearchExhausted
 from .exact import (
     first_return_series,
     hitting_from_stationary,

@@ -46,19 +46,26 @@ def parse_family(spec: str) -> graphs.RootedGraph:
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
     args = [a.strip() for a in rest.split(",")] if rest else []
+    if name not in _FAMILIES:
+        raise BatechoError(f"unknown family {name!r}; choose from {_FAMILIES}")
     try:
-        if name in ("path", "cycle", "complete", "star", "hypercube"):
-            (size,) = args
-            return graphs.build_family(name, int(size))
         if name == "gab":
             a, b = args
-            return graphs.build_gab(int(a), int(b)).graph
-        if name == "leafy":
+            a, b = int(a), int(b)
+        elif name == "leafy":
             h, d, mode = args
-            return graphs.build_leafy(int(h), int(d), mode=mode)
-    except (ValueError, TypeError) as exc:
+            h, d = int(h), int(d)
+        else:
+            (size,) = args
+            size = int(size)
+    except ValueError as exc:
         raise BatechoError(f"bad family spec {spec!r}: {exc}") from exc
-    raise BatechoError(f"unknown family {name!r}; choose from {_FAMILIES}")
+    # the builders' own refusals pass through with their messages
+    if name == "gab":
+        return graphs.build_gab(a, b).graph
+    if name == "leafy":
+        return graphs.build_leafy(h, d, mode=mode)
+    return graphs.build_family(name, size)
 
 
 def load_graph(opts) -> graphs.RootedGraph:
@@ -144,6 +151,8 @@ def cmd_exact(opts) -> int:
 
 def cmd_forge(opts) -> int:
     k = opts.get("k", 4)
+    # refuse an oversize pair before building it
+    ex.check_exact_size(treefun.forge_size(k))
     left, right = treefun.forge_tree_pair(k)
     terms = opts.get("k_max", 12)
     series = treefun.h_from_series(left, terms)
@@ -166,13 +175,12 @@ def cmd_forge(opts) -> int:
                 fh.write(t.graph.to_text())
             paths[name] = path
         with open(cert_path, "w") as fh:
-            fh.write(json.dumps(cert, sort_keys=True, indent=2) + "\n")
+            fh.write(render(cert, "json"))
     except OSError as exc:
         raise BatechoError(f"cannot write to {out_dir}: {exc}") from exc
     payload = {"k": k, "files": paths, "certificate": cert_path,
                "n_left": left.n, "n_right": right.n}
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
+    sys.stdout.write(render(payload, "json"))
     return EXIT_OK
 
 
@@ -240,9 +248,13 @@ def cmd_simulate(opts) -> int:
     # the largest int64 array of gaps numpy can size
     m = _sample_count(opts, 100, np.iinfo(np.intp).max // np.dtype(np.int64).itemsize)
     lazy = bool(opts.get("lazy", False))
-    # the gaps between returns are iid copies of the first-return time
-    gaps = walk.sample_first_returns(g, m, opts.get("seed", 0), lazy=lazy)
-    emit({"return_times": np.cumsum(gaps).tolist(), "samples": m, "lazy": lazy}, opts)
+    try:
+        # the gaps between returns are iid copies of the first-return time
+        gaps = walk.sample_first_returns(g, m, opts.get("seed", 0), lazy=lazy)
+        times = np.cumsum(gaps).tolist()
+    except MemoryError as exc:
+        raise DomainError(f"--m {m} return times do not fit in memory") from exc
+    emit({"return_times": times, "samples": m, "lazy": lazy}, opts)
     return EXIT_OK
 
 

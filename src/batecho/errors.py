@@ -1,56 +1,15 @@
-"""Exception hierarchy shared by all batecho modules."""
+"""The library's four exceptions.  The CLI turns each into one exit code:
+SearchExhausted into 3, BudgetOverflow into 4, and any other BatechoError
+into 2.  DomainError refuses an input, a graph or a parameter; it is also
+a ValueError."""
 
 
 class BatechoError(Exception):
     """Base class for all library errors."""
 
 
-class GraphError(BatechoError):
-    pass
-
-
-class SelfLoop(GraphError):
-    pass
-
-
-class DuplicateEdge(GraphError):
-    pass
-
-
-class Disconnected(GraphError):
-    pass
-
-
-class RootOutOfRange(GraphError):
-    pass
-
-
-class ParameterTooSmall(GraphError):
-    pass
-
-
-class InfeasibleRegularGraph(GraphError):
-    pass
-
-
-class EmptyGlueList(GraphError):
-    pass
-
-
-class DivisionByZero(BatechoError, ZeroDivisionError):
-    pass
-
-
-class ConvergenceFailure(BatechoError):
-    pass
-
-
-class RootFindingFailure(BatechoError):
-    pass
-
-
-class NoThreeDivisorPairs(BatechoError):
-    pass
+class DomainError(BatechoError, ValueError):
+    """A refused input, graph or parameter; the message says which."""
 
 
 class SearchExhausted(BatechoError):
@@ -63,8 +22,4 @@ class SearchExhausted(BatechoError):
 
 
 class BudgetOverflow(BatechoError):
-    pass
-
-
-class DomainError(BatechoError, ValueError):
-    pass
+    """The gap search spent more experiments than its audit bound."""

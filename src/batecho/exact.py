@@ -28,7 +28,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConvergenceFailure, DomainError, RootFindingFailure
+from .errors import BatechoError, DomainError
 from .graphs import RootedGraph
 from .ratfun import IntPoly, RatFun
 
@@ -94,16 +94,13 @@ class GenFun(RatFun):
     def __init__(self, num, den):
         super().__init__(num, den)
         if self.eval(Fraction(0)) != 1:
-            raise ValueError("generating function must equal 1 at t=0")
+            raise DomainError("generating function must equal 1 at t=0")
 
 
-def _check_scale(g: RootedGraph, k_max: int):
-    if g.n > MAX_EXACT_N:
-        raise DomainError(f"exact mode capped at n <= {MAX_EXACT_N}, got {g.n}")
-    if k_max < 0:
-        raise DomainError(f"k_max must be non-negative, got {k_max}")
-    if k_max > MAX_EXACT_K:
-        raise DomainError(f"exact mode capped at k_max <= {MAX_EXACT_K}, got {k_max}")
+def check_exact_size(n: int) -> None:
+    """Refuse n vertices above MAX_EXACT_N before any exact work."""
+    if n > MAX_EXACT_N:
+        raise DomainError(f"exact mode capped at n <= {MAX_EXACT_N}, got {n}")
 
 
 def _scaled_returns(g: RootedGraph) -> tuple[list[int], int]:
@@ -156,7 +153,11 @@ def lazy_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
     with p~(t) = (2-t)^m p(t/(2-t)) and m the larger degree of N and D.
     (2L)^k P'_k is an integer, L the lcm of the degrees, so
     _scaled_series expands it."""
-    _check_scale(g, k_max)
+    check_exact_size(g.n)
+    if k_max < 0:
+        raise DomainError(f"k_max must be non-negative, got {k_max}")
+    if k_max > MAX_EXACT_K:
+        raise DomainError(f"exact mode capped at k_max <= {MAX_EXACT_K}, got {k_max}")
     m = max(f.num.degree, f.den.degree)
     two_minus_t = IntPoly([2, -1])
 
@@ -190,7 +191,7 @@ def spectrum(g: RootedGraph) -> Spectrum:
     try:
         vals, vecs = np.linalg.eigh(mat)
     except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(f"eigensolver did not converge: {exc}") from exc
+        raise BatechoError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(-vals)
     vals = vals[order]
     weights = vecs[g.root, order] ** 2
@@ -257,7 +258,7 @@ def return_gen_fun(g: RootedGraph) -> GenFun:
     product of the series and the connection polynomial truncated below
     the recurrence length, and the substitution t = L u undoes the
     scaling."""
-    _check_scale(g, 0)
+    check_exact_size(g.n)
     a, scale = _scaled_returns(g)
     c, length = _connection_polynomial(a)
     num = IntPoly([sum(x * y for x, y in zip(c, a[k::-1])) for k in range(length)])
@@ -290,14 +291,14 @@ def poles_to_eigenvalues(fgen: RatFun):
     try:
         roots = np.roots(coeffs)
     except Exception as exc:  # pragma: no cover
-        raise RootFindingFailure(str(exc)) from exc
+        raise BatechoError(str(exc)) from exc
     if np.any(~np.isfinite(roots)):
-        raise RootFindingFailure("non-finite root from the polynomial solver")
+        raise BatechoError("non-finite root from the polynomial solver")
     eigs = []
     for root in roots:
         if abs(root.imag) <= 1e-9 * (1 + abs(root)):
             if root.real == 0:
-                raise RootFindingFailure("denominator root at 0")
+                raise BatechoError("denominator root at 0")
             eigs.append(1.0 / root.real)
     eigs.sort(reverse=True)
     zero_flag = fgen.num.degree == den.degree

@@ -24,8 +24,9 @@ import numpy as np
 from .errors import DomainError, SearchExhausted
 from .exact import spectrum
 from .graphs import RootedGraph
-from .walk import (batch_return_successes, check_walk_size, child_seed,
-                   first_return_counts, hoeffding_count, observer_stats)
+from .walk import (_first_return_kernel, _return_histogram,
+                   batch_return_successes, check_walk_size, child_seed,
+                   hoeffding_count, observer_stats)
 
 
 def gap_bounds(q_k: float, k: int, n: int) -> tuple[float, float]:
@@ -82,20 +83,26 @@ def per_eval_eta(n: int, c: float, eps: float) -> float:
 
 def estimate_n(g: RootedGraph, seed, lazy: bool = True) -> int:
     """Estimate n from the root's mean return time (which equals n on a
-    regular graph, lazy or not).  Doubles the sample from 2^12 up to at
-    most 2^22 until two consecutive rounded means agree."""
-    m = 1 << 12
-    prev = None
-    idx = 0
-    while m <= 1 << 22:
-        counts = first_return_counts(g, m, child_seed(seed, 9000 + idx), lazy=lazy)
-        cur = int(round(observer_stats(counts)[0]))
-        if prev is not None and cur == prev:
-            return cur
-        prev = cur
-        m *= 2
+    regular graph, lazy or not).  Pools rounds of first returns, 2^12 in
+    the first and then as many as are pooled, so the pooled count
+    doubles, until the pooled mean's standard error sqrt((m2 - m1^2)/m)
+    is at most 1/8, and rounds that mean.  Refuses the graph once the
+    pooled count would pass 2^32."""
+    kernel = _first_return_kernel(g, lazy)
+    counts, pooled, idx = np.zeros(0, dtype=np.int64), 0, 0
+    while pooled < 1 << 32:
+        draw = pooled or 1 << 12
+        hist = _return_histogram(kernel, g.root, draw,
+                                 np.random.default_rng(child_seed(seed, 9000 + idx)))
+        counts = np.pad(counts, (0, max(0, hist.size - counts.size)))
+        counts[:hist.size] += hist
+        pooled += draw
+        mean, mean_sq, _ = observer_stats(counts)
+        if mean_sq - mean * mean <= pooled / 64:
+            return int(round(mean))
         idx += 1
-    return prev
+    raise DomainError(f"the mean return time's standard error stayed above "
+                      f"1/8 after {pooled} first returns")
 
 
 def _bracket(q_star: float, k: int, n: int, flags: list) -> tuple[float, float, float]:

@@ -13,15 +13,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .errors import (
-    Disconnected,
-    DuplicateEdge,
-    EmptyGlueList,
-    InfeasibleRegularGraph,
-    ParameterTooSmall,
-    RootOutOfRange,
-    SelfLoop,
-)
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -70,7 +62,7 @@ class TreeHandle:
     def __post_init__(self):
         g = self.graph
         if g.edge_count != g.n - 1:
-            raise ParameterTooSmall(
+            raise DomainError(
                 f"not a tree: {g.edge_count} edges on {g.n} vertices"
             )
 
@@ -99,25 +91,25 @@ def _bfs_reachable(n: int, adj, start: int) -> list[bool]:
 def _make(n: int, edges, root: int, tags=()) -> RootedGraph:
     """Validate and freeze a graph given 0-based edges."""
     if n < 2:
-        raise ParameterTooSmall(f"need at least 2 vertices, got {n}")
+        raise DomainError(f"need at least 2 vertices, got {n}")
     if not (0 <= root < n):
-        raise RootOutOfRange(f"root {root} not in [0, {n})")
+        raise DomainError(f"root {root} not in [0, {n})")
     if len(edges) < n - 1:
-        raise Disconnected(f"{len(edges)} edges cannot connect {n} vertices")
+        raise DomainError(f"{len(edges)} edges cannot connect {n} vertices")
     adj = [set() for _ in range(n)]
     for u, v in edges:
         if u == v:
-            raise SelfLoop(f"self-loop at vertex {u}")
+            raise DomainError(f"self-loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
-            raise RootOutOfRange(f"edge ({u}, {v}) names a vertex outside [0, {n})")
+            raise DomainError(f"edge ({u}, {v}) names a vertex outside [0, {n})")
         if v in adj[u]:
-            raise DuplicateEdge(f"duplicate edge ({u}, {v})")
+            raise DomainError(f"duplicate edge ({u}, {v})")
         adj[u].add(v)
         adj[v].add(u)
     seen = _bfs_reachable(n, adj, root)
     if not all(seen):
         missing = seen.index(False)
-        raise Disconnected(f"vertex {missing} unreachable from root {root}")
+        raise DomainError(f"vertex {missing} unreachable from root {root}")
     return RootedGraph(
         n=n,
         root=root,
@@ -131,14 +123,14 @@ def from_edge_list(edges, root) -> RootedGraph:
     order of first appearance.  `root` is a vertex label occurring in the
     edges."""
     if not edges:
-        raise ParameterTooSmall("edge list is empty")
+        raise DomainError("edge list is empty")
     label = {}
     for u, v in edges:
         for x in (u, v):
             if x not in label:
                 label[x] = len(label)
     if root not in label:
-        raise RootOutOfRange(f"root {root} does not occur in the edge list")
+        raise DomainError(f"root {root} does not occur in the edge list")
     relabeled = [(label[u], label[v]) for u, v in edges]
     return _make(len(label), relabeled, label[root])
 
@@ -147,17 +139,17 @@ def from_text(text: str) -> RootedGraph:
     """Parse the text format: first line "n root", then one "u v" per line."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
-        raise ParameterTooSmall("empty graph file")
+        raise DomainError("empty graph file")
     try:
         n, root = map(int, lines[0].split())
     except ValueError as exc:
-        raise ParameterTooSmall(f"line 1: expected 'n root', got {lines[0]!r}") from exc
+        raise DomainError(f"line 1: expected 'n root', got {lines[0]!r}") from exc
     edges = []
     for i, ln in enumerate(lines[1:], start=2):
         try:
             u, v = map(int, ln.split())
         except ValueError as exc:
-            raise ParameterTooSmall(f"line {i}: expected 'u v', got {ln!r}") from exc
+            raise DomainError(f"line {i}: expected 'u v', got {ln!r}") from exc
         edges.append((u, v))
     return _make(n, edges, root)
 
@@ -173,33 +165,33 @@ def build_family(kind: str, size: int) -> RootedGraph:
     """
     if kind == "path":
         if size < 2:
-            raise ParameterTooSmall("path needs >= 2 vertices")
+            raise DomainError("path needs >= 2 vertices")
         edges = [(i, i + 1) for i in range(size - 1)]
         tags = ["tree"] + (["transitive"] if size == 2 else [])
         return _make(size, edges, 0, tags)
     if kind == "cycle":
         if size < 3:
-            raise ParameterTooSmall("cycle needs >= 3 vertices")
+            raise DomainError("cycle needs >= 3 vertices")
         edges = [(i, (i + 1) % size) for i in range(size)]
         return _make(size, edges, 0, ["transitive"])
     if kind == "complete":
         if size < 2:
-            raise ParameterTooSmall("complete graph needs >= 2 vertices")
+            raise DomainError("complete graph needs >= 2 vertices")
         edges = [(i, j) for i in range(size) for j in range(i + 1, size)]
         return _make(size, edges, 0, ["transitive"])
     if kind == "star":
         if size < 1:
-            raise ParameterTooSmall("star needs >= 1 leaf")
+            raise DomainError("star needs >= 1 leaf")
         edges = [(0, i) for i in range(1, size + 1)]
         tags = ["tree"] + (["transitive"] if size == 1 else [])
         return _make(size + 1, edges, 0, tags)
     if kind == "hypercube":
         if size < 1:
-            raise ParameterTooSmall("hypercube needs dimension >= 1")
+            raise DomainError("hypercube needs dimension >= 1")
         n = 1 << size
         edges = [(u, u ^ (1 << b)) for u in range(n) for b in range(size) if u < u ^ (1 << b)]
         return _make(n, edges, 0, ["transitive"])
-    raise ParameterTooSmall(f"unknown family kind {kind!r}")
+    raise DomainError(f"unknown family kind {kind!r}")
 
 
 def build_gab(a: int, b: int) -> TreeHandle:
@@ -207,7 +199,7 @@ def build_gab(a: int, b: int) -> TreeHandle:
     further neighbors of degree `b`.  Degenerate cases a=1 (single edge)
     and b=1 (star rooted at a leaf) are allowed."""
     if a < 1 or b < 1:
-        raise ParameterTooSmall(f"need a, b >= 1, got a={a}, b={b}")
+        raise DomainError(f"need a, b >= 1, got a={a}, b={b}")
     edges = [(0, 1)]
     nxt = 2
     for _ in range(a - 1):
@@ -225,12 +217,12 @@ def glue_at_roots(parts) -> TreeHandle:
     (TreeHandle, multiplicity) pairs; the result's root identifies all
     component roots."""
     if not parts:
-        raise EmptyGlueList("nothing to glue")
+        raise DomainError("nothing to glue")
     edges = []
     nxt = 1  # 0 is the shared root
     for tree, mult in parts:
         if mult < 1:
-            raise EmptyGlueList(f"multiplicity {mult} < 1")
+            raise DomainError(f"multiplicity {mult} < 1")
         g = tree.graph
         for _ in range(mult):
             remap = {}
@@ -272,7 +264,7 @@ def _random_regular_edges(block: list[int], d: int,
     disconnection."""
     s = len(block)
     if d >= s or (d * s) % 2:
-        raise InfeasibleRegularGraph(f"no {d}-regular simple graph on {s} vertices")
+        raise DomainError(f"no {d}-regular simple graph on {s} vertices")
     for _ in range(1000):
         stubs = [i for i in range(s) for _ in range(d)]
         rng.shuffle(stubs)
@@ -293,26 +285,27 @@ def _random_regular_edges(block: list[int], d: int,
         if not all(_bfs_reachable(s, adj, 0)):
             continue
         return [(block[u], block[v]) for u, v in sorted(seen)]
-    raise InfeasibleRegularGraph(
+    raise DomainError(
         f"gave up after 1000 attempts at a connected {d}-regular graph "
         f"on {s} vertices"
     )
 
 
-def build_leafy(h: int, d: int, mode: str = "expander", seed: int = 0) -> RootedGraph:
+def build_leafy(h: int, d: int, mode: str = "expander") -> RootedGraph:
     """A (d+1)-regular graph: the full tree with internal degree d+1 and
     all leaves at distance h from the root, plus a d-regular graph on the
     leaves.
 
-    mode="expander": one seeded random d-regular graph on all leaves.
+    mode="expander": one random d-regular graph on all leaves, drawn from
+    a fixed seed (0), so the graph is a function of (h, d).
     mode="cutpoint": deterministic d-regular circulants confined to groups
     of depth-1 subtrees, groups as small as feasibility allows.  With one
     subtree per group (possible for h >= 3) the root is a cutpoint.
     """
     if h < 1 or d < 2:
-        raise ParameterTooSmall(f"need h >= 1 and d >= 2, got h={h}, d={d}")
+        raise DomainError(f"need h >= 1 and d >= 2, got h={h}, d={d}")
     if mode not in ("expander", "cutpoint"):
-        raise ParameterTooSmall(f"unknown mode {mode!r}")
+        raise DomainError(f"unknown mode {mode!r}")
 
     edges = []
     nxt = 1
@@ -336,8 +329,7 @@ def build_leafy(h: int, d: int, mode: str = "expander", seed: int = 0) -> Rooted
     n = nxt
 
     if mode == "expander":
-        rng = random.Random(seed)
-        edges += _random_regular_edges(leaves, d, rng)
+        edges += _random_regular_edges(leaves, d, random.Random(0))
     else:
         subtrees = sorted({subtree_of[v] for v in leaves})
         per = len(leaves) // len(subtrees)  # d^(h-1) leaves per subtree
@@ -345,7 +337,7 @@ def build_leafy(h: int, d: int, mode: str = "expander", seed: int = 0) -> Rooted
         while g * per <= d or (d % 2 and (g * per) % 2):
             g += 1
             if g > len(subtrees):
-                raise InfeasibleRegularGraph(
+                raise DomainError(
                     f"no feasible circulant grouping for h={h}, d={d}"
                 )
         groups = [subtrees[i:i + g] for i in range(0, len(subtrees) - len(subtrees) % g, g)]
@@ -355,7 +347,7 @@ def build_leafy(h: int, d: int, mode: str = "expander", seed: int = 0) -> Rooted
         for grp in groups:
             block = [v for v in leaves if subtree_of[v] in grp]
             if len(block) <= d or (d % 2 and len(block) % 2):
-                raise InfeasibleRegularGraph(
+                raise DomainError(
                     f"block of {len(block)} leaves cannot carry a {d}-regular circulant"
                 )
             edges += _circulant_edges(block, d)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .errors import DivisionByZero
+from .errors import DomainError
 
 
 class IntPoly:
@@ -80,7 +80,7 @@ class IntPoly:
         integer polynomial (used to divide out a primitive gcd, where
         exactness is guaranteed)."""
         if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
+            raise DomainError("polynomial division by zero")
         if self.is_zero:
             return IntPoly()
         rem = list(self.c)
@@ -172,7 +172,7 @@ class RatFun:
         if isinstance(den, int):
             den = IntPoly([den])
         if den.is_zero:
-            raise DivisionByZero("rational function with zero denominator")
+            raise DomainError("rational function with zero denominator")
         if num.is_zero:
             self.num = IntPoly.zero
             self.den = IntPoly.one
@@ -214,7 +214,7 @@ class RatFun:
     def __truediv__(self, other):
         other = _coerce(other)
         if other.num.is_zero:
-            raise DivisionByZero("division by the zero rational function")
+            raise DomainError("division by the zero rational function")
         return RatFun(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
@@ -239,7 +239,7 @@ class RatFun:
     def eval(self, x: Fraction) -> Fraction:
         d = self.den.eval(x)
         if d == 0:
-            raise DivisionByZero(f"pole at {x}")
+            raise DomainError(f"pole at {x}")
         return self.num.eval(x) / d
 
     def to_json_dict(self) -> dict:

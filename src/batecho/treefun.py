@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 from itertools import groupby
 
-from .errors import DomainError, NoThreeDivisorPairs
+from .errors import DomainError
 from .exact import MAX_EXACT_K, first_return_series, return_gen_fun
 from .graphs import TreeHandle, attach_new_root, build_gab, glue_at_roots
 from .ratfun import IntPoly, RatFun
@@ -85,12 +85,30 @@ def ahu_canonical(t: TreeHandle):
     return enc[-1]
 
 
-def _divisor_pairs(k: int):
-    """(1,k), the smallest proper pair, and (k,1)."""
-    small = next((a for a in range(2, k) if k % a == 0), None)
+def _forge_plan(k: int) -> tuple[list[tuple[int, int]], list[int]]:
+    """The three divisor pairs (a, b) of k, namely (1,k), the smallest
+    proper pair and (k,1), and the content-reduced integer dependency c
+    among their trees G_{a,b}."""
+    if k < 4:
+        raise DomainError(f"need composite k >= 4, got {k}")
+    small = next((a for a in range(2, math.isqrt(k) + 1) if k % a == 0), None)
     if small is None:
-        raise NoThreeDivisorPairs(f"{k} is prime; need a composite k >= 4")
-    return [(1, k), (small, k // small), (k, 1)]
+        raise DomainError(f"{k} is prime; need a composite k >= 4")
+    pairs = [(1, k), (small, k // small), (k, 1)]
+    b1, b2, b3 = (b for _, b in pairs)
+    dep = (b2 - b3, b3 - b1, b1 - b2)
+    content = math.gcd(*dep)
+    return pairs, [c // content for c in dep]
+
+
+def forge_size(k: int) -> int:
+    """The vertex count of each tree of `forge_tree_pair(k)`, without
+    building them.  G_{a,b} has 2 + (a-1) b vertices, and a side that
+    glues c_i copies of G_{a_i,b_i} at their roots and attaches a new
+    root has 2 + sum c_i (n_i - 1); the two sides agree, because
+    n_i - 1 = 1 + k - b_i and sum c_i = sum c_i b_i = 0."""
+    pairs, dep = _forge_plan(k)
+    return 2 + sum(c * (1 + (a - 1) * b) for (a, b), c in zip(pairs, dep) if c > 0)
 
 
 def forge_tree_pair(k: int) -> tuple[TreeHandle, TreeHandle]:
@@ -101,16 +119,10 @@ def forge_tree_pair(k: int) -> tuple[TreeHandle, TreeHandle]:
     Their h = (k - (b-1)x) / (k - (k-1)x) share one denominator, so
     sum c_i h_i = 0 exactly when sum c_i = 0 and sum c_i b_i = 0: c is
     the cross product of the b's and (1, 1, 1), content-reduced.  The
-    b's of `_divisor_pairs` are k > k/a > 1, so every c_i is nonzero and
+    b's of `_forge_plan` are k > k/a > 1, so every c_i is nonzero and
     the first is positive."""
-    if k < 4:
-        raise NoThreeDivisorPairs(f"need composite k >= 4, got {k}")
-    pairs = _divisor_pairs(k)
+    pairs, dep = _forge_plan(k)
     trees = [build_gab(a, b) for a, b in pairs]
-    b1, b2, b3 = (b for _, b in pairs)
-    dep = (b2 - b3, b3 - b1, b1 - b2)
-    content = math.gcd(*dep)
-    dep = [c // content for c in dep]
     left = [(t, c) for t, c in zip(trees, dep) if c > 0]
     right = [(t, -c) for t, c in zip(trees, dep) if c < 0]
     t1 = attach_new_root(glue_at_roots(left))

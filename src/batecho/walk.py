@@ -144,7 +144,7 @@ def estimate_pk(rt: ReturnTimes, k: int, eps: float, delta: float,
     """Estimate P_k(r,r) by independent return-time experiments, sized by
     the Hoeffding bound."""
     if not (0 < eps < 1 and 0 < delta < 1):
-        raise ValueError("eps and delta must lie in (0, 1)")
+        raise DomainError("eps and delta must lie in (0, 1)")
     n = hoeffding_count(eps, delta)
     successes = 0
     for _ in range(n):
@@ -168,7 +168,7 @@ def observer_stats(counts):
     pairs = list(zip(ticks.tolist(), counts[ticks - 1].tolist()))
     m = sum(c for _, c in pairs)
     if m == 0:
-        raise ValueError("need at least one gap")
+        raise DomainError("need at least one gap")
     mean = sum(t * c for t, c in pairs) / m
     mean_sq = sum(t * t * c for t, c in pairs) / m
     return mean, mean_sq, bool((ticks % 2 == 0).all())

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import batecho
 from batecho import first_return_series, return_gen_fun
 from batecho.cli import main, parse_family, render
-from batecho.errors import BatechoError
+from batecho.errors import BatechoError, DomainError
 from batecho.graphs import RootedGraph
 from batecho.walk import MAX_WALK_N
 
@@ -36,6 +36,9 @@ def test_parse_family(capsys):
         parse_family("dodecahedron:1")
     with pytest.raises(BatechoError):
         parse_family("cycle:eight")
+    # a builder's refusal passes through with its own message
+    with pytest.raises(DomainError, match="^cycle needs >= 3 vertices$"):
+        parse_family("cycle:2")
     code, out, err = run(capsys, "observe", "--family", "gab:2,2",
                          "--seed", "1", "--m", "20000")
     assert code == 0, err
@@ -385,6 +388,9 @@ def test_render_rejects_unknown_format():
     "gap --family cycle:8 --n 1000",
     "observe --family cycle:4 --m 10 --out /dev/null/x.json",
     "forge --k 4 --out /dev/null",
+    "forge --k 1000",
+    "forge --k 100000007",
+    "simulate --family cycle:4 --m 1152921504606846975",
 ])
 def test_bad_input_exits_2_without_traceback(argv):
     src = os.path.dirname(os.path.dirname(batecho.__file__))

@@ -259,6 +259,14 @@ def test_estimate_n_values():
     assert estimate_n(FIXTURES["k4"], seed=43, lazy=False) == 4
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_estimate_n_resolves_cycle_64(seed):
+    """The pooled mean's standard error reaches 1/8 before it is rounded,
+    so the mean return time 64 is read exactly; stopping when two
+    rounded means agreed gave 60 at seed 3."""
+    assert estimate_n(build_family("cycle", 64), seed=seed) == 64
+
+
 def test_non_regular_graph_exhausts_search():
     # on a star the centered return probability stalls at pi(r) - 1/n > 0
     with pytest.raises(SearchExhausted):
@@ -318,5 +326,5 @@ def test_estimate_hitting_k2_is_exact():
 
 
 def test_estimate_hitting_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match="^need at least one gap$"):
         estimate_hitting([])

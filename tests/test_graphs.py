@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from batecho import (
-    Disconnected,
+    DomainError,
     RootedGraph,
     attach_new_root,
     build_family,
@@ -12,43 +12,35 @@ from batecho import (
     from_text,
     glue_at_roots,
 )
-from batecho.errors import (
-    DuplicateEdge,
-    EmptyGlueList,
-    ParameterTooSmall,
-    RootOutOfRange,
-    SelfLoop,
-)
 from batecho.graphs import _make
 
 
 def test_self_loop_rejected():
-    with pytest.raises(SelfLoop) as exc:
+    with pytest.raises(DomainError, match="^self-loop at vertex 1$"):
         _make(3, [(0, 1), (1, 1), (1, 2)], 0)
-    assert "1" in str(exc.value)
 
 
 def test_duplicate_edge_rejected():
-    with pytest.raises(DuplicateEdge):
+    with pytest.raises(DomainError, match=r"^duplicate edge \(2, 1\)$"):
         _make(3, [(0, 1), (1, 2), (2, 1)], 0)
 
 
 def test_disconnected_rejected():
-    with pytest.raises(Disconnected, match="edges cannot connect"):
+    with pytest.raises(DomainError, match="edges cannot connect"):
         _make(4, [(0, 1), (2, 3)], 0)
-    with pytest.raises(Disconnected, match="vertex 2 unreachable from root 0"):
+    with pytest.raises(DomainError, match="vertex 2 unreachable from root 0"):
         _make(5, [(0, 1), (2, 3), (3, 4), (4, 2)], 0)
 
 
 def test_too_few_edges_rejected_before_allocating():
     """A file declaring a million vertices and one edge is refused by its
     edge count, before n adjacency sets are built."""
-    with pytest.raises(Disconnected, match="^1 edges cannot connect 1000000 vertices$"):
+    with pytest.raises(DomainError, match="^1 edges cannot connect 1000000 vertices$"):
         from_text("1000000 0\n0 1\n")
 
 
 def test_root_out_of_range():
-    with pytest.raises(RootOutOfRange):
+    with pytest.raises(DomainError, match=r"^root 5 not in \[0, 2\)$"):
         _make(2, [(0, 1)], 5)
 
 
@@ -88,7 +80,7 @@ def test_family_counts(kind, size, n, m):
 
 
 def test_family_too_small():
-    with pytest.raises(ParameterTooSmall):
+    with pytest.raises(DomainError, match="^cycle needs >= 3 vertices$"):
         build_family("cycle", 2)
 
 
@@ -123,7 +115,7 @@ def test_glue_and_attach():
 
 
 def test_glue_empty_rejected():
-    with pytest.raises(EmptyGlueList):
+    with pytest.raises(DomainError, match="^nothing to glue$"):
         glue_at_roots([])
 
 
@@ -152,7 +144,13 @@ def test_leafy_cutpoint_root_articulates_at_height_3():
 
 
 def test_leafy_expander_seed_determinism():
-    assert build_leafy(2, 2, seed=5) == build_leafy(2, 2, seed=5)
+    """The expander's leaf graph is drawn from the fixed seed 0, so it is
+    the same graph on every call: here the 2-regular graph on the six
+    leaves 4..9."""
+    g = build_leafy(2, 2)
+    assert g == build_leafy(2, 2)
+    assert [e for e in g.edges() if e[0] >= 4] == [
+        (4, 6), (4, 8), (5, 7), (5, 8), (6, 9), (7, 9)]
 
 
 @given(st.integers(3, 12))
@@ -164,12 +162,11 @@ def test_cycle_text_roundtrip_property(n):
 @given(st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
                 min_size=1, max_size=20))
 def test_make_never_accepts_bad_input_silently(pairs):
-    """_make either returns a valid graph or raises a GraphError."""
-    from batecho.errors import GraphError
+    """_make either returns a valid graph or raises a DomainError."""
     n = 8
     try:
         g = _make(n, pairs, 0)
-    except GraphError:
+    except DomainError:
         return
     assert isinstance(g, RootedGraph)
     assert g.edge_count == len(pairs)

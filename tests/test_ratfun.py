@@ -53,8 +53,8 @@ def test_ratfun_canonical_form():
 
 
 def test_ratfun_zero_denominator_rejected():
-    from batecho.errors import DivisionByZero
-    with pytest.raises(DivisionByZero):
+    from batecho.errors import DomainError
+    with pytest.raises(DomainError, match="^rational function with zero denominator$"):
         RatFun(IntPoly.one, IntPoly.zero)
 
 

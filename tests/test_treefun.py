@@ -11,8 +11,9 @@ from batecho import (
     h_from_series,
     h_of_tree,
 )
-from batecho.errors import NoThreeDivisorPairs
+from batecho.errors import DomainError
 from batecho.graphs import TreeHandle, _make
+from batecho.treefun import forge_size
 from batecho.ratfun import IntPoly, RatFun
 
 from exact_oracle import find_dependency, power_series, recursive_ahu, recursive_h
@@ -120,11 +121,13 @@ def test_forge_closed_form_equals_the_dependency_search(k):
             for s in (1, -1)]
     got = forge_tree_pair(k)
     assert [t.graph.to_text() for t in got] == [t.graph.to_text() for t in want]
+    assert forge_size(k) == got[0].n == got[1].n
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 7])
 def test_forge_rejects_primes_and_tiny_k(k):
-    with pytest.raises(NoThreeDivisorPairs):
+    message = f"need composite k >= 4, got {k}" if k < 4 else f"{k} is prime"
+    with pytest.raises(DomainError, match=message):
         forge_tree_pair(k)
 
 

@@ -22,6 +22,7 @@ from batecho import (
     spectrum,
 )
 from batecho import walk
+from batecho.errors import DomainError
 from batecho.walk import batch_return_successes, child_seed
 
 import walk_oracle
@@ -73,7 +74,7 @@ def test_estimate_pk_within_three_sigma_of_exact():
 
 def test_estimate_pk_validates_inputs():
     rt = from_walk(FIXTURES["c4"], seed=0, lazy=True)
-    with pytest.raises(ValueError):
+    with pytest.raises(DomainError, match=r"^eps and delta must lie in \(0, 1\)$"):
         estimate_pk(rt, 3, 1.5, 0.05)
 
 
