@@ -22,7 +22,6 @@ from .gap import (
 )
 from .graphs import (
     RootedGraph,
-    TreeHandle,
     attach_new_root,
     build_family,
     build_gab,

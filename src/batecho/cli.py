@@ -62,7 +62,7 @@ def parse_family(spec: str) -> graphs.RootedGraph:
         raise BatechoError(f"bad family spec {spec!r}: {exc}") from exc
     # the builders' own refusals pass through with their messages
     if name == "gab":
-        return graphs.build_gab(a, b).graph
+        return graphs.build_gab(a, b)
     if name == "leafy":
         return graphs.build_leafy(h, d, mode=mode)
     return graphs.build_family(name, size)
@@ -151,7 +151,12 @@ def cmd_exact(opts) -> int:
 
 def cmd_forge(opts) -> int:
     k = opts.get("k", 4)
-    # refuse an oversize pair before building it
+    # refuse an oversize pair before building it: one tree holds G_{k,1}
+    # (k + 1 vertices) and G_{1,k}, so each has at least k + 3 vertices,
+    # which spares a large k the divisor scan of forge_size
+    if k + 3 > ex.MAX_EXACT_N:
+        raise DomainError(f"exact mode capped at n <= {ex.MAX_EXACT_N}; a pair "
+                          f"forged for k = {k} would have at least {k + 3} vertices")
     ex.check_exact_size(treefun.forge_size(k))
     left, right = treefun.forge_tree_pair(k)
     terms = opts.get("k_max", 12)
@@ -172,7 +177,7 @@ def cmd_forge(opts) -> int:
         for name, t in (("left", left), ("right", right)):
             path = os.path.join(out_dir, f"forged_{name}_k{k}.txt")
             with open(path, "w") as fh:
-                fh.write(t.graph.to_text())
+                fh.write(t.to_text())
             paths[name] = path
         with open(cert_path, "w") as fh:
             fh.write(render(cert, "json"))
@@ -184,11 +189,14 @@ def cmd_forge(opts) -> int:
     return EXIT_OK
 
 
+def _search_options(opts) -> dict:
+    """The search options the user set; the library supplies the rest."""
+    return {k: opts[k] for k in ("c", "eps", "delta", "n", "seed") if k in opts}
+
+
 def cmd_gap(opts) -> int:
     g = load_graph(opts)
-    est = gp.estimate_gap(g, c=opts.get("c", 2.0), eps=opts.get("eps", 0.25),
-                          delta=opts.get("delta", 0.1), n=opts.get("n"),
-                          seed=opts.get("seed", 0))
+    est = gp.estimate_gap(g, **_search_options(opts))
     budget = gp.audit_budget(est)
     if not budget["within_budget"]:
         raise BudgetOverflow(
@@ -202,10 +210,7 @@ def cmd_gap(opts) -> int:
 
 def cmd_mixing_gap(opts) -> int:
     g = load_graph(opts)
-    report = gp.estimate_mixing_gap(
-        g, c=opts.get("c", 2.0), eps=opts.get("eps", 0.25),
-        delta=opts.get("delta", 0.1), n=opts.get("n"),
-        seed=opts.get("seed", 0))
+    report = gp.estimate_mixing_gap(g, **_search_options(opts))
     emit(report.to_json(), opts)
     return EXIT_OK
 

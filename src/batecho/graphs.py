@@ -6,6 +6,10 @@ the two special constructions: the height-3 trees G_{a,b} whose survival
 generating function is a ratio of linear polynomials, and the "leafy"
 (d+1)-regular graphs obtained from a regular tree by adding a d-regular
 graph on its leaves.
+
+A tree is a plain RootedGraph: validation tags every graph with n - 1
+edges "tree", whatever built it, while "transitive" is declared by the
+builders that know it.
 """
 from __future__ import annotations
 
@@ -53,28 +57,6 @@ class RootedGraph:
         }
 
 
-@dataclass(frozen=True)
-class TreeHandle:
-    """A RootedGraph certified acyclic at construction time."""
-
-    graph: RootedGraph
-
-    def __post_init__(self):
-        g = self.graph
-        if g.edge_count != g.n - 1:
-            raise DomainError(
-                f"not a tree: {g.edge_count} edges on {g.n} vertices"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.graph.n
-
-    @property
-    def root(self) -> int:
-        return self.graph.root
-
-
 def _bfs_reachable(n: int, adj, start: int) -> list[bool]:
     seen = [False] * n
     seen[start] = True
@@ -89,7 +71,8 @@ def _bfs_reachable(n: int, adj, start: int) -> list[bool]:
 
 
 def _make(n: int, edges, root: int, tags=()) -> RootedGraph:
-    """Validate and freeze a graph given 0-based edges."""
+    """Validate and freeze a graph given 0-based edges.  A connected graph
+    with n - 1 edges is a tree, and gets the "tree" tag here."""
     if n < 2:
         raise DomainError(f"need at least 2 vertices, got {n}")
     if not (0 <= root < n):
@@ -114,7 +97,7 @@ def _make(n: int, edges, root: int, tags=()) -> RootedGraph:
         n=n,
         root=root,
         adjacency=tuple(tuple(sorted(a)) for a in adj),
-        tags=frozenset(tags),
+        tags=frozenset(tags) | ({"tree"} if len(edges) == n - 1 else set()),
     )
 
 
@@ -167,8 +150,7 @@ def build_family(kind: str, size: int) -> RootedGraph:
         if size < 2:
             raise DomainError("path needs >= 2 vertices")
         edges = [(i, i + 1) for i in range(size - 1)]
-        tags = ["tree"] + (["transitive"] if size == 2 else [])
-        return _make(size, edges, 0, tags)
+        return _make(size, edges, 0, ["transitive"] if size == 2 else [])
     if kind == "cycle":
         if size < 3:
             raise DomainError("cycle needs >= 3 vertices")
@@ -183,8 +165,7 @@ def build_family(kind: str, size: int) -> RootedGraph:
         if size < 1:
             raise DomainError("star needs >= 1 leaf")
         edges = [(0, i) for i in range(1, size + 1)]
-        tags = ["tree"] + (["transitive"] if size == 1 else [])
-        return _make(size + 1, edges, 0, tags)
+        return _make(size + 1, edges, 0, ["transitive"] if size == 1 else [])
     if kind == "hypercube":
         if size < 1:
             raise DomainError("hypercube needs dimension >= 1")
@@ -194,7 +175,7 @@ def build_family(kind: str, size: int) -> RootedGraph:
     raise DomainError(f"unknown family kind {kind!r}")
 
 
-def build_gab(a: int, b: int) -> TreeHandle:
+def build_gab(a: int, b: int) -> RootedGraph:
     """The height-3 tree whose root's neighbor has degree `a`, with a-1
     further neighbors of degree `b`.  Degenerate cases a=1 (single edge)
     and b=1 (star rooted at a leaf) are allowed."""
@@ -209,21 +190,20 @@ def build_gab(a: int, b: int) -> TreeHandle:
         for _ in range(b - 1):
             edges.append((mid, nxt))
             nxt += 1
-    return TreeHandle(_make(nxt, edges, 0, ["tree"]))
+    return _make(nxt, edges, 0)
 
 
-def glue_at_roots(parts) -> TreeHandle:
-    """Glue rooted trees at their roots.  `parts` is a list of
-    (TreeHandle, multiplicity) pairs; the result's root identifies all
-    component roots."""
+def glue_at_roots(parts) -> RootedGraph:
+    """Glue rooted graphs at their roots.  `parts` is a list of
+    (RootedGraph, multiplicity) pairs; the result's root identifies all
+    component roots, so trees glue to a tree."""
     if not parts:
         raise DomainError("nothing to glue")
     edges = []
     nxt = 1  # 0 is the shared root
-    for tree, mult in parts:
+    for g, mult in parts:
         if mult < 1:
             raise DomainError(f"multiplicity {mult} < 1")
-        g = tree.graph
         for _ in range(mult):
             remap = {}
             for v in range(g.n):
@@ -232,14 +212,14 @@ def glue_at_roots(parts) -> TreeHandle:
                     nxt += 1
             for u, v in g.edges():
                 edges.append((remap[u], remap[v]))
-    return TreeHandle(_make(nxt, edges, 0, ["tree"]))
+    return _make(nxt, edges, 0)
 
 
-def attach_new_root(tree: TreeHandle) -> TreeHandle:
-    """Attach a new leaf to the root and make the leaf the new root."""
-    g = tree.graph
+def attach_new_root(g: RootedGraph) -> RootedGraph:
+    """Attach a new leaf to the root and make the leaf the new root; a
+    tree stays a tree."""
     edges = list(g.edges()) + [(g.root, g.n)]
-    return TreeHandle(_make(g.n + 1, edges, g.n, ["tree"]))
+    return _make(g.n + 1, edges, g.n)
 
 
 def _circulant_edges(block: list[int], d: int) -> list[tuple[int, int]]:

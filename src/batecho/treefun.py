@@ -6,6 +6,9 @@ identical return-time distributions.
 h is characterized by: h = 1 for a single edge; gluing trees at their
 roots adds their h's; attaching a new leaf root maps h to
 (1 + h) / (1 + (1 - x) h).
+
+Trees are RootedGraphs tagged "tree" (every connected graph with n - 1
+edges is, see `graphs`); the entry points refuse any other graph.
 """
 from __future__ import annotations
 
@@ -15,19 +18,24 @@ from itertools import groupby
 
 from .errors import DomainError
 from .exact import MAX_EXACT_K, first_return_series, return_gen_fun
-from .graphs import TreeHandle, attach_new_root, build_gab, glue_at_roots
+from .graphs import RootedGraph, attach_new_root, build_gab, glue_at_roots
 from .ratfun import IntPoly, RatFun
 
 _ONE = RatFun(IntPoly.one)
 _ONE_MINUS_X = RatFun(IntPoly([1, -1]))
 
 
-def _subtree_classes(t: TreeHandle) -> list[tuple[int, ...]]:
-    """The isomorphism classes of the rooted subtrees of `t` (AHU), from
-    one iterative post-order.  Class c is the sorted tuple of its
-    children's classes, so classes are numbered children first and the
-    whole tree, whose subtree no other vertex shares, is the last."""
-    g = t.graph
+def _check_tree(g: RootedGraph) -> None:
+    if "tree" not in g.tags:
+        raise DomainError(f"not a tree: {g.edge_count} edges on {g.n} vertices")
+
+
+def _subtree_classes(g: RootedGraph) -> list[tuple[int, ...]]:
+    """The isomorphism classes of the rooted subtrees of the tree `g`
+    (AHU), from one iterative post-order.  Class c is the sorted tuple of
+    its children's classes, so classes are numbered children first and
+    the whole tree, whose subtree no other vertex shares, is the last."""
+    _check_tree(g)
     order, stack = [], [g.root]
     parent = [-1] * g.n
     parent[g.root] = g.root
@@ -47,7 +55,7 @@ def _subtree_classes(t: TreeHandle) -> list[tuple[int, ...]]:
     return list(ids)
 
 
-def h_of_tree(t: TreeHandle) -> RatFun:
+def h_of_tree(t: RootedGraph) -> RatFun:
     """Exact h, once per subtree class: a class's h glues, additively, one
     branch per child, and a child's branch is the new-leaf-root extension
     of the child's subtree (1 for a leaf)."""
@@ -66,17 +74,17 @@ def h_of_tree(t: TreeHandle) -> RatFun:
     return glued(classes[-1])
 
 
-def h_from_series(t: TreeHandle, k_max: int) -> list[Fraction]:
+def h_from_series(g: RootedGraph, k_max: int) -> list[Fraction]:
     """First k_max coefficients of h computed independently from the
     exact survival series, d(r) * sum_k z_{2k} x^k."""
+    _check_tree(g)
     if not 1 <= k_max <= MAX_EXACT_K:
         raise DomainError(f"k_max must lie in [1, {MAX_EXACT_K}], got {k_max}")
-    g = t.graph
     table = first_return_series(g, return_gen_fun(g), 2 * (k_max - 1) + 1)
     return [g.root_degree * table.z[2 * k] for k in range(k_max)]
 
 
-def ahu_canonical(t: TreeHandle):
+def ahu_canonical(t: RootedGraph):
     """Rooted-tree canonical form (sorted-subtree encoding); equal
     encodings iff the rooted trees are isomorphic."""
     enc: list[tuple] = []
@@ -111,7 +119,7 @@ def forge_size(k: int) -> int:
     return 2 + sum(c * (1 + (a - 1) * b) for (a, b), c in zip(pairs, dep) if c > 0)
 
 
-def forge_tree_pair(k: int) -> tuple[TreeHandle, TreeHandle]:
+def forge_tree_pair(k: int) -> tuple[RootedGraph, RootedGraph]:
     """Two non-isomorphic rooted trees with identical h (hence identical
     return-time distributions), built from the dependency among the three
     height-3 trees G_{a,b} (see `build_gab`) with ab = k.

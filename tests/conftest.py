@@ -15,8 +15,8 @@ FIXTURES = {
     "k4": build_family("complete", 4),
     "q3": build_family("hypercube", 3),
     "star3": build_family("star", 3),
-    "tree_left": _LEFT.graph,
-    "tree_right": _RIGHT.graph,
+    "tree_left": _LEFT,
+    "tree_right": _RIGHT,
     "leafy_expander": build_leafy(2, 2, mode="expander"),
     "leafy_cutpoint": build_leafy(2, 2, mode="cutpoint"),
 }

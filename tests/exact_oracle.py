@@ -132,8 +132,7 @@ def mean_return_time(g) -> Fraction:
     return Fraction(2 * g.edge_count, g.root_degree)
 
 
-def _children(t) -> list[list[int]]:
-    g = t.graph
+def _children(g) -> list[list[int]]:
     children = [[] for _ in range(g.n)]
     seen = [False] * g.n
     seen[g.root] = True

@@ -65,9 +65,9 @@ def test_criterion_01_example_pair_reproduction():
     left, right = forge_tree_pair(4)
     assert left.n == right.n == 11
     assert ahu_canonical(left) != ahu_canonical(right)
-    assert return_gen_fun(left.graph) == return_gen_fun(right.graph)
-    eig_l = sorted(spectrum(left.graph).eigenvalues, reverse=True)
-    eig_r = sorted(spectrum(right.graph).eigenvalues, reverse=True)
+    assert return_gen_fun(left) == return_gen_fun(right)
+    eig_l = sorted(spectrum(left).eigenvalues, reverse=True)
+    eig_r = sorted(spectrum(right).eigenvalues, reverse=True)
     pairs = [(eig_l, EX1_LEFT), (eig_r, EX1_RIGHT)]
     if max(abs(a - b) for a, b in zip(eig_l, EX1_LEFT)) > 1e-9:
         pairs = [(eig_l, EX1_RIGHT), (eig_r, EX1_LEFT)]
@@ -103,9 +103,8 @@ def test_criterion_03_series_consistency():
         f = return_gen_fun(g)
         assert power_series(f, 100) == transition_series(g, 100).p, name
         assert f == determinant_gen_fun(g), name
-    from batecho.graphs import TreeHandle
     for name in TREES:
-        t = TreeHandle(FIXTURES[name])
+        t = FIXTURES[name]
         assert power_series(h_of_tree(t), 50) == h_from_series(t, 51), name
     dt = time.monotonic() - t0
     assert dt < 30.0

@@ -332,6 +332,18 @@ def test_non_utf8_input_file_exits_2(capsys, tmp_path, source):
     assert err.startswith("batecho: cannot read")
 
 
+def test_forge_refuses_a_large_k_before_the_divisor_scan(capsys, monkeypatch):
+    """Each forged tree has at least k + 3 vertices, so a k above the cap
+    less 3 is refused before _forge_plan's trial division runs."""
+    monkeypatch.setattr(batecho.treefun, "_forge_plan",
+                        lambda k: pytest.fail("divisor scan ran"))
+    code, out, err = run(capsys, "forge", "--k", "10000000000000061")
+    assert code == 2
+    assert err == ("batecho: exact mode capped at n <= 64; a pair forged for "
+                   "k = 10000000000000061 would have at least 10000000000000064 "
+                   "vertices\n")
+
+
 @pytest.mark.parametrize("command", ["observe", "simulate", "gap", "mixing-gap"])
 def test_walk_above_its_vertex_cap_exits_2(capsys, monkeypatch, tmp_path, command):
     """A graph above walk.MAX_WALK_N vertices is refused by all four walk
@@ -390,6 +402,7 @@ def test_render_rejects_unknown_format():
     "forge --k 4 --out /dev/null",
     "forge --k 1000",
     "forge --k 100000007",
+    "forge --k 10000000000000061",
     "simulate --family cycle:4 --m 1152921504606846975",
 ])
 def test_bad_input_exits_2_without_traceback(argv):

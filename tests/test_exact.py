@@ -284,11 +284,11 @@ def test_poles_agree_with_root_weight_clusters(g):
 
 def test_forged_pair_same_poles_different_multiplicities(forged_pair):
     left, right = forged_pair
-    pl, zl = poles_to_eigenvalues(return_gen_fun(left.graph))
-    pr, zr = poles_to_eigenvalues(return_gen_fun(right.graph))
+    pl, zl = poles_to_eigenvalues(return_gen_fun(left))
+    pr, zr = poles_to_eigenvalues(return_gen_fun(right))
     assert np.allclose(pl, pr) and zl == zr
-    zeros_l = np.sum(np.abs(spectrum(left.graph).eigenvalues) < 1e-9)
-    zeros_r = np.sum(np.abs(spectrum(right.graph).eigenvalues) < 1e-9)
+    zeros_l = np.sum(np.abs(spectrum(left).eigenvalues) < 1e-9)
+    zeros_r = np.sum(np.abs(spectrum(right).eigenvalues) < 1e-9)
     assert {int(zeros_l), int(zeros_r)} == {5, 3}
 
 

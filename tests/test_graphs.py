@@ -73,10 +73,15 @@ def test_from_text_bad_line_reports_line_number():
     ("complete", 4, 4, 6),
     ("star", 3, 4, 3),
     ("hypercube", 3, 8, 12),
+    ("complete", 2, 2, 1),
+    ("hypercube", 1, 2, 1),
+    ("cycle", 3, 3, 3),
 ])
 def test_family_counts(kind, size, n, m):
     g = build_family(kind, size)
     assert (g.n, g.edge_count) == (n, m)
+    # "tree" is derived from the edge count, not declared by the builder
+    assert ("tree" in g.tags) == (m == n - 1)
 
 
 def test_family_too_small():
@@ -93,8 +98,7 @@ def test_transitive_families_are_regular():
 
 
 def test_gab_shape():
-    t = build_gab(2, 2)
-    g = t.graph
+    g = build_gab(2, 2)
     assert g.n == 2 + 1 * 2  # 2 + (a-1)*b
     assert g.root_degree == 1
     assert g.degree(1) == 2
@@ -111,7 +115,7 @@ def test_glue_and_attach():
     assert glued.n == 3 * (t.n - 1) + 1
     rooted = attach_new_root(glued)
     assert rooted.n == glued.n + 1
-    assert rooted.graph.root_degree == 1
+    assert rooted.root_degree == 1
 
 
 def test_glue_empty_rejected():

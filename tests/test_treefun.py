@@ -12,7 +12,7 @@ from batecho import (
     h_of_tree,
 )
 from batecho.errors import DomainError
-from batecho.graphs import TreeHandle, _make
+from batecho.graphs import _make, from_text
 from batecho.treefun import forge_size
 from batecho.ratfun import IntPoly, RatFun
 
@@ -26,7 +26,7 @@ def gab_closed_form(a, b):
 
 
 def test_single_edge_h_is_one():
-    t = TreeHandle(build_family("path", 2))
+    t = build_family("path", 2)
     assert h_of_tree(t) == RatFun(IntPoly.one, IntPoly.one)
 
 
@@ -51,12 +51,26 @@ def test_h_add_root_recursion():
     assert h_of_tree(attach_new_root(t)) == expect
 
 
+@pytest.mark.parametrize("route", [h_of_tree, ahu_canonical,
+                                   lambda g: h_from_series(g, 4)])
+def test_tree_routes_refuse_a_graph_that_is_not_a_tree(route):
+    with pytest.raises(DomainError, match="^not a tree: 4 edges on 4 vertices$"):
+        route(build_family("cycle", 4))
+
+
+def test_tree_read_from_text_is_a_tree():
+    t = build_gab(2, 3)
+    read = from_text(t.to_text())
+    assert "tree" in read.tags
+    assert h_of_tree(read) == h_of_tree(t)
+
+
 def _random_tree(rng_ints):
     """Build a tree from a Prufer-like parent list: vertex i+1 attaches to
     a uniformly chosen earlier vertex."""
     n = len(rng_ints) + 1
     edges = [(rng_ints[i] % (i + 1), i + 1) for i in range(n - 1)]
-    return TreeHandle(_make(n, edges, 0, ["tree"]))
+    return _make(n, edges, 0)
 
 
 @given(st.lists(st.integers(0, 1000), min_size=1, max_size=7))
@@ -84,15 +98,13 @@ def test_per_class_h_on_forged_pairs(k):
 @given(st.lists(st.integers(0, 1000), min_size=1, max_size=8),
        st.lists(st.integers(0, 1000), min_size=8, max_size=8))
 def test_ahu_invariant_under_relabeling(parents, perm_seed):
-    t = _random_tree(parents)
-    g = t.graph
+    g = _random_tree(parents)
     others = [v for v in range(g.n) if v != g.root]
     order = sorted(others, key=lambda v: (perm_seed[v % len(perm_seed)], v))
     remap = {g.root: g.root}
     remap.update({v: others[i] for i, v in enumerate(order)})
-    relabeled = TreeHandle(_make(
-        g.n, [(remap[u], remap[v]) for u, v in g.edges()], g.root, ["tree"]))
-    assert ahu_canonical(t) == ahu_canonical(relabeled)
+    relabeled = _make(g.n, [(remap[u], remap[v]) for u, v in g.edges()], g.root)
+    assert ahu_canonical(g) == ahu_canonical(relabeled)
 
 
 def test_ahu_distinguishes_shapes():
@@ -120,8 +132,9 @@ def test_forge_closed_form_equals_the_dependency_search(k):
                                            if s * c > 0]))
             for s in (1, -1)]
     got = forge_tree_pair(k)
-    assert [t.graph.to_text() for t in got] == [t.graph.to_text() for t in want]
-    assert forge_size(k) == got[0].n == got[1].n
+    assert [t.to_text() for t in got] == [t.to_text() for t in want]
+    # the lower bound cmd_forge refuses by, before any divisor scan
+    assert forge_size(k) == got[0].n == got[1].n >= k + 3
 
 
 @pytest.mark.parametrize("k", [2, 3, 5, 7])
@@ -135,6 +148,6 @@ def test_forged_k4_reproduces_known_pair(forged_pair):
     left, right = forged_pair
     assert left.n == right.n == 11
     # 1*G_{1,4} + 2*G_{4,1} on one side, 3*G_{2,2} (paths) on the other
-    degs = lambda t: sorted(t.graph.degree(v) for v in range(t.n))
+    degs = lambda t: sorted(t.degree(v) for v in range(t.n))
     assert degs(left) == [1] * 8 + [4] * 3
     assert degs(right) == [1] * 4 + [2] * 6 + [4]
