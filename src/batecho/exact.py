@@ -4,9 +4,12 @@ series, and the stationary hitting time with the first two moments of
 the return time.
 
 One walk gives everything: the return generating function f.  The walk
-runs 2n ticks in integers, L^k times the distribution after k steps with
-L the lcm of the degrees, and Berlekamp-Massey recovers f from the first
-2n+1 root terms; the tests check f against the determinant formula
+runs in integers, L^k times the distribution after k steps with L the
+lcm of the degrees, and feeds each root term to Berlekamp-Massey; it
+stops when the recurrence found annihilates the walk's vectors, that is
+when the root's Krylov space closes, after twice as many ticks as the
+root sees distinct eigenvalues and at most 2n.  The tests check f
+against the full 2n-tick walk and the determinant formula
 d(r) det(Delta' - tA') / det(Delta - tA).  Each series is then one
 expansion of a ratio of integer polynomials by one integer recurrence
 (`_scaled_series`): the lazy return series of 2/(2-t) f(t/(2-t)), and
@@ -103,29 +106,6 @@ def check_exact_size(n: int) -> None:
         raise DomainError(f"exact mode capped at n <= {MAX_EXACT_N}, got {n}")
 
 
-def _scaled_returns(g: RootedGraph) -> tuple[list[int], int]:
-    """The integers a_k = L^k P_k(r,r) for k = 0..2n, and the scale L, the
-    lcm of the degrees.  L^k times the distribution after k steps stays a
-    vector of integers w: one step sends w[i] * L / d(i) to each
-    neighbour of i."""
-    degs = [g.degree(i) for i in range(g.n)]
-    lcm = math.lcm(*degs)
-    shares = [lcm // d for d in degs]
-    w = [0] * g.n
-    w[g.root] = 1
-    a = [1]
-    for _ in range(2 * g.n):
-        nxt = [0] * g.n
-        for i, x in enumerate(w):
-            if x:
-                share = x * shares[i]
-                for j in g.adjacency[i]:
-                    nxt[j] += share
-        w = nxt
-        a.append(w[g.root])
-    return a, lcm
-
-
 def _scaled_series(num: IntPoly, den: IntPoly, scale: int, k_max: int) -> list[Fraction]:
     """The power-series coefficients c_0..c_k_max of num/den, for a ratio
     whose scale^k c_k are integers.  Under t = scale u the terms
@@ -219,18 +199,53 @@ def nondegenerate_set(spec: Spectrum) -> list[tuple[float, float, bool]]:
 # generating function
 
 
-def _connection_polynomial(a: list[int]) -> tuple[list[int], int]:
-    """Berlekamp-Massey over Q, kept in integers: the shortest linear
-    recurrence of `a`, as an integer connection polynomial C with
-    C[0] != 0 and its length l, so that sum_i C[i] a[k-i] = 0 for
-    l <= k < len(a).  C is known up to a scalar; each update divides out
-    its content."""
+def _closed_walk(g: RootedGraph) -> tuple[list[int], list[int], int, int]:
+    """The walk and Berlekamp-Massey in one loop, stopped when the root's
+    Krylov space closes: the root terms a_0..a_k, a_k = L^k P_k(r,r), the
+    shortest linear recurrence of those terms as an integer connection
+    polynomial C with C[0] != 0 and its length l, and the scale L, the
+    lcm of the degrees.
+
+    L^k times the distribution after k steps stays a vector of integers
+    w_k: one step sends w[i] * L / d(i) to each neighbour of i.  Each
+    tick feeds the new root term to Berlekamp-Massey over Q, kept in
+    integers (C is known up to a scalar, so each update divides out its
+    content), and C holds for l <= j <= k.  The walk stops once C
+    annihilates the vectors themselves, sum_i C[i] w_{k-i} = 0 at some
+    k >= 2l: w_{j+1} = L M^T w_j, so the identity then holds at every
+    later tick, C generates every root term and f is exact.  The
+    identity holds after 2m ticks, m the dimension of the root's Krylov
+    space: the number of distinct eigenvalues the root sees, and the
+    length of f's recurrence.  (The a_k are moments of the root's
+    spectral measure, which is positive, so no recurrence shorter than m
+    fits 2l+1 of them and the identity holds the first time it is tried;
+    the certificate checks this instead of assuming it.)  Without it the
+    loop ends after 2n ticks, as 2n+1 terms fix a recurrence of length
+    <= n (two that agree on 2n terms agree everywhere)."""
+    degs = [g.degree(i) for i in range(g.n)]
+    lcm = math.lcm(*degs)
+    shares = [lcm // d for d in degs]
+    w = [0] * g.n
+    w[g.root] = 1
+    walk, a = [w], [1]
     c, b = [1], [1]
     length, shift, b_disc = 0, 1, 1
-    for k in range(len(a)):
+    for k in range(2 * g.n + 1):
+        if k:
+            w = [0] * g.n
+            for i, x in enumerate(walk[-1]):
+                if x:
+                    share = x * shares[i]
+                    for j in g.adjacency[i]:
+                        w[j] += share
+            walk.append(w)
+            a.append(w[g.root])
         d = sum(x * y for x, y in zip(c, a[k::-1]))
         if d == 0:
             shift += 1
+            if k >= 2 * length and not any(
+                    sum(x * v[j] for x, v in zip(c, walk[k::-1])) for j in range(g.n)):
+                break
             continue
         nxt = [b_disc * x for x in c] + [0] * max(0, shift + len(b) - len(c))
         for i, y in enumerate(b):
@@ -242,25 +257,19 @@ def _connection_polynomial(a: list[int]) -> tuple[list[int], int]:
         else:
             shift += 1
         c = nxt
-    return c, length
+    return a, c, length, lcm
 
 
-def return_gen_fun(g: RootedGraph) -> GenFun:
-    """f(t) = sum_k P_k(r,r) t^k as an exact rational function.
+def walk_gen_fun(g: RootedGraph) -> GenFun:
+    """f(t) = sum_k P_k(r,r) t^k as an exact rational function, from the
+    walk `_closed_walk` stops when the root's Krylov space closes, with
+    no cap on n: the tree routes call it, and their walks stop at closure
+    whatever the tree's size.
 
-    By the determinant formula f = d(r) det(Delta' - tA') / det(Delta - tA)
-    (Delta the degree diagonal, primes deleting the root's row and
-    column), f has denominator degree <= n and numerator degree <= n-1,
-    so its series obeys a linear recurrence of length <= n.  The first
-    2n+1 terms therefore fix f (two recurrences of length <= n that agree
-    on 2n terms agree everywhere): Berlekamp-Massey finds the recurrence
-    from the integer-scaled terms a_k = L^k P_k, the numerator is the
-    product of the series and the connection polynomial truncated below
-    the recurrence length, and the substitution t = L u undoes the
-    scaling."""
-    check_exact_size(g.n)
-    a, scale = _scaled_returns(g)
-    c, length = _connection_polynomial(a)
+    The numerator is the product of the series and the connection
+    polynomial truncated below the recurrence length, and the
+    substitution t = L u undoes the scaling."""
+    a, c, length, scale = _closed_walk(g)
     num = IntPoly([sum(x * y for x, y in zip(c, a[k::-1])) for k in range(length)])
     den = IntPoly(c)
     top = max(num.degree, den.degree)
@@ -269,11 +278,28 @@ def return_gen_fun(g: RootedGraph) -> GenFun:
     return GenFun(num, den)
 
 
+def return_gen_fun(g: RootedGraph) -> GenFun:
+    """f(t) = sum_k P_k(r,r) t^k as an exact rational function, for
+    n <= MAX_EXACT_N.
+
+    By the determinant formula f = d(r) det(Delta' - tA') / det(Delta - tA)
+    (Delta the degree diagonal, primes deleting the root's row and
+    column), f has denominator degree <= n and numerator degree <= n-1,
+    so its series obeys a linear recurrence of length m <= n, m the
+    number of distinct eigenvalues the root sees.  `walk_gen_fun` walks
+    until that recurrence also annihilates the walk's vectors, which it
+    does after 2m ticks, and reads f off it."""
+    check_exact_size(g.n)
+    return walk_gen_fun(g)
+
+
 def first_return_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
     """First-return probabilities s_k from the power-series inversion
     1/f = 1 - sum_{k>=1} s_k t^k, and survival z_k = 1 - sum_{j<=k} s_j,
     the partial sums of 1/f.  L^k s_k is an integer, L the lcm of the
     degrees, so _scaled_series expands 1/f."""
+    if k_max < 0:
+        raise DomainError(f"k_max must be non-negative, got {k_max}")
     inv = _scaled_series(f.den, f.num, math.lcm(*map(len, g.adjacency)), k_max)
     return SeriesTable(n=g.n, k_max=k_max, s=[Fraction(0)] + [-c for c in inv[1:]],
                        z=list(accumulate(inv)))

@@ -1,9 +1,13 @@
-"""Exact univariate polynomial and rational-function arithmetic over Z.
+"""Exact univariate integer polynomials, and rational functions as a
+canonical pair of them.
 
-IntPoly stores coefficients lowest-degree first with no trailing zeros.
-RatFun is kept in canonical form: numerator and denominator coprime over
-Q, integer contents coprime, denominator leading coefficient positive.
-Equality of canonical forms is therefore plain tuple equality.
+IntPoly stores coefficients lowest-degree first with no trailing zeros,
+with the ring operations the exact engine expands series with.  RatFun
+is a numerator and denominator in canonical form: coprime over Q,
+integer contents coprime, denominator leading coefficient positive.
+Equality of canonical forms is therefore plain tuple equality.  RatFun
+does no arithmetic: the library reads every rational function off a
+walk.
 """
 from __future__ import annotations
 
@@ -54,12 +58,6 @@ class IntPoly:
         for i, x in enumerate(b):
             out[i] += x
         return IntPoly(out)
-
-    def __neg__(self):
-        return IntPoly([-x for x in self.c])
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -130,7 +128,6 @@ class IntPoly:
 
 IntPoly.zero = IntPoly()
 IntPoly.one = IntPoly([1])
-IntPoly.t = IntPoly([0, 1])
 
 
 def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -166,11 +163,7 @@ class RatFun:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=IntPoly.one):
-        if isinstance(num, int):
-            num = IntPoly([num])
-        if isinstance(den, int):
-            den = IntPoly([den])
+    def __init__(self, num: IntPoly, den: IntPoly):
         if den.is_zero:
             raise DomainError("rational function with zero denominator")
         if num.is_zero:
@@ -183,46 +176,12 @@ class RatFun:
         cg = gcd(num.content(), den.content())
         if den.lead < 0:
             cg = -cg
-        num = IntPoly([x // cg for x in num.c])
-        den = IntPoly([x // cg for x in den.c])
-        self.num = num
-        self.den = den
-
-    # -- arithmetic -------------------------------------------------------
-    def __add__(self, other):
-        other = _coerce(other)
-        return RatFun(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFun(-self.num, self.den)
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other):
-        return _coerce(other) + (-self)
-
-    def __mul__(self, other):
-        other = _coerce(other)
-        return RatFun(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce(other)
-        if other.num.is_zero:
-            raise DomainError("division by the zero rational function")
-        return RatFun(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return _coerce(other) / self
+        self.num = IntPoly([x // cg for x in num.c])
+        self.den = IntPoly([x // cg for x in den.c])
 
     def __eq__(self, other):
         if not isinstance(other, RatFun):
-            other = _coerce(other)
+            return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
@@ -231,11 +190,6 @@ class RatFun:
     def __repr__(self):
         return f"RatFun({list(self.num.c)}, {list(self.den.c)})"
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    # -- analysis ---------------------------------------------------------
     def eval(self, x: Fraction) -> Fraction:
         d = self.den.eval(x)
         if d == 0:
@@ -245,16 +199,3 @@ class RatFun:
     def to_json_dict(self) -> dict:
         return {"num": [str(x) for x in self.num.c],
                 "den": [str(x) for x in self.den.c]}
-
-
-def _coerce(x) -> RatFun:
-    if isinstance(x, RatFun):
-        return x
-    if isinstance(x, IntPoly):
-        return RatFun(x)
-    if isinstance(x, int):
-        return RatFun(IntPoly([x]))
-    if isinstance(x, Fraction):
-        return RatFun(IntPoly([x.numerator]), IntPoly([x.denominator]))
-    raise TypeError(f"cannot coerce {type(x)} to RatFun")
-

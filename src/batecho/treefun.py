@@ -1,10 +1,14 @@
 """The degree-scaled survival generating function h for rooted trees,
-its structural recurrences, and the forge that turns the integer
-dependency among three height-3 trees into two distinct trees with
-identical return-time distributions.
+read off the return generating function f, and the forge that turns the
+integer dependency among three height-3 trees into two distinct trees
+with identical return-time distributions.
 
-h is characterized by: h = 1 for a single edge; gluing trees at their
-roots adds their h's; attaching a new leaf root maps h to
+h(x) = d(r) sum_k z_{2k} x^k, z_k the probability of no return in the
+first k steps.  A tree is bipartite, so f = N/D is even in t, and h is
+d(r) D(sqrt x) / ((1 - x) N(sqrt x)); the walk behind f stops when the
+root's Krylov space closes, whatever the tree's size.  The tests check
+h against its structural recurrences: h = 1 for a single edge; gluing
+trees at their roots adds their h's; attaching a new leaf root maps h to
 (1 + h) / (1 + (1 - x) h).
 
 Trees are RootedGraphs tagged "tree" (every connected graph with n - 1
@@ -14,15 +18,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import groupby
 
 from .errors import DomainError
-from .exact import MAX_EXACT_K, first_return_series, return_gen_fun
+from .exact import MAX_EXACT_K, first_return_series, walk_gen_fun
 from .graphs import RootedGraph, attach_new_root, build_gab, glue_at_roots
 from .ratfun import IntPoly, RatFun
-
-_ONE = RatFun(IntPoly.one)
-_ONE_MINUS_X = RatFun(IntPoly([1, -1]))
 
 
 def _check_tree(g: RootedGraph) -> None:
@@ -56,31 +56,22 @@ def _subtree_classes(g: RootedGraph) -> list[tuple[int, ...]]:
 
 
 def h_of_tree(t: RootedGraph) -> RatFun:
-    """Exact h, once per subtree class: a class's h glues, additively, one
-    branch per child, and a child's branch is the new-leaf-root extension
-    of the child's subtree (1 for a leaf)."""
-    classes = _subtree_classes(t)
-    branch: list[RatFun] = []
-
-    def glued(key: tuple[int, ...]) -> RatFun:
-        acc = RatFun(IntPoly.zero)
-        for child, group in groupby(key):
-            acc = acc + branch[child] * len(list(group))
-        return acc
-
-    for key in classes[:-1]:
-        h = glued(key)
-        branch.append((_ONE + h) / (_ONE + _ONE_MINUS_X * h) if key else _ONE)
-    return glued(classes[-1])
+    """Exact h from the walked f = N/D: N and D are even, so N(sqrt x)
+    and D(sqrt x) are their even coefficients, and D(1) = 0, so (1 - x)
+    divides D(sqrt x) exactly."""
+    _check_tree(t)
+    f = walk_gen_fun(t)
+    num, den = (IntPoly(p.c[::2]) for p in (f.num, f.den))
+    return RatFun(t.root_degree * den.exact_div(IntPoly([1, -1])), num)
 
 
 def h_from_series(g: RootedGraph, k_max: int) -> list[Fraction]:
-    """First k_max coefficients of h computed independently from the
-    exact survival series, d(r) * sum_k z_{2k} x^k."""
+    """First k_max coefficients of h from the exact survival series,
+    d(r) * sum_k z_{2k} x^k."""
     _check_tree(g)
     if not 1 <= k_max <= MAX_EXACT_K:
         raise DomainError(f"k_max must lie in [1, {MAX_EXACT_K}], got {k_max}")
-    table = first_return_series(g, return_gen_fun(g), 2 * (k_max - 1) + 1)
+    table = first_return_series(g, walk_gen_fun(g), 2 * (k_max - 1) + 1)
     return [g.root_degree * table.z[2 * k] for k in range(k_max)]
 
 
@@ -135,8 +126,8 @@ def forge_tree_pair(k: int) -> tuple[RootedGraph, RootedGraph]:
     right = [(t, -c) for t, c in zip(trees, dep) if c < 0]
     t1 = attach_new_root(glue_at_roots(left))
     t2 = attach_new_root(glue_at_roots(right))
-    if h_of_tree(t1) != h_of_tree(t2):
-        raise AssertionError("forged trees disagree on h; construction bug")
+    if walk_gen_fun(t1) != walk_gen_fun(t2):
+        raise AssertionError("forged trees disagree on f; construction bug")
     if ahu_canonical(t1) == ahu_canonical(t2):
         raise AssertionError("forged trees are isomorphic; construction bug")
     return t1, t2

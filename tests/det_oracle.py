@@ -8,6 +8,8 @@ determinants are taken by fraction-free (Bareiss) elimination.
 from batecho.exact import GenFun
 from batecho.ratfun import IntPoly
 
+from field_oracle import sub
+
 
 def poly_det_bareiss(mat: list[list[IntPoly]]) -> IntPoly:
     """Determinant of a matrix of integer polynomials by fraction-free
@@ -29,11 +31,11 @@ def poly_det_bareiss(mat: list[list[IntPoly]]) -> IntPoly:
                 return IntPoly.zero
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = (m[k][k] * m[i][j] - m[i][k] * m[k][j]).exact_div(prev)
+                m[i][j] = sub(m[k][k] * m[i][j], m[i][k] * m[k][j]).exact_div(prev)
             m[i][k] = IntPoly.zero
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+    return det if sign == 1 else sub(IntPoly.zero, det)
 
 
 def determinant_gen_fun(g) -> GenFun:

@@ -5,26 +5,34 @@ Each is the straightforward version of a route `src/` computes faster or
 in closed form: the full-length integer walks, plain, lazy and with the
 root absorbing, behind the series `exact` expands from the generating
 function (and the plain series `transition_series` built on them), the
-Fraction power-series expansion behind `exact._scaled_series`, Gaussian
-elimination in Fractions for the hitting times behind
-`exact.hitting_from_stationary`'s moment identity, Kac's formula for the
-mean return time it reads off the generating function,
-the recursive decompositions behind `treefun.h_of_tree` and
-`treefun.ahu_canonical`, the general linear-dependency search behind the
-forge's closed-form dependency, and `estimate_gap_exact`, the noiseless
-twin of `gap.estimate_gap`.
+full 2n-tick walk and Berlekamp-Massey behind the walk `exact` stops at
+closure, the Fraction power-series expansion behind
+`exact._scaled_series`, Gaussian elimination in Fractions for the
+hitting times behind `exact.hitting_from_stationary`'s moment identity,
+Kac's formula for the mean return time it reads off the generating
+function, the per-class and per-vertex recursions behind
+`treefun.h_of_tree` (which reads h off the generating function), the
+recursive decomposition behind `treefun.ahu_canonical`, the general
+linear-dependency search behind the forge's closed-form dependency,
+and `estimate_gap_exact`, the noiseless twin of `gap.estimate_gap`,
+with `evaluations_accurate`, the check of its evaluations against the
+exact series.
 """
 from __future__ import annotations
 
 import math
 import sys
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
 
 from batecho.errors import SearchExhausted
-from batecho.exact import MAX_EXACT_K, SeriesTable, lazy_series, return_gen_fun
-from batecho.gap import GapEstimate, _bracket, search_budget
+from batecho.exact import MAX_EXACT_K, GenFun, SeriesTable, lazy_series, return_gen_fun
+from batecho.gap import GapEstimate, _bracket, per_eval_eta, search_budget
 from batecho.ratfun import IntPoly, RatFun
+from batecho.treefun import _subtree_classes
+
+from field_oracle import Rat
 
 
 def full_walk_returns(g, k_max: int, lazy: bool) -> tuple[list[int], int]:
@@ -64,6 +72,44 @@ def full_walk_first_returns(g, k_max: int) -> list[Fraction]:
         nxt[g.root] = 0
         w = nxt
     return s
+
+
+def connection_polynomial(a: list[int]) -> tuple[list[int], int]:
+    """Berlekamp-Massey over Q, kept in integers, over all of `a`: the
+    shortest linear recurrence as an integer connection polynomial C with
+    C[0] != 0 and its length l, so that sum_i C[i] a[k-i] = 0 for
+    l <= k < len(a)."""
+    c, b = [1], [1]
+    length, shift, b_disc = 0, 1, 1
+    for k in range(len(a)):
+        d = sum(x * y for x, y in zip(c, a[k::-1]))
+        if d == 0:
+            shift += 1
+            continue
+        nxt = [b_disc * x for x in c] + [0] * max(0, shift + len(b) - len(c))
+        for i, y in enumerate(b):
+            nxt[i + shift] -= d * y
+        content = gcd(*nxt)
+        nxt = [x // content for x in nxt]
+        if 2 * length <= k:
+            length, b, b_disc, shift = k + 1 - length, c, d, 1
+        else:
+            shift += 1
+        c = nxt
+    return c, length
+
+
+def full_walk_gen_fun(g) -> GenFun:
+    """f from the full 2n-tick walk: f's recurrence has length <= n, so
+    its first 2n+1 terms fix it."""
+    a, scale = full_walk_returns(g, 2 * g.n, False)
+    c, length = connection_polynomial(a)
+    num = IntPoly([sum(x * y for x, y in zip(c, a[k::-1])) for k in range(length)])
+    den = IntPoly(c)
+    top = max(num.degree, den.degree)
+    num, den = (IntPoly([x * scale ** (top - k) for k, x in enumerate(p.c)])
+                for p in (num, den))
+    return GenFun(num, den)
 
 
 def power_series(r: RatFun, k_max: int) -> list[Fraction]:
@@ -147,18 +193,18 @@ def _children(g) -> list[list[int]]:
     return children
 
 
-_ONE = RatFun(IntPoly.one)
-_ONE_MINUS_X = RatFun(IntPoly([1, -1]))
+_ONE = Rat(IntPoly.one, IntPoly.one)
+_ONE_MINUS_X = Rat(IntPoly([1, -1]), IntPoly.one)
 
 
-def recursive_h(t) -> RatFun:
+def recursive_h(t) -> Rat:
     """h by recursive decomposition at the root, one branch per child
     vertex: each branch is the new-leaf-root extension of the child's
     subtree, and branches glue additively."""
     children = _children(t)
 
-    def subtree(u: int) -> RatFun:
-        acc = RatFun(IntPoly.zero)
+    def subtree(u: int) -> Rat:
+        acc = Rat(IntPoly.zero, IntPoly.one)
         for v in children[u]:
             if children[v]:
                 h = subtree(v)
@@ -168,6 +214,26 @@ def recursive_h(t) -> RatFun:
         return acc
 
     return subtree(t.root)
+
+
+def class_h(t) -> Rat:
+    """h once per subtree class (AHU): a class's h glues, additively, one
+    branch per child, a child class counted with its multiplicity, and a
+    child's branch is the new-leaf-root extension of the child's subtree
+    (1 for a leaf)."""
+    classes = _subtree_classes(t)
+    branch: list[Rat] = []
+
+    def glued(key: tuple[int, ...]) -> Rat:
+        acc = Rat(IntPoly.zero, IntPoly.one)
+        for child, group in groupby(key):
+            acc = acc + branch[child] * len(list(group))
+        return acc
+
+    for key in classes[:-1]:
+        h = glued(key)
+        branch.append((_ONE + h) / (_ONE + _ONE_MINUS_X * h) if key else _ONE)
+    return glued(classes[-1])
 
 
 def recursive_ahu(t):
@@ -268,3 +334,15 @@ def estimate_gap_exact(g, c: float = 2.0) -> GapEstimate:
                        tau_upper=tau_upper, n_used=n, c=c, eps=0.0,
                        delta=0.0, pk_rule="exact", total_experiments=0,
                        total_ticks=0, trace=[], flags=flags)
+
+
+def evaluations_accurate(est: GapEstimate, exact_q) -> tuple[bool, float]:
+    """Every evaluation the estimate recorded lies within 4x its accuracy
+    target of the exact q_k (a ~4-sigma allowance): the verdict and the
+    worst error over the target."""
+    eta = per_eval_eta(est.n_used, est.c, est.eps)
+    worst = 0.0
+    for entry in est.trace:
+        err = abs(entry["q_hat"] - float(exact_q(entry["k"])))
+        worst = max(worst, err / eta if eta else math.inf)
+    return worst <= 4.0, worst

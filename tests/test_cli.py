@@ -62,14 +62,24 @@ def test_exact_output_is_byte_identical(capsys, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-# sha256 of exact payloads as the determinant-based engine printed them;
-# `spectrum` is left out because LAPACK floats may differ across BLAS
-# builds.  A change to any exact payload fails here.
+# sha256 of exact payloads as the determinant-based engine printed them
+# (the first two) and as the full 2n-tick walk printed them (the graphs
+# whose walk now stops at closure); `spectrum` is left out because LAPACK
+# floats may differ across BLAS builds.  A change to any exact payload
+# fails here.
 @pytest.mark.parametrize("argv,digest", [
     ("exact --family cycle:64",
      "b0670cf289fec03a42f777218fffd180087d9b4a880923e0d0f1f820155465af"),
     ("exact --family hypercube:5 --k-max 400",
      "a48fba7d2394cd7bc5c1bcd41f56ccac726cad89f698e398982b5a7226793684"),
+    ("exact --family complete:16 --k-max 400",
+     "404197314bd2ce9ac6f28e8022341d4d7ded3ce6a4d2637384553db0ef41b031"),
+    ("exact --family leafy:3,2,cutpoint --k-max 400",
+     "0afdbaa8918829d45c31c478e3218420132d5b8608636903748b547388be0d6f"),
+    ("exact --family complete:64",
+     "e72e54f66a8c2983f2517b26d4c6d0173bde13b3860e1e586d62ddb6831ae01b"),
+    ("exact --family hypercube:6",
+     "38f7d1c0fd98c5628b2e6da1d7867d5d963f145a73ac49e61d495ab917b550f6"),
 ])
 def test_exact_payload_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())

@@ -2,10 +2,11 @@
 
 The return-probability series has three independent routes here: brute
 walk enumeration, the full-length integer walks of `exact_oracle` (the
-plain series `transition_series`, and the reference for the lazy and
-first-return series the engine expands from the generating function),
-and the determinant generating function of `det_oracle`, which also
-checks the generating function the engine recovers from the walk.  The
+plain series `transition_series`, the reference for the lazy and
+first-return series the engine expands from the generating function,
+and the full 2n-tick walk behind the generating function the engine
+reads off a walk stopped at closure), and the determinant generating
+function of `det_oracle`, which also checks that generating function.  The
 stationary hitting time and the mean return time, both read off the
 generating function, are checked against Gaussian elimination in
 Fractions and Kac's formula, and the spectrum against numpy's
@@ -29,14 +30,17 @@ from batecho import (
     return_gen_fun,
     spectrum,
 )
-from batecho.exact import MAX_EXACT_K, MAX_EXACT_N, _scaled_series
+from batecho.errors import DomainError
+from batecho.exact import MAX_EXACT_K, MAX_EXACT_N, _closed_walk, _scaled_series
 from batecho.graphs import from_edge_list
 from batecho.ratfun import IntPoly, RatFun
 
 from conftest import FIXTURES, TREES, fixture_params, regular_params
 from det_oracle import determinant_gen_fun
+from field_oracle import sub
 from exact_oracle import (
     full_walk_first_returns,
+    full_walk_gen_fun,
     full_walk_returns,
     mean_return_time,
     power_series,
@@ -170,6 +174,29 @@ def test_gen_fun_equals_determinant_formula_on_random_graphs(g):
     assert return_gen_fun(g) == determinant_gen_fun(g)
 
 
+@given(connected_graphs(max_n=14))
+def test_walk_stopped_at_closure_gives_the_full_walks_gen_fun(g):
+    assert return_gen_fun(g) == full_walk_gen_fun(g)
+
+
+def test_path_walk_runs_all_2n_ticks_to_the_full_walks_gen_fun():
+    """The end of a path sees all n eigenvalues, so its Krylov space
+    closes only at the 2n-tick limit."""
+    g = build_family("path", 64)
+    assert len(_closed_walk(g)[0]) == 2 * g.n + 1
+    assert return_gen_fun(g) == full_walk_gen_fun(g)
+
+
+@pytest.mark.parametrize("family,size,ticks", [
+    ("hypercube", 6, 14), ("complete", 64, 4), ("cycle", 64, 66), ("hypercube", 5, 12)])
+def test_walk_stops_when_the_root_krylov_space_closes(family, size, ticks):
+    """The walk stops after twice as many ticks as the root sees
+    distinct eigenvalues, the length of f's recurrence, well before 2n."""
+    g = build_family(family, size)
+    a, _, length, _ = _closed_walk(g)
+    assert len(a) - 1 == ticks == 2 * length < 2 * g.n
+
+
 @given(connected_graphs(max_n=12))
 def test_series_from_gen_fun_equal_full_walks(g):
     """The lazy, first-return and survival series, all expanded from f,
@@ -202,6 +229,13 @@ def test_scaled_series_refuses_a_non_integer_term():
     """1/(2 - t) = sum t^k / 2^(k+1) has no integer 2^k c_k."""
     with pytest.raises(ArithmeticError):
         _scaled_series(IntPoly.one, IntPoly([2, -1]), 2, 3)
+
+
+@pytest.mark.parametrize("series", [lazy_series, first_return_series])
+def test_series_refuse_a_negative_k_max(series):
+    g = FIXTURES["c4"]
+    with pytest.raises(DomainError, match="^k_max must be non-negative, got -3$"):
+        series(g, return_gen_fun(g), -3)
 
 
 def test_survival_and_first_return_are_consistent():
@@ -332,7 +366,7 @@ def test_lazy_gap_at_least_inverse_n_squared(g):
 
 
 def _ratfun_derivative(r):
-    return RatFun(r.num.derivative() * r.den - r.num * r.den.derivative(),
+    return RatFun(sub(r.num.derivative() * r.den, r.num * r.den.derivative()),
                   r.den * r.den)
 
 

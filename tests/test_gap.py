@@ -27,7 +27,7 @@ from batecho.exact import MAX_EXACT_K
 from batecho.gap import GapEstimate, estimate_n, per_eval_eta, search_budget
 
 from conftest import FIXTURES, regular_params
-from exact_oracle import estimate_gap_exact
+from exact_oracle import estimate_gap_exact, evaluations_accurate
 from walk_oracle import matrix_power_return_probability
 
 
@@ -197,8 +197,10 @@ def test_estimate_gap_k4_bracket_and_audits():
     assert budget["within_budget"]
     k_top = max(entry["k"] for entry in est.trace)
     t = lazy_series(g, return_gen_fun(g), k_top)
-    checks = audit_error_chain(est, exact_q=lambda k: t.q[k])
+    checks = audit_error_chain(est)
     assert checks["ok"], checks
+    accurate, worst = evaluations_accurate(est, lambda k: t.q[k])
+    assert accurate, worst
 
 
 def test_audit_reads_the_recorded_pk_rule():
@@ -214,8 +216,8 @@ def test_audit_reads_the_recorded_pk_rule():
                       total_experiments=1, total_ticks=3,
                       trace=[{"k": 3, "q_hat": exact_q + err, "experiments": 1,
                               "successes": 0}])
-    checks = audit_error_chain(est, exact_q=lambda k: exact_q)
-    assert checks["evaluations_accurate"] is False
+    accurate, worst = evaluations_accurate(est, lambda k: exact_q)
+    assert accurate is False and worst == pytest.approx(5.0)
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -1,7 +1,9 @@
 """Every module-level function and class in `src/batecho` has a caller in
-`src/`, and every method and property of its classes is looked up as an
-attribute in `src/`: alternative routes live in `tests/` as oracles, and
-a helper that nothing calls is deleted rather than kept."""
+`src/`, every method and property of its classes is looked up as an
+attribute in `src/`, and every name a module imports is used in that
+module: alternative routes live in `tests/` as oracles, and a helper
+that nothing calls, or an import that nothing reads, is deleted rather
+than kept."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -60,4 +62,23 @@ def test_every_method_and_property_is_used_in_src():
               if isinstance(cls, ast.ClassDef) for node in cls.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("__")
               and node.name not in looked_up]
+    assert unused == []
+
+
+def test_every_imported_name_is_used_in_its_module():
+    """`__init__` imports to re-export, and `from __future__` imports set
+    compiler flags; every other imported name is loaded in its module."""
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in loaded:
+                        unused.append(f"{path.stem}: {name}")
     assert unused == []

@@ -7,6 +7,7 @@ from batecho.ratfun import IntPoly, RatFun
 
 from det_oracle import poly_det_bareiss
 from exact_oracle import find_dependency, power_series
+from field_oracle import Rat, T, sub
 
 coeffs = st.lists(st.integers(-9, 9), min_size=0, max_size=5)
 polys = coeffs.map(IntPoly)
@@ -18,8 +19,7 @@ def test_intpoly_trims_trailing_zeros():
 
 
 def test_intpoly_arith():
-    t = IntPoly.t
-    p = (t + IntPoly.one) * (t - IntPoly.one)
+    p = (T + IntPoly.one) * sub(T, IntPoly.one)
     assert p == IntPoly([-1, 0, 1])
     assert p.eval(Fraction(3)) == 8
 
@@ -44,6 +44,7 @@ def test_distributivity(a, b, c):
 def test_eval_is_a_homomorphism(a, b, x):
     assert (a * b).eval(x) == a.eval(x) * b.eval(x)
     assert (a + b).eval(x) == a.eval(x) + b.eval(x)
+    assert sub(a, b).eval(x) == a.eval(x) - b.eval(x)
 
 
 def test_ratfun_canonical_form():
@@ -58,13 +59,23 @@ def test_ratfun_zero_denominator_rejected():
         RatFun(IntPoly.one, IntPoly.zero)
 
 
+def test_ratfun_equality_is_canonical_pair_equality():
+    r = RatFun(IntPoly([2, 4]), IntPoly([6, 0, 2]))
+    assert r == RatFun(IntPoly([1, 2]), IntPoly([3, 0, 1]))
+    assert hash(r) == hash(RatFun(IntPoly([-1, -2]), IntPoly([-3, 0, -1])))
+    assert r != RatFun(IntPoly([1, 2]), IntPoly([3, 1]))
+    assert r != IntPoly([1, 2]) and r != 1
+
+
 def test_ratfun_arith_and_eval():
-    x = RatFun(IntPoly.t, IntPoly.one)
+    x = Rat(T, IntPoly.one)
     r = (x + 1) / (x - 1)
     two = Fraction(2)
     assert r.eval(two) == 3
     assert (r * r).eval(two) == 9
-    assert (r - r).num.is_zero
+    assert (r - r).is_zero
+    assert (2 - x) * Fraction(1, 2) == 1 - x / 2
+    assert (1 / r) * r == Rat(IntPoly.one, IntPoly.one)
 
 
 def test_series_matches_geometric():
@@ -120,8 +131,8 @@ def test_bareiss_determinant_against_gauss(rows):
 
 
 def test_bareiss_known_value():
-    t = IntPoly.t
-    rows = [[IntPoly([2]), -t], [-t, IntPoly([2])]]
+    minus_t = IntPoly([0, -1])
+    rows = [[IntPoly([2]), minus_t], [minus_t, IntPoly([2])]]
     assert poly_det_bareiss(rows) == IntPoly([4, 0, -1])
 
 
@@ -129,20 +140,20 @@ def test_bareiss_known_value():
 
 
 def test_find_dependency_simple():
-    x = RatFun(IntPoly.t, IntPoly.one)
+    x = Rat(T, IntPoly.one)
     fns = [x + 1, x, RatFun(IntPoly.one, IntPoly.one)]   # (x+1) - x - 1 = 0
     dep = find_dependency(fns)
     assert dep == (1, -1, -1)
 
 
 def test_find_dependency_none_for_independent():
-    x = RatFun(IntPoly.t, IntPoly.one)
+    x = Rat(T, IntPoly.one)
     assert find_dependency([x, x * x]) is None
 
 
 def test_find_dependency_clears_denominators():
-    x = RatFun(IntPoly.t, IntPoly.one)
-    one = RatFun(IntPoly.one, IntPoly.one)
+    x = Rat(T, IntPoly.one)
+    one = Rat(IntPoly.one, IntPoly.one)
     fns = [one / (x + 1), x / (x + 1), one]
     dep = find_dependency(fns)
     assert dep is not None

@@ -12,11 +12,19 @@ from batecho import (
     h_of_tree,
 )
 from batecho.errors import DomainError
+from batecho.exact import MAX_EXACT_N, _closed_walk
 from batecho.graphs import _make, from_text
 from batecho.treefun import forge_size
 from batecho.ratfun import IntPoly, RatFun
 
-from exact_oracle import find_dependency, power_series, recursive_ahu, recursive_h
+from exact_oracle import (
+    class_h,
+    find_dependency,
+    power_series,
+    recursive_ahu,
+    recursive_h,
+)
+from field_oracle import Rat, coerce
 
 COMPOSITES = [k for k in range(4, 61) if any(k % a == 0 for a in range(2, k))]
 
@@ -39,14 +47,14 @@ def test_gab_closed_form(a, b):
 def test_h_additive_under_gluing():
     t1, t2 = build_gab(2, 2), build_gab(3, 2)
     glued = glue_at_roots([(t1, 2), (t2, 1)])
-    assert h_of_tree(glued) == h_of_tree(t1) * 2 + h_of_tree(t2)
+    assert h_of_tree(glued) == coerce(h_of_tree(t1)) * 2 + h_of_tree(t2)
 
 
 def test_h_add_root_recursion():
     t = build_gab(2, 3)
     h = h_of_tree(t)
-    one = RatFun(IntPoly.one, IntPoly.one)
-    one_minus_x = RatFun(IntPoly([1, -1]), IntPoly.one)
+    one = Rat(IntPoly.one, IntPoly.one)
+    one_minus_x = Rat(IntPoly([1, -1]), IntPoly.one)
     expect = (one + h) / (one + one_minus_x * h)
     assert h_of_tree(attach_new_root(t)) == expect
 
@@ -83,15 +91,17 @@ def test_h_matches_survival_series(parents):
 
 @given(st.lists(st.integers(0, 1000), min_size=1, max_size=24))
 def test_per_class_h_and_encoding_equal_recursive_routes(parents):
+    """h read off the walk equals the per-class and the per-vertex
+    recursions."""
     t = _random_tree(parents)
-    assert h_of_tree(t) == recursive_h(t)
+    assert h_of_tree(t) == class_h(t) == recursive_h(t)
     assert ahu_canonical(t) == recursive_ahu(t)
 
 
 @pytest.mark.parametrize("k", [4, 6, 8, 9, 10])
 def test_per_class_h_on_forged_pairs(k):
     for t in forge_tree_pair(k):
-        assert h_of_tree(t) == recursive_h(t)
+        assert h_of_tree(t) == class_h(t) == recursive_h(t)
         assert ahu_canonical(t) == recursive_ahu(t)
 
 
@@ -111,7 +121,20 @@ def test_ahu_distinguishes_shapes():
     assert ahu_canonical(build_gab(2, 2)) != ahu_canonical(build_gab(4, 1))
 
 
-@pytest.mark.parametrize("k", [4, 6, 8, 9])
+def test_forged_trees_walks_close_after_ten_ticks():
+    """Each forged tree's root sees five distinct eigenvalues, so its
+    walk stops after 10 ticks whatever the tree's size, also past the
+    exact engine's vertex cap."""
+    sizes = []
+    for k in COMPOSITES:
+        for t in forge_tree_pair(k):
+            a, _, length, _ = _closed_walk(t)
+            assert len(a) - 1 == 2 * length == 10, k
+            sizes.append(t.n)
+    assert max(sizes) > MAX_EXACT_N
+
+
+@pytest.mark.parametrize("k", COMPOSITES)
 def test_forge_composite_k(k):
     t1, t2 = forge_tree_pair(k)
     assert h_of_tree(t1) == h_of_tree(t2)
