@@ -33,6 +33,7 @@ from .graphs import (
 from .ratfun import IntPoly, RatFun
 from .treefun import (
     ahu_canonical,
+    certify_pair,
     forge_tree_pair,
     h_from_series,
     h_of_tree,

@@ -159,16 +159,7 @@ def cmd_forge(opts) -> int:
                           f"forged for k = {k} would have at least {k + 3} vertices")
     ex.check_exact_size(treefun.forge_size(k))
     left, right = treefun.forge_tree_pair(k)
-    terms = opts.get("k_max", 12)
-    series = treefun.h_from_series(left, terms)
-    cert = {
-        "k": k,
-        "h": treefun.h_of_tree(left).to_json_dict(),
-        "return_series_terms_checked": terms,
-        "return_series_match":
-            series == treefun.h_from_series(right, terms),
-        "isomorphic": treefun.ahu_canonical(left) == treefun.ahu_canonical(right),
-    }
+    cert = {"k": k, **treefun.certify_pair(left, right, opts.get("k_max", 12))}
     out_dir = opts.get("out") or "."
     paths = {}
     cert_path = os.path.join(out_dir, f"forged_certificate_k{k}.json")
@@ -237,7 +228,7 @@ def cmd_observe(opts) -> int:
         "lazy": lazy,
         "mean_gap": mean,
         "mean_gap_sq": mean_sq,
-        "hitting_estimate": gp.estimate_hitting(counts),
+        "hitting_estimate": gp.estimate_hitting(mean, mean_sq),
         "all_gaps_even": all_even,
         # E[T1] = 2|E| / deg(root); on a regular graph it equals n
         "edges_hat": int(round(d_r * mean / 2.0)),

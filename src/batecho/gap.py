@@ -256,11 +256,11 @@ def estimate_mixing_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
         even_chain=est)
 
 
-def estimate_hitting(counts) -> float:
+def estimate_hitting(m1: float, m2: float) -> float:
     """Plug-in estimate of the stationary hitting time H(pi, r) from the
-    histogram of observed return gaps (counts[j - 1] gaps equal j):
+    sample mean m1 and second moment m2 of the observed return gaps, as
+    `observer_stats` reads them off the gaps' histogram:
     E[T1^2] / (2 E[T1]) - 1/2."""
-    m1, m2, _ = observer_stats(counts)
     return m2 / (2.0 * m1) - 0.5
 
 

@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 
 from .errors import DomainError
-from .exact import MAX_EXACT_K, first_return_series, walk_gen_fun
+from .exact import MAX_EXACT_K, GenFun, first_return_series, walk_gen_fun
 from .graphs import RootedGraph, attach_new_root, build_gab, glue_at_roots
 from .ratfun import IntPoly, RatFun
 
@@ -55,24 +55,34 @@ def _subtree_classes(g: RootedGraph) -> list[tuple[int, ...]]:
     return list(ids)
 
 
-def h_of_tree(t: RootedGraph) -> RatFun:
-    """Exact h from the walked f = N/D: N and D are even, so N(sqrt x)
+def _h_of(t: RootedGraph, f: GenFun) -> RatFun:
+    """h read off the tree's walked f = N/D: N and D are even, so N(sqrt x)
     and D(sqrt x) are their even coefficients, and D(1) = 0, so (1 - x)
     divides D(sqrt x) exactly."""
-    _check_tree(t)
-    f = walk_gen_fun(t)
     num, den = (IntPoly(p.c[::2]) for p in (f.num, f.den))
     return RatFun(t.root_degree * den.exact_div(IntPoly([1, -1])), num)
 
 
-def h_from_series(g: RootedGraph, k_max: int) -> list[Fraction]:
-    """First k_max coefficients of h from the exact survival series,
-    d(r) * sum_k z_{2k} x^k."""
-    _check_tree(g)
+def _h_series(g: RootedGraph, f: GenFun, k_max: int) -> list[Fraction]:
+    """First k_max coefficients of h from the survival series of the
+    tree's walked f, d(r) * sum_k z_{2k} x^k."""
     if not 1 <= k_max <= MAX_EXACT_K:
         raise DomainError(f"k_max must lie in [1, {MAX_EXACT_K}], got {k_max}")
-    table = first_return_series(g, walk_gen_fun(g), 2 * (k_max - 1) + 1)
+    table = first_return_series(g, f, 2 * (k_max - 1) + 1)
     return [g.root_degree * table.z[2 * k] for k in range(k_max)]
+
+
+def h_of_tree(t: RootedGraph) -> RatFun:
+    """Exact h of the tree `t`, read off its walked f."""
+    _check_tree(t)
+    return _h_of(t, walk_gen_fun(t))
+
+
+def h_from_series(g: RootedGraph, k_max: int) -> list[Fraction]:
+    """First k_max coefficients of h from the exact survival series of
+    the tree `g`."""
+    _check_tree(g)
+    return _h_series(g, walk_gen_fun(g), k_max)
 
 
 def ahu_canonical(t: RootedGraph):
@@ -119,15 +129,30 @@ def forge_tree_pair(k: int) -> tuple[RootedGraph, RootedGraph]:
     sum c_i h_i = 0 exactly when sum c_i = 0 and sum c_i b_i = 0: c is
     the cross product of the b's and (1, 1, 1), content-reduced.  The
     b's of `_forge_plan` are k > k/a > 1, so every c_i is nonzero and
-    the first is positive."""
+    the first is positive.  `certify_pair` walks the two trees to check
+    that their f agree."""
     pairs, dep = _forge_plan(k)
     trees = [build_gab(a, b) for a, b in pairs]
     left = [(t, c) for t, c in zip(trees, dep) if c > 0]
     right = [(t, -c) for t, c in zip(trees, dep) if c < 0]
     t1 = attach_new_root(glue_at_roots(left))
     t2 = attach_new_root(glue_at_roots(right))
-    if walk_gen_fun(t1) != walk_gen_fun(t2):
-        raise AssertionError("forged trees disagree on f; construction bug")
     if ahu_canonical(t1) == ahu_canonical(t2):
         raise AssertionError("forged trees are isomorphic; construction bug")
     return t1, t2
+
+
+def certify_pair(left: RootedGraph, right: RootedGraph, terms: int) -> dict:
+    """The certificate of a forged pair, from one walk of each tree: the
+    common h, whether the first `terms` coefficients of each tree's h
+    series match, and whether the trees are isomorphic."""
+    f_left, f_right = walk_gen_fun(left), walk_gen_fun(right)
+    if f_left != f_right:
+        raise AssertionError("forged trees disagree on f; construction bug")
+    return {
+        "h": _h_of(left, f_left).to_json_dict(),
+        "return_series_terms_checked": terms,
+        "return_series_match":
+            _h_series(left, f_left, terms) == _h_series(right, f_right, terms),
+        "isomorphic": ahu_canonical(left) == ahu_canonical(right),
+    }

@@ -2,12 +2,13 @@
 
 The observer at the root sees only the clock and the return bits; every
 estimator in the library consumes that interface.  A batch of independent
-walkers is simulated as an occupancy vector, the number of walkers at
-each vertex.  The walkers are i.i.d., so many ticks are drawn at once:
-the return-bit count at tick t is one binomial draw with P_t(r,r), read
-from the walk's spectrum, and first returns advance n ticks per
-multinomial draw over the n-tick law of the walk with the root
-absorbing, a dense kernel built from the one-tick transition matrix.
+walkers is drawn from the root's laws, never walker by walker.  The
+walkers are i.i.d., so many ticks are drawn at once: the return-bit
+count at tick t is one binomial draw with P_t(r,r), read from the walk's
+spectrum, and first returns are drawn from the root's first-return law,
+n ticks per multinomial over the walkers still out, with the block's law
+read off the n-tick kernel of the walk with the root absorbing, a dense
+matrix built from the one-tick transition matrix.
 Streams are deterministic functions of (graph, seed, lazy), split from a
 master seed via numpy's SeedSequence, so parallel and serial runs see the
 same randomness.
@@ -201,16 +202,31 @@ def batch_return_successes(spec, k: int, count: int, seed,
 
 def _return_histogram(kernel: np.ndarray, root: int, count: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """first_return_counts on a prebuilt first-return kernel."""
+    """first_return_counts on a prebuilt first-return kernel.  `row` is
+    the next block's law for one walker still out, in the kernel's
+    columns: first return at each of the block's n ticks, or away at each
+    vertex at its end.  For the first block it is the root's kernel row;
+    for a later one, the last row's normalised away part times the
+    kernel, since where the walkers still out stand does not depend on
+    the draws.  Each block draws one multinomial of the walkers still out
+    over the n ticks and one "still out" category.  numpy's multinomial
+    gives its rounding remainder to the last category, so the law never
+    ends in a category of zero mass: the remainder stays out, which on a
+    bipartite graph keeps every first return's parity exact, or, where no
+    walker can stay out (survival exactly 0, as on a plain star), falls
+    on the block's last possible tick."""
     n = kernel.shape[0]
-    occ = np.zeros(n, dtype=np.int64)
-    occ[root] = count
+    row, out = kernel[root], count
     blocks = [np.zeros(0, dtype=np.int64)]
-    while occ.any():
-        at = np.flatnonzero(occ)
-        moved = rng.multinomial(occ[at], kernel[at]).sum(axis=0)
-        blocks.append(moved[:n])
-        occ = moved[n:]
+    while out:
+        away = row[n:]
+        survival = away.sum()
+        law = np.append(row[:n], survival)
+        drawn = rng.multinomial(out, law[:np.flatnonzero(law)[-1] + 1])
+        blocks.append(drawn[:n])
+        out = int(drawn[n:].sum())
+        if out:
+            row = away / survival @ kernel
     return np.trim_zeros(np.concatenate(blocks), "b")
 
 
@@ -227,11 +243,12 @@ def first_return_counts(g: RootedGraph, count: int, seed,
                         lazy: bool = False) -> np.ndarray:
     """The histogram of `count` independent first-return times:
     counts[j - 1] walks first return at tick j, and the last entry is not
-    zero.  The walker counts advance n ticks per draw: one multinomial
-    over the first-return kernel's row for each occupied vertex, all in
-    one call, splits its walkers into first returns at each tick of the
-    block and positions away from the root at its end.  `seed` is
-    anything np.random.default_rng takes."""
+    zero.  The walkers advance n ticks per draw: one multinomial over
+    the walkers still out splits them into first returns at each tick of
+    the block and the walkers still out at its end, with the block's law
+    conditioned on survival so far, one vector-matrix product over the
+    first-return kernel (O(n^2) per block).  `seed` is anything
+    np.random.default_rng takes."""
     return _return_histogram(_first_return_kernel(g, lazy), g.root, count,
                              np.random.default_rng(seed))
 

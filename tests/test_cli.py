@@ -98,12 +98,13 @@ def test_forge_certificate_is_pinned(capsys, tmp_path):
         "8c4eeb1f52a0b901b1c873012b8bbfadb38a04e1ba607e9b3f405b266f5543b6")
 
 
-# sha256 of seeded statistical payloads as the occupancy-vector walk
+# sha256 of seeded statistical payloads as the batch samplers of `walk`
 # printed them under the paper's accuracy rule, one evaluation per
 # bisection step, with return bits drawn with P_t(r,r) from the spectrum
-# and first returns drawn n ticks at a time: lazy and plain walks on
-# regular and irregular graphs, through the gap search (with and without
-# estimated n), the even-time mixing-gap search and first-return sampling.
+# and first returns drawn n ticks at a time from the root's law: lazy
+# and plain walks on regular and irregular graphs, through the gap search
+# (with and without estimated n), the even-time mixing-gap search and
+# first-return sampling.
 @pytest.mark.parametrize("argv,digest", [
     ("gap --family gab:2,2 --seed 1",
      "fb8d8a29c2e155a70d17d25538b614c6dfbcb6bbfd37102c133be8339350009d"),
@@ -116,11 +117,11 @@ def test_forge_certificate_is_pinned(capsys, tmp_path):
     ("mixing-gap --family cycle:5 --seed 2",
      "d3bb1ba3a734c9c2c769303653268ddbd56f97de2b893f4d725c174b97cdbbdf"),
     ("observe --family star:3 --m 50000 --lazy --seed 1",
-     "746675a078ea7c6891f05959eed584ade2a418be7eac180dc2d0c1ba23ca9189"),
+     "862fc8b66c67c6b9ff645c8e143485ed8da672fc25ce280edd03c091bf842d98"),
     ("observe --family path:4 --m 50000 --seed 2",
-     "4336cfc9bc7547075134f5dab6db3cab76b4fbc7e2f17c00929df591d5f62ed0"),
+     "fcf843df34cebeeaf930c07fb07ca45b205ea35d6d3e916840b405843087fa3b"),
     ("observe --family cycle:64 --m 100000 --seed 3",
-     "d3f5c3efdf8b01825831d5ec37fb9a36b113ff6c3a5b891acb06cb80546b36b8"),
+     "f780f2d22ccad48dfb94ca08013cf2b44c9aefb8eb83198c0a698d93c3f8ff83"),
 ])
 def test_seeded_payload_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
@@ -242,6 +243,29 @@ def test_forge_writes_files_and_certificate(capsys, tmp_path):
     cert = json.loads(open(doc["certificate"]).read())
     assert cert["return_series_match"] is True
     assert cert["isomorphic"] is False
+
+
+def test_forge_walks_each_tree_once(capsys, tmp_path, monkeypatch):
+    """The certificate reads h and both series off the two walks that
+    check the pair's f."""
+    walked = []
+    real = batecho.treefun.walk_gen_fun
+    monkeypatch.setattr(batecho.treefun, "walk_gen_fun",
+                        lambda t: walked.append(t.n) or real(t))
+    code, out, err = run(capsys, "forge", "--k", "10", "--out", str(tmp_path))
+    assert code == 0, err
+    assert walked == [json.loads(out)["n_left"], json.loads(out)["n_right"]]
+
+
+def test_observe_reads_the_histogram_once(capsys, monkeypatch):
+    calls = []
+    real = batecho.walk.observer_stats
+    counted = lambda counts: calls.append(1) or real(counts)
+    monkeypatch.setattr(batecho.walk, "observer_stats", counted)
+    monkeypatch.setattr(batecho.gap, "observer_stats", counted)
+    code, out, err = run(capsys, "observe", "--family", "cycle:8", "--m", "1000")
+    assert code == 0, err
+    assert len(calls) == 1
 
 
 def test_graph_file_input(capsys, tmp_path):
@@ -386,6 +410,17 @@ def test_observe_takes_the_largest_int64_count(capsys):
     code, out, err = run(capsys, "observe", "--family", "cycle:4", "--m", str(m))
     assert code == 0, err
     assert json.loads(out)["samples"] == m
+
+
+@pytest.mark.parametrize("family", ["cycle:64", "cycle:62", "hypercube:7"])
+def test_observe_finds_bipartite_at_the_largest_count(capsys, family):
+    """The parity verdict holds at 2^63 - 1 walkers, where a rounding
+    remainder put on an odd tick would read as non-bipartite."""
+    for seed in range(5):
+        code, out, err = run(capsys, "observe", "--family", family,
+                             "--m", str(np.iinfo(np.int64).max), "--seed", str(seed))
+        assert code == 0, err
+        assert json.loads(out)["parity_verdict"] == "bipartite", seed
 
 
 def test_render_rejects_unknown_format():

@@ -17,6 +17,7 @@ from batecho import (
     gap_bounds,
     lazy_series,
     nondegenerate_set,
+    observer_stats,
     return_gen_fun,
     spectrum,
 )
@@ -317,16 +318,16 @@ def test_mixing_gap_bipartite_reports_near_zero(name):
 def test_estimate_hitting_k2_is_exact():
     # T1 = 2 deterministically, so H = 4/4 - 1/2 = 1/2 with no variance
     rt = SampledReturnTimes(FIXTURES["k2"], seed=81)
-    assert estimate_hitting([0, 100]) == 0.5
+    assert estimate_hitting(*observer_stats([0, 100])[:2]) == 0.5
     gaps = []
     prev = 0
     for _ in range(200):
         t = next(rt)
         gaps.append(t - prev)
         prev = t
-    assert estimate_hitting(np.bincount(gaps)[1:]) == 0.5
+    assert estimate_hitting(*observer_stats(np.bincount(gaps)[1:])[:2]) == 0.5
 
 
 def test_estimate_hitting_rejects_empty():
     with pytest.raises(DomainError, match="^need at least one gap$"):
-        estimate_hitting([])
+        estimate_hitting(*observer_stats([])[:2])

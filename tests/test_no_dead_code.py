@@ -18,6 +18,8 @@ KEPT = {
     "from_edge_list",        # the graph constructor
     "SampledReturnTimes",    # the sequential protocol perfbench and criterion 7 drive
     "estimate_pk",           # the same protocol's estimator
+    "h_of_tree",             # one tree's h from its own walk; `certify_pair` reads
+    "h_from_series",         # h and its series off the walks of a forged pair
 }
 
 

@@ -325,8 +325,9 @@ def test_sibling_seed_sequences_give_distinct_streams():
     assert len(states) == 3
 
 
-# The law tests below run the occupancy-vector samplers of batecho.walk
-# and the per-walker oracle through the same chi-square checks.
+# The law tests below run the batch samplers of batecho.walk (id
+# "occupancy", for the walker-count vector they first moved) and the
+# per-walker oracle through the same chi-square checks.
 SAMPLERS = [pytest.param(walk, id="occupancy"),
             pytest.param(walk_oracle, id="per_walker")]
 LAW_GRAPHS = ["c8", "k4", "q3", "star3", "path4", "leafy_cutpoint", "tree_left"]
@@ -417,3 +418,61 @@ def test_first_return_counts_follow_exact_law_across_blocks(lazy):
     observed.append(m - sum(observed))
     expected.append(m - sum(expected))
     assert _chi2_pvalue(observed, expected) > 1e-4, (observed, expected)
+
+
+class _CountingRng:
+    """A Generator stand-in that counts its multinomial draws."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.multinomials = 0
+
+    def multinomial(self, n, pvals):
+        self.multinomials += 1
+        return self._rng.multinomial(n, pvals)
+
+
+@pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
+def test_return_histogram_draws_one_multinomial_per_block(lazy):
+    """The cost model: 10^6 walkers on cycle:64 take one multinomial per
+    n-tick block, blocks up to the last return, and the histogram sums to
+    the count."""
+    g = build_family("cycle", 64)
+    rng = _CountingRng(5)
+    counts = walk._return_histogram(walk._first_return_kernel(g, lazy), g.root,
+                                    10 ** 6, rng)
+    assert counts.sum() == 10 ** 6 and counts[-1] > 0
+    assert rng.multinomials == -(-counts.size // g.n) > 1
+
+
+INT64_MAX = np.iinfo(np.int64).max
+
+
+@pytest.mark.parametrize("family,size", [("star", 3), ("star", 9), ("complete", 2),
+                                         ("path", 2), ("hypercube", 1)])
+def test_zero_survival_ends_in_one_block(family, size):
+    """On a plain star every walker is back at tick 2, so the survival
+    mass after the first block is exactly 0: one multinomial places all
+    2^63 - 1 walkers at tick 2, and nothing divides by that zero.  The
+    lazy walk, which can stay out, keeps every walker too."""
+    g = build_family(family, size)
+    rng = _CountingRng(3)
+    with np.errstate(all="raise"):
+        counts = walk._return_histogram(walk._first_return_kernel(g, False), g.root,
+                                        INT64_MAX, rng)
+        lazy = first_return_counts(g, INT64_MAX, 3, lazy=True)
+    assert counts.tolist() == [0, INT64_MAX] and rng.multinomials == 1
+    assert lazy.sum() == INT64_MAX and lazy.min() >= 0 and lazy[-1] > 0
+
+
+@pytest.mark.parametrize("family,size", [("cycle", 64), ("cycle", 62), ("hypercube", 7)])
+def test_bipartite_first_returns_stay_even_at_int64_scale(family, size):
+    """The plain walk on a bipartite graph first returns at even ticks
+    only.  At 2^63 - 1 walkers the multinomial's rounding remainder is
+    large enough to land somewhere; it must land on walkers still out,
+    never on an odd tick."""
+    g = build_family(family, size)
+    for seed in range(5):
+        counts = first_return_counts(g, INT64_MAX, seed)
+        assert counts.sum() == INT64_MAX
+        assert counts[0::2].sum() == 0, (seed, np.flatnonzero(counts[0::2]) * 2 + 1)
