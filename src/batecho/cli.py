@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -94,9 +95,55 @@ def _flatten(prefix: str, value, into: list):
         into.append((prefix, value))
 
 
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _json_text(value, depth: int) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for a value nested
+    `depth` levels deep whose dict keys are str.  `json.dumps` uses its C
+    encoder only without `indent`, so each container of scalars, and
+    each table (a list of non-empty dicts of scalars), is one C call
+    whose item separator carries the newline and indent; the rest
+    recurses."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return json.dumps(value)
+    outer = "\n" + "  " * depth
+    pad = outer + "  "
+    sep = "," + pad
+    if isinstance(value, dict):
+        if {type(v) for v in value.values()} <= _SCALARS:
+            items = json.JSONEncoder(sort_keys=True, separators=(sep, ": ")).encode(value)[1:-1]
+        else:
+            if not all(isinstance(k, str) for k in value):
+                raise TypeError("render takes dict keys of type str only")
+            items = sep.join(f"{json.dumps(k)}: {_json_text(v, depth + 1)}"
+                             for k, v in sorted(value.items()))
+        return "{" + pad + items + outer + "}"
+    rows = {type(v) for v in value}
+    if rows <= _SCALARS:
+        items = json.JSONEncoder(separators=(sep, ": ")).encode(value)[1:-1]
+    elif rows == {dict} and all(value) and {
+            type(v) for row in value for v in row.values()} <= _SCALARS:
+        # a separator inside a row follows a scalar and precedes a key,
+        # and no encoded string holds a raw newline, so "}", sep, "{" is
+        # exactly a row break
+        row_pad = pad + "  "
+        text = json.JSONEncoder(sort_keys=True, separators=("," + row_pad, ": ")).encode(value)
+        items = ("{" + row_pad
+                 + text[2:-2].replace("}," + row_pad + "{", pad + "}" + sep + "{" + row_pad)
+                 + pad + "}")
+    else:
+        items = sep.join(_json_text(v, depth + 1) for v in value)
+    return "[" + pad + items + outer + "]"
+
+
 def render(payload: dict, fmt: str) -> str:
+    """The payload as text: JSON byte for byte as
+    `json.dumps(payload, sort_keys=True, indent=2)` plus a newline (dict
+    keys must be str: a non-str key where the dict holds a container
+    raises TypeError), or CSV rows of flattened keys and values."""
     if fmt == "json":
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return _json_text(payload, 0) + "\n"
     if fmt == "csv":
         rows: list = []
         _flatten("", payload, rows)
@@ -151,13 +198,9 @@ def cmd_exact(opts) -> int:
 
 def cmd_forge(opts) -> int:
     k = opts.get("k", 4)
-    # refuse an oversize pair before building it: one tree holds G_{k,1}
-    # (k + 1 vertices) and G_{1,k}, so each has at least k + 3 vertices,
-    # which spares a large k the divisor scan of forge_size
-    if k + 3 > ex.MAX_EXACT_N:
-        raise DomainError(f"exact mode capped at n <= {ex.MAX_EXACT_N}; a pair "
-                          f"forged for k = {k} would have at least {k + 3} vertices")
-    ex.check_exact_size(treefun.forge_size(k))
+    # before _forge_plan's divisor scan, which a huge k would make long
+    if k > treefun.MAX_FORGE_K:
+        raise DomainError(f"forge capped at k <= {treefun.MAX_FORGE_K}, got {k}")
     left, right = treefun.forge_tree_pair(k)
     cert = {"k": k, **treefun.certify_pair(left, right, opts.get("k_max", 12))}
     out_dir = opts.get("out") or "."
@@ -288,7 +331,10 @@ def _add_search(p: argparse.ArgumentParser):
                         "eps/(8 n^c) is the only rule")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later `main` call in the process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="batecho",
         description="spectral inference from random-walk return times")

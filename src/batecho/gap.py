@@ -17,7 +17,7 @@ vertex-transitive graphs).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -65,7 +65,12 @@ class GapEstimate:
     flags: list = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        """The fields as a dict, with copies of `trace`, its entries and
+        `flags`, so that changing the dict leaves the estimate as it was."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        doc["trace"] = [dict(entry) for entry in self.trace]
+        doc["flags"] = list(self.flags)
+        return doc
 
 
 def search_budget(n: int, c: float) -> tuple[int, int]:
@@ -218,7 +223,10 @@ class MixingGapEstimate:
     detail: str | None = None
 
     def to_json(self) -> dict:
-        return {k: v for k, v in asdict(self).items() if v is not None}
+        doc = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.even_chain is not None:
+            doc["even_chain"] = self.even_chain.to_json()
+        return {k: v for k, v in doc.items() if v is not None}
 
 
 def estimate_mixing_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,

@@ -94,6 +94,11 @@ def ahu_canonical(t: RootedGraph):
     return enc[-1]
 
 
+# The largest k `forge` takes: the tests forge and check every composite
+# k up to it.
+MAX_FORGE_K = 60
+
+
 def _forge_plan(k: int) -> tuple[list[tuple[int, int]], list[int]]:
     """The three divisor pairs (a, b) of k, namely (1,k), the smallest
     proper pair and (k,1), and the content-reduced integer dependency c
@@ -108,16 +113,6 @@ def _forge_plan(k: int) -> tuple[list[tuple[int, int]], list[int]]:
     dep = (b2 - b3, b3 - b1, b1 - b2)
     content = math.gcd(*dep)
     return pairs, [c // content for c in dep]
-
-
-def forge_size(k: int) -> int:
-    """The vertex count of each tree of `forge_tree_pair(k)`, without
-    building them.  G_{a,b} has 2 + (a-1) b vertices, and a side that
-    glues c_i copies of G_{a_i,b_i} at their roots and attaches a new
-    root has 2 + sum c_i (n_i - 1); the two sides agree, because
-    n_i - 1 = 1 + k - b_i and sum c_i = sum c_i b_i = 0."""
-    pairs, dep = _forge_plan(k)
-    return 2 + sum(c * (1 + (a - 1) * b) for (a, b), c in zip(pairs, dep) if c > 0)
 
 
 def forge_tree_pair(k: int) -> tuple[RootedGraph, RootedGraph]:

@@ -15,9 +15,11 @@ from hypothesis import strategies as st
 
 import batecho
 from batecho import first_return_series, return_gen_fun
-from batecho.cli import main, parse_family, render
+from batecho.cli import build_parser, main, parse_family, render
 from batecho.errors import BatechoError, DomainError
+from batecho.exact import MAX_EXACT_N
 from batecho.graphs import RootedGraph
+from batecho.treefun import MAX_FORGE_K
 from batecho.walk import MAX_WALK_N
 
 
@@ -367,15 +369,27 @@ def test_non_utf8_input_file_exits_2(capsys, tmp_path, source):
 
 
 def test_forge_refuses_a_large_k_before_the_divisor_scan(capsys, monkeypatch):
-    """Each forged tree has at least k + 3 vertices, so a k above the cap
-    less 3 is refused before _forge_plan's trial division runs."""
+    """A k above forge's cap is refused before _forge_plan's trial
+    division runs."""
     monkeypatch.setattr(batecho.treefun, "_forge_plan",
                         lambda k: pytest.fail("divisor scan ran"))
     code, out, err = run(capsys, "forge", "--k", "10000000000000061")
     assert code == 2
-    assert err == ("batecho: exact mode capped at n <= 64; a pair forged for "
-                   "k = 10000000000000061 would have at least 10000000000000064 "
-                   "vertices\n")
+    assert err == "batecho: forge capped at k <= 60, got 10000000000000061\n"
+
+
+@pytest.mark.parametrize("k", [12, 24, MAX_FORGE_K])
+def test_forge_builds_pairs_above_the_exact_engine_cap(capsys, tmp_path, k):
+    """The forge's walks stop at closure whatever the tree's size, so a
+    pair larger than the exact engine's vertex cap (k = 12: 79 vertices)
+    is built and certified."""
+    code, out, err = run(capsys, "forge", "--k", str(k), "--out", str(tmp_path))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["n_left"] == doc["n_right"] > MAX_EXACT_N
+    cert = json.loads(open(doc["certificate"]).read())
+    assert cert["return_series_match"] is True
+    assert cert["isomorphic"] is False
 
 
 @pytest.mark.parametrize("command", ["observe", "simulate", "gap", "mixing-gap"])
@@ -426,6 +440,68 @@ def test_observe_finds_bipartite_at_the_largest_count(capsys, family):
 def test_render_rejects_unknown_format():
     with pytest.raises(BatechoError):
         render({}, "yaml")
+
+
+def test_render_refuses_a_non_str_key_above_a_container():
+    # json.dumps would write 1 as "1" and refuse the tuple; render takes
+    # str keys only, which every payload has
+    for payload in ({1: [1]}, {(1, 2): [1]}, {"a": {None: {}}}):
+        with pytest.raises(TypeError):
+            render(payload, "json")
+
+
+# JSON values with str keys, with lists of flat rows (some empty) drawn
+# often.  The strings include the row breaks and separators the renderer
+# writes or replaces, at several depths, so that an encoded string that
+# held one would show.
+_TEXT = st.one_of(st.text(), st.sampled_from([
+    "},\n  {", "},\n    {", "},\n      {", "],\n    [", ", ", "}", "a\nb",
+    "\x00", "\u00e9\u2028\U0001f987"]))
+_SCALAR = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(),
+                    st.integers(10 ** 20, 10 ** 400), st.integers(-10 ** 400, -10 ** 20),
+                    _TEXT)
+_JSON = st.recursive(
+    st.one_of(_SCALAR,
+              st.lists(st.dictionaries(_TEXT, _SCALAR, max_size=4), min_size=1, max_size=4),
+              st.lists(st.lists(_SCALAR, max_size=4), min_size=1, max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(value=_JSON)
+def test_render_json_equals_indented_json_dumps(value):
+    assert render(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_repeated_main_calls_carry_no_state(capsys, monkeypatch, tmp_path):
+    """main() builds its parser once per process, and a sequence of calls
+    in one process prints what each argv prints alone in a fresh one: a
+    usage error, --help, a flag then its absence, and a config then its
+    absence."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"lazy": True, "m": 500}))
+    argvs = [
+        ["observe", "--family", "cycle:4", "--m", "many"],
+        ["--help"],
+        ["observe", "--family", "star:3", "--m", "50000", "--lazy", "--seed", "1"],
+        ["observe", "--family", "star:3", "--m", "50000", "--seed", "1"],
+        ["observe", "--family", "cycle:4", "--seed", "1", "--config", str(cfg)],
+        ["observe", "--family", "cycle:4", "--seed", "1"],
+    ]
+    monkeypatch.setenv("COLUMNS", "80")     # the help text's width
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(batecho.__file__)))
+    for argv in argvs:
+        alone = subprocess.run([sys.executable, "-m", "batecho.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=60)
+        try:
+            code = main(argv)
+        except SystemExit as exc:       # argparse's usage error and --help
+            code = exc.code
+        out = capsys.readouterr()
+        assert (code, out.out, out.err) == (alone.returncode, alone.stdout, alone.stderr), argv
+    assert build_parser() is build_parser()
 
 
 @pytest.mark.parametrize("argv", [

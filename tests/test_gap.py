@@ -250,6 +250,21 @@ def test_estimate_gap_is_deterministic():
     assert a.to_json()["pk_rule"] == "paper"
 
 
+def test_to_json_leaves_the_estimate_unchanged():
+    """The payload holds its own copies of the trace and flags: editing
+    it, also through the mixing-gap report's even chain, changes no
+    estimate."""
+    est = estimate_gap(FIXTURES["k4"], seed=5, n="estimate")
+    report = estimate_mixing_gap(FIXTURES["k4"], seed=5)
+    assert est.flags and report.even_chain is not None
+    for owner, doc in ((est, est.to_json()), (report, report.to_json()["even_chain"])):
+        before = repr(owner)
+        doc["trace"][0]["k"] = -1
+        doc["trace"].append({})
+        doc["flags"].append("edited")
+        assert repr(owner) == before
+
+
 def test_estimate_gap_with_estimated_n():
     g = FIXTURES["k4"]
     est = estimate_gap(g, c=2.0, seed=31, n="estimate")

@@ -14,7 +14,7 @@ from batecho import (
 from batecho.errors import DomainError
 from batecho.exact import MAX_EXACT_N, _closed_walk
 from batecho.graphs import _make, from_text
-from batecho.treefun import forge_size
+from batecho.treefun import MAX_FORGE_K, _forge_plan
 from batecho.ratfun import IntPoly, RatFun
 
 from exact_oracle import (
@@ -26,7 +26,17 @@ from exact_oracle import (
 )
 from field_oracle import Rat, coerce
 
-COMPOSITES = [k for k in range(4, 61) if any(k % a == 0 for a in range(2, k))]
+COMPOSITES = [k for k in range(4, MAX_FORGE_K + 1) if any(k % a == 0 for a in range(2, k))]
+
+
+def forge_size(k: int) -> int:
+    """The vertex count of each tree of `forge_tree_pair(k)`, without
+    building them.  G_{a,b} has 2 + (a-1) b vertices, and a side that
+    glues c_i copies of G_{a_i,b_i} at their roots and attaches a new
+    root has 2 + sum c_i (n_i - 1); the two sides agree, because
+    n_i - 1 = 1 + k - b_i and sum c_i = sum c_i b_i = 0."""
+    pairs, dep = _forge_plan(k)
+    return 2 + sum(c * (1 + (a - 1) * b) for (a, b), c in zip(pairs, dep) if c > 0)
 
 
 def gab_closed_form(a, b):
@@ -156,7 +166,8 @@ def test_forge_closed_form_equals_the_dependency_search(k):
             for s in (1, -1)]
     got = forge_tree_pair(k)
     assert [t.to_text() for t in got] == [t.to_text() for t in want]
-    # the lower bound cmd_forge refuses by, before any divisor scan
+    # a property of the construction: one tree holds G_{k,1} (k + 1
+    # vertices) and G_{1,k}
     assert forge_size(k) == got[0].n == got[1].n >= k + 3
 
 
