@@ -102,9 +102,9 @@ def _json_text(value, depth: int) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` for a value nested
     `depth` levels deep whose dict keys are str.  `json.dumps` uses its C
     encoder only without `indent`, so each container of scalars, and
-    each table (a list of non-empty dicts of scalars), is one C call
-    whose item separator carries the newline and indent; the rest
-    recurses."""
+    each table (a list of non-empty dicts of scalars, or of non-empty
+    lists of scalars, such as a graph's edges), is one C call whose item
+    separator carries the newline and indent; the rest recurses."""
     if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value)
     outer = "\n" + "  " * depth
@@ -122,16 +122,19 @@ def _json_text(value, depth: int) -> str:
     rows = {type(v) for v in value}
     if rows <= _SCALARS:
         items = json.JSONEncoder(separators=(sep, ": ")).encode(value)[1:-1]
-    elif rows == {dict} and all(value) and {
-            type(v) for row in value for v in row.values()} <= _SCALARS:
-        # a separator inside a row follows a scalar and precedes a key,
-        # and no encoded string holds a raw newline, so "}", sep, "{" is
-        # exactly a row break
+    elif (rows == {dict} or rows <= {list, tuple}) and all(value) and {
+            type(v) for row in value
+            for v in (row.values() if rows == {dict} else row)} <= _SCALARS:
+        # a separator inside a row follows a scalar, and no encoded
+        # string holds a raw newline, so a closing bracket, the row
+        # separator and an opening bracket are exactly a row break
+        start, end = "{}" if rows == {dict} else "[]"
         row_pad = pad + "  "
         text = json.JSONEncoder(sort_keys=True, separators=("," + row_pad, ": ")).encode(value)
-        items = ("{" + row_pad
-                 + text[2:-2].replace("}," + row_pad + "{", pad + "}" + sep + "{" + row_pad)
-                 + pad + "}")
+        items = (start + row_pad
+                 + text[2:-2].replace(end + "," + row_pad + start,
+                                      pad + end + sep + start + row_pad)
+                 + pad + end)
     else:
         items = sep.join(_json_text(v, depth + 1) for v in value)
     return "[" + pad + items + outer + "]"
@@ -180,18 +183,25 @@ def cmd_exact(opts) -> int:
     table = ex.lazy_series(g, fgen, k_max)
     spec = ex.spectrum(g)
     hit = ex.hitting_from_stationary(fgen)
-    payload = {
-        "graph": g.to_json(),
-        "series": table.to_json(),
-        "gen_fun": fgen.to_json_dict(),
-        "spectrum": spec.to_json(),
-        "hitting": {
-            "value": float(hit.value),
-            "mean_t1": str(hit.mean_t1),
-            "mean_t1_sq": str(hit.mean_t1_sq),
-        },
-        "mean_return_time": str(hit.mean_t1),
-    }
+    try:
+        payload = {
+            "graph": g.to_json(),
+            "series": table.to_json(),
+            "gen_fun": fgen.to_json_dict(),
+            "spectrum": spec.to_json(),
+            "hitting": {
+                "value": float(hit.value),
+                "mean_t1": str(hit.mean_t1),
+                "mean_t1_sq": str(hit.mean_t1_sq),
+            },
+            "mean_return_time": str(hit.mean_t1),
+        }
+    except ValueError as exc:
+        # str() refuses an int with more digits than the interpreter's
+        # limit, a setting of the whole process that is left alone here
+        raise DomainError(
+            f"an exact number has more digits than Python converts to a string "
+            f"(limit {sys.get_int_max_str_digits()} digits); lower --k-max") from exc
     emit(payload, opts)
     return EXIT_OK
 

@@ -14,10 +14,16 @@ d(r) det(Delta' - tA') / det(Delta - tA).  Each series is then one
 expansion of a ratio of integer polynomials by one integer recurrence
 (`_scaled_series`): the lazy return series of 2/(2-t) f(t/(2-t)), and
 the first-return and survival series of 1/f; the tests check both
-against the full walks.  The root statistics are read off f too: the
-first two moments of the first-return time are exact derivatives at
-t=1, and the stationary hitting time follows from them; the tests check
-it against the hitting times of the linear system.
+against the full walks.  Each term a_k / S^k, S = L (2L on the lazy
+chain), comes out in lowest terms without a big-integer gcd
+(`_lowest_terms`): only the primes of S can divide both a_k and S^k,
+and they come from factoring the degrees, so each is divided out by its
+own valuation, and q_k = p_k - 1/n needs only gcd(den, n), a divisor of
+n.  The tables hold (num, den) int pairs; the tests compare them with
+Fraction.  The root statistics are read off f too: the first two
+moments of the first-return time are exact derivatives at t=1, integer
+sums of f's coefficients, and the stationary hitting time follows from
+them; the tests check it against the hitting times of the linear system.
 
 Everything statistical elsewhere in the library is validated against the
 exact rationals produced here.
@@ -40,13 +46,10 @@ MAX_EXACT_N = 64
 MAX_EXACT_K = 1000
 
 
-def _frac_json(x: Fraction) -> dict:
-    return {"num": str(x.numerator), "den": str(x.denominator)}
-
-
 @dataclass
 class SeriesTable:
-    """Exact rational sequences indexed by step count.
+    """Exact rational sequences indexed by step count, each term a
+    (num, den) pair of ints in lowest terms with den > 0.
 
     p[k]  return probability at step k (lazy chain if `lazy`)
     s[k]  probability the first return happens at step k
@@ -56,10 +59,10 @@ class SeriesTable:
 
     n: int
     k_max: int
-    p: list[Fraction] | None = None
-    s: list[Fraction] | None = None
-    z: list[Fraction] | None = None
-    q: list[Fraction] | None = None
+    p: list[tuple[int, int]] | None = None
+    s: list[tuple[int, int]] | None = None
+    z: list[tuple[int, int]] | None = None
+    q: list[tuple[int, int]] | None = None
     lazy: bool = False
 
     def to_json(self) -> dict:
@@ -67,7 +70,7 @@ class SeriesTable:
         for name in ("p", "s", "z", "q"):
             seq = getattr(self, name)
             if seq is not None:
-                doc[name] = [_frac_json(x) for x in seq]
+                doc[name] = [{"num": str(num), "den": str(den)} for num, den in seq]
         return doc
 
 
@@ -96,7 +99,7 @@ class GenFun(RatFun):
 
     def __init__(self, num, den):
         super().__init__(num, den)
-        if self.eval(Fraction(0)) != 1:
+        if self.num.c[:1] != self.den.c[:1]:      # f(0) = N(0) / D(0)
             raise DomainError("generating function must equal 1 at t=0")
 
 
@@ -106,23 +109,86 @@ def check_exact_size(n: int) -> None:
         raise DomainError(f"exact mode capped at n <= {MAX_EXACT_N}, got {n}")
 
 
-def _scaled_series(num: IntPoly, den: IntPoly, scale: int, k_max: int) -> list[Fraction]:
-    """The power-series coefficients c_0..c_k_max of num/den, for a ratio
-    whose scale^k c_k are integers.  Under t = scale u the terms
-    a_k = scale^k c_k of num(scale u) / den(scale u) are integers, and
-    the series times den(scale u) is num(scale u), so each
+def _scaled_series(num: IntPoly, den: IntPoly, scale: int, k_max: int) -> list[int]:
+    """The terms a_k = scale^k c_k, k = 0..k_max, of the power series
+    sum c_k t^k of num/den, for a ratio whose a_k are integers.  Under
+    t = scale u the a_k are the series of num(scale u) / den(scale u),
+    and the series times den(scale u) is num(scale u), so each
     a_k = (num_k scale^k - sum_{j>=1} den_j scale^j a_{k-j}) / den_0 is
     an exact integer division."""
     lead, *tail = (x * scale ** j for j, x in enumerate(den.c))
-    a, out, power = [], [], 1
+    a, power = [], 1
     for k in range(k_max + 1):
         acc = num.c[k] * power if k < len(num.c) else 0
         q, rem = divmod(acc - sum(x * y for x, y in zip(tail, reversed(a))), lead)
         if rem:
             raise ArithmeticError(f"series leaves a remainder at k={k}")
         a.append(q)
-        out.append(Fraction(q, power))
         power *= scale
+    return a
+
+
+def _scale_primes(degrees) -> list[tuple[int, int]]:
+    """The primes p of L = lcm(degrees), each with its exponent v_p(L),
+    from factoring each distinct degree by trial division: a degree is
+    below n, while L, the scale of the series, can be much larger."""
+    exps: dict[int, int] = {}
+    for d in set(degrees):
+        p = 2
+        while d > 1:
+            if p * p > d:
+                p = d           # what is left is prime
+            e = 0
+            while d % p == 0:
+                d //= p
+                e += 1
+            if e > exps.get(p, 0):
+                exps[p] = e
+            p += 1
+    return sorted(exps.items())
+
+
+# How often `_lowest_terms` divides a term by an odd prime of the scale
+# before one gcd finishes the term instead.
+_ODD_DIVISIONS = 4
+
+
+def _lowest_terms(terms: list[int], primes: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Each a_k / S^k in lowest terms as (num, den) with den > 0, S the
+    product of p^e over `primes`.  Only a prime of S can divide both a_k
+    and S^k, so dividing out min(v_p(a_k), k e) factors of each p leaves
+    the pair coprime, with no big-integer gcd: for p = 2, v_2 is the
+    position of a_k's lowest set bit; an odd p is divided out while it
+    divides, at most k e times.  Each division costs one pass over a_k,
+    so where an odd p still divides after _ODD_DIVISIONS of them, one
+    gcd of what is left finishes the term, at the cost `Fraction` pays
+    on every term."""
+    scale = math.prod(p ** e for p, e in primes)
+    out, power = [], 1
+    for k, a in enumerate(terms):
+        den = power
+        power *= scale
+        if not a:
+            out.append((0, 1))
+            continue
+        for p, e in primes:
+            if p == 2:
+                v = min((a & -a).bit_length() - 1, k * e)
+                a >>= v
+                den >>= v
+                continue
+            cap = k * e
+            tries = min(cap, _ODD_DIVISIONS)
+            while tries and not a % p:
+                a //= p
+                den //= p
+                tries -= 1
+            if cap > _ODD_DIVISIONS and not tries and not a % p:
+                common = math.gcd(a, den)
+                a //= common
+                den //= common
+                break
+        out.append((a, den))
     return out
 
 
@@ -131,8 +197,11 @@ def lazy_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
     the plain generating function f = N/D.  The lazy chain (I+M)/2 has
     generating function 2/(2-t) f(t/(2-t)), which is 2 N~ / ((2-t) D~)
     with p~(t) = (2-t)^m p(t/(2-t)) and m the larger degree of N and D.
-    (2L)^k P'_k is an integer, L the lcm of the degrees, so
-    _scaled_series expands it."""
+    S^k P'_k is an integer, S = 2L and L the lcm of the degrees, so
+    _scaled_series expands it and `_lowest_terms` reduces each term by
+    the primes of S.  q_k then needs only g = gcd(den, n), a divisor of
+    n: P'_k - 1/n = (num (n/g) - den/g) / ((den/g) n), and a common
+    factor of that numerator and denominator can only divide g."""
     check_exact_size(g.n)
     if k_max < 0:
         raise DomainError(f"k_max must be non-negative, got {k_max}")
@@ -148,11 +217,19 @@ def lazy_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
             acc = acc * two_minus_t + IntPoly([0] * k + [x])
         return acc
 
-    p = _scaled_series(2 * homogenised(f.num), homogenised(f.den) * two_minus_t,
-                       2 * math.lcm(*map(len, g.adjacency)), k_max)
-    one_over_n = Fraction(1, g.n)
-    return SeriesTable(n=g.n, k_max=k_max, p=p, q=[x - one_over_n for x in p],
-                       lazy=True)
+    doubled = [2 * len(a) for a in g.adjacency]     # lcm(doubled) = 2L
+    p = _lowest_terms(
+        _scaled_series(2 * homogenised(f.num), homogenised(f.den) * two_minus_t,
+                       math.lcm(*doubled), k_max),
+        _scale_primes(doubled))
+    n, q = g.n, []
+    for num, den in p:
+        common = math.gcd(den, n)
+        den //= common
+        top = num * (n // common) - den
+        cut = math.gcd(top, common)
+        q.append((top // cut, den * (n // cut)))
+    return SeriesTable(n=n, k_max=k_max, p=p, q=q, lazy=True)
 
 
 # ---------------------------------------------------------------------------
@@ -296,13 +373,20 @@ def return_gen_fun(g: RootedGraph) -> GenFun:
 def first_return_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
     """First-return probabilities s_k from the power-series inversion
     1/f = 1 - sum_{k>=1} s_k t^k, and survival z_k = 1 - sum_{j<=k} s_j,
-    the partial sums of 1/f.  L^k s_k is an integer, L the lcm of the
-    degrees, so _scaled_series expands 1/f."""
+    the partial sums of 1/f.  The terms a_k = L^k c_k of 1/f are
+    integers, L the lcm of the degrees, so _scaled_series expands 1/f;
+    L^k z_k is the integer partial sum Z_k = L Z_{k-1} + a_k, and
+    `_lowest_terms` reduces both series by the primes of L."""
     if k_max < 0:
         raise DomainError(f"k_max must be non-negative, got {k_max}")
-    inv = _scaled_series(f.den, f.num, math.lcm(*map(len, g.adjacency)), k_max)
-    return SeriesTable(n=g.n, k_max=k_max, s=[Fraction(0)] + [-c for c in inv[1:]],
-                       z=list(accumulate(inv)))
+    degrees = list(map(len, g.adjacency))
+    scale = math.lcm(*degrees)
+    inv = _scaled_series(f.den, f.num, scale, k_max)
+    primes = _scale_primes(degrees)
+    sums = list(accumulate(inv, lambda acc, a: acc * scale + a))
+    return SeriesTable(n=g.n, k_max=k_max,
+                       s=_lowest_terms([0] + [-a for a in inv[1:]], primes),
+                       z=_lowest_terms(sums, primes))
 
 
 def poles_to_eigenvalues(fgen: RatFun):
@@ -350,16 +434,16 @@ def hitting_from_stationary(f: RatFun) -> HittingResult:
     the mean return time, 2|E| / d(r) by Kac's formula."""
     # moments of T1 from g(t) = 1 - 1/f(t) = sum s_k t^k.  With
     # 1/f = D/N, the quotient rule at t=1 gives (1/f)' and (1/f)''.
-    one = Fraction(1)
 
-    def at_one(poly: IntPoly):
-        d = poly.derivative()
-        return poly.eval(one), d.eval(one), d.derivative().eval(one)
+    def at_one(poly: IntPoly) -> tuple[int, int, int]:
+        # p(1), p'(1) and p''(1) as integer sums of the coefficients
+        return (sum(poly.c), sum(i * x for i, x in enumerate(poly.c)),
+                sum(i * (i - 1) * x for i, x in enumerate(poly.c)))
 
     n0, n1, n2 = at_one(f.num)
     d0, d1, d2 = at_one(f.den)
-    inv_d1 = (d1 * n0 - d0 * n1) / n0 ** 2
-    inv_d2 = (d2 * n0 - d0 * n2) / n0 ** 2 - 2 * n1 * inv_d1 / n0
+    inv_d1 = Fraction(d1 * n0 - d0 * n1, n0 ** 2)
+    inv_d2 = Fraction(d2 * n0 - d0 * n2, n0 ** 2) - 2 * n1 * inv_d1 / n0
     mean_t1 = -inv_d1
     mean_t1_sq = -inv_d2 + mean_t1
     return HittingResult(value=mean_t1_sq / (2 * mean_t1) - Fraction(1, 2),

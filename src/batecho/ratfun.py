@@ -7,11 +7,19 @@ is a numerator and denominator in canonical form: coprime over Q,
 integer contents coprime, denominator leading coefficient positive.
 Equality of canonical forms is therefore plain tuple equality.  RatFun
 does no arithmetic: the library reads every rational function off a
-walk.
+walk, as a pair that is coprime by construction, so the constructor
+takes a coprime pair and divides out only the common content and the
+sign, with no polynomial gcd.  The return generating function f comes
+from the minimal recurrence Berlekamp-Massey finds, and a common factor
+of its numerator and denominator would give a shorter one; a tree's h
+is d(r) D(sqrt x) / ((1 - x) N(sqrt x)) with f = N/D, N and D even and
+coprime, so a common root of the two would be a common root +-sqrt x of
+N and D.  The tests check both against a gcd over Q
+(`tests/field_oracle.py`, which also holds evaluation, derivatives and
+the field operations).
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
@@ -75,8 +83,7 @@ class IntPoly:
 
     def exact_div(self, other: "IntPoly") -> "IntPoly":
         """Exact polynomial division; raises if the quotient is not an
-        integer polynomial (used to divide out a primitive gcd, where
-        exactness is guaranteed)."""
+        integer polynomial (used where a factor is known to divide)."""
         if other.is_zero:
             raise DomainError("polynomial division by zero")
         if self.is_zero:
@@ -99,67 +106,14 @@ class IntPoly:
             raise ArithmeticError("non-exact polynomial division")
         return IntPoly(out)
 
-    # -- calculus / evaluation --------------------------------------------
-    def eval(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for coeff in reversed(self.c):
-            acc = acc * x + coeff
-        return acc
-
-    def derivative(self) -> "IntPoly":
-        return IntPoly([i * x for i, x in enumerate(self.c)][1:])
-
-    # -- content / gcd -----------------------------------------------------
-    def content(self) -> int:
-        g = 0
-        for x in self.c:
-            g = gcd(g, abs(x))
-        return g
-
-    def primitive(self) -> "IntPoly":
-        """Divide out the content; leading coefficient made positive."""
-        if self.is_zero:
-            return self
-        g = self.content()
-        if self.lead < 0:
-            g = -g
-        return IntPoly([x // g for x in self.c])
-
 
 IntPoly.zero = IntPoly()
 IntPoly.one = IntPoly([1])
 
 
-def poly_gcd(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Primitive gcd over Q, returned as a primitive integer polynomial
-    with positive leading coefficient."""
-    if a.is_zero:
-        return b.primitive()
-    if b.is_zero:
-        return a.primitive()
-    fa = [Fraction(x) for x in a.c]
-    fb = [Fraction(x) for x in b.c]
-    while fb:
-        # fa mod fb over Q
-        rem = list(fa)
-        while len(rem) >= len(fb):
-            q = rem[-1] / fb[-1]
-            k = len(rem) - len(fb)
-            for j, y in enumerate(fb):
-                rem[j + k] -= q * y
-            rem.pop()
-            while rem and rem[-1] == 0:
-                rem.pop()
-        fa, fb = fb, rem
-    # clear denominators, take primitive part
-    den = 1
-    for x in fa:
-        den = den * x.denominator // gcd(den, x.denominator)
-    return IntPoly([int(x * den) for x in fa]).primitive()
-
-
 class RatFun:
-    """Ratio of integer polynomials in canonical form."""
+    """Ratio of integer polynomials in canonical form, from a pair that
+    is coprime over Q."""
 
     __slots__ = ("num", "den")
 
@@ -170,10 +124,7 @@ class RatFun:
             self.num = IntPoly.zero
             self.den = IntPoly.one
             return
-        g = poly_gcd(num, den)
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-        cg = gcd(num.content(), den.content())
+        cg = gcd(*num.c, *den.c)
         if den.lead < 0:
             cg = -cg
         self.num = IntPoly([x // cg for x in num.c])
@@ -189,12 +140,6 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({list(self.num.c)}, {list(self.den.c)})"
-
-    def eval(self, x: Fraction) -> Fraction:
-        d = self.den.eval(x)
-        if d == 0:
-            raise DomainError(f"pole at {x}")
-        return self.num.eval(x) / d
 
     def to_json_dict(self) -> dict:
         return {"num": [str(x) for x in self.num.c],

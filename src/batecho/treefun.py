@@ -17,7 +17,6 @@ edges is, see `graphs`); the entry points refuse any other graph.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import DomainError
 from .exact import MAX_EXACT_K, GenFun, first_return_series, walk_gen_fun
@@ -58,18 +57,25 @@ def _subtree_classes(g: RootedGraph) -> list[tuple[int, ...]]:
 def _h_of(t: RootedGraph, f: GenFun) -> RatFun:
     """h read off the tree's walked f = N/D: N and D are even, so N(sqrt x)
     and D(sqrt x) are their even coefficients, and D(1) = 0, so (1 - x)
-    divides D(sqrt x) exactly."""
+    divides D(sqrt x) exactly.  The pair is coprime, as N and D are: a
+    common root x of the two would give a common root sqrt x of N and
+    D."""
     num, den = (IntPoly(p.c[::2]) for p in (f.num, f.den))
     return RatFun(t.root_degree * den.exact_div(IntPoly([1, -1])), num)
 
 
-def _h_series(g: RootedGraph, f: GenFun, k_max: int) -> list[Fraction]:
+def _h_series(g: RootedGraph, f: GenFun, k_max: int) -> list[tuple[int, int]]:
     """First k_max coefficients of h from the survival series of the
-    tree's walked f, d(r) * sum_k z_{2k} x^k."""
+    tree's walked f, d(r) * sum_k z_{2k} x^k, each a (num, den) pair in
+    lowest terms: only gcd(den, d(r)) can cancel."""
     if not 1 <= k_max <= MAX_EXACT_K:
         raise DomainError(f"k_max must lie in [1, {MAX_EXACT_K}], got {k_max}")
     table = first_return_series(g, f, 2 * (k_max - 1) + 1)
-    return [g.root_degree * table.z[2 * k] for k in range(k_max)]
+    out = []
+    for num, den in table.z[:2 * k_max:2]:
+        common = math.gcd(den, g.root_degree)
+        out.append((num * (g.root_degree // common), den // common))
+    return out
 
 
 def h_of_tree(t: RootedGraph) -> RatFun:
@@ -78,9 +84,9 @@ def h_of_tree(t: RootedGraph) -> RatFun:
     return _h_of(t, walk_gen_fun(t))
 
 
-def h_from_series(g: RootedGraph, k_max: int) -> list[Fraction]:
+def h_from_series(g: RootedGraph, k_max: int) -> list[tuple[int, int]]:
     """First k_max coefficients of h from the exact survival series of
-    the tree `g`."""
+    the tree `g`, as (num, den) pairs in lowest terms."""
     _check_tree(g)
     return _h_series(g, walk_gen_fun(g), k_max)
 

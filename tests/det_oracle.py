@@ -8,7 +8,7 @@ determinants are taken by fraction-free (Bareiss) elimination.
 from batecho.exact import GenFun
 from batecho.ratfun import IntPoly
 
-from field_oracle import sub
+from field_oracle import coprime, sub
 
 
 def poly_det_bareiss(mat: list[list[IntPoly]]) -> IntPoly:
@@ -39,7 +39,8 @@ def poly_det_bareiss(mat: list[list[IntPoly]]) -> IntPoly:
 
 
 def determinant_gen_fun(g) -> GenFun:
-    """d(r) det(Delta' - tA') / det(Delta - tA) in canonical form."""
+    """d(r) det(Delta' - tA') / det(Delta - tA) in canonical form, the
+    common factors of the two determinants divided out by a gcd over Q."""
     n, r = g.n, g.root
 
     def char_mat(skip_root: bool):
@@ -55,4 +56,4 @@ def determinant_gen_fun(g) -> GenFun:
 
     det_full = poly_det_bareiss(char_mat(False))
     det_minor = poly_det_bareiss(char_mat(True))
-    return GenFun(g.degree(r) * det_minor, det_full)
+    return GenFun(*coprime(g.degree(r) * det_minor, det_full))

@@ -27,12 +27,22 @@ from itertools import groupby
 from math import gcd
 
 from batecho.errors import SearchExhausted
-from batecho.exact import MAX_EXACT_K, GenFun, SeriesTable, lazy_series, return_gen_fun
+from batecho.exact import MAX_EXACT_K, GenFun, lazy_series, return_gen_fun
 from batecho.gap import GapEstimate, _bracket, per_eval_eta, search_budget
 from batecho.ratfun import IntPoly, RatFun
 from batecho.treefun import _subtree_classes
 
-from field_oracle import Rat
+from field_oracle import Rat, coprime
+
+
+def fractions(pairs) -> list[Fraction]:
+    """The (num, den) pairs of a `SeriesTable` field, or of
+    `treefun.h_from_series`, as Fractions; each pair must already be in
+    lowest terms with den > 0, the form the payloads print."""
+    out = [Fraction(num, den) for num, den in pairs]
+    bad = [pair for pair, x in zip(pairs, out) if pair != (x.numerator, x.denominator)]
+    assert not bad, f"pairs not in lowest terms: {bad[:3]}"
+    return out
 
 
 def full_walk_returns(g, k_max: int, lazy: bool) -> tuple[list[int], int]:
@@ -101,7 +111,8 @@ def connection_polynomial(a: list[int]) -> tuple[list[int], int]:
 
 def full_walk_gen_fun(g) -> GenFun:
     """f from the full 2n-tick walk: f's recurrence has length <= n, so
-    its first 2n+1 terms fix it."""
+    its first 2n+1 terms fix it; any common factor of the pair is
+    divided out by a gcd over Q."""
     a, scale = full_walk_returns(g, 2 * g.n, False)
     c, length = connection_polynomial(a)
     num = IntPoly([sum(x * y for x, y in zip(c, a[k::-1])) for k in range(length)])
@@ -109,7 +120,7 @@ def full_walk_gen_fun(g) -> GenFun:
     top = max(num.degree, den.degree)
     num, den = (IntPoly([x * scale ** (top - k) for k, x in enumerate(p.c)])
                 for p in (num, den))
-    return GenFun(num, den)
+    return GenFun(*coprime(num, den))
 
 
 def power_series(r: RatFun, k_max: int) -> list[Fraction]:
@@ -125,11 +136,10 @@ def power_series(r: RatFun, k_max: int) -> list[Fraction]:
     return out
 
 
-def transition_series(g, k_max: int) -> SeriesTable:
+def transition_series(g, k_max: int) -> list[Fraction]:
     """Exact plain-walk P_k(r,r) for k = 0..k_max from the full walk."""
     a, scale = full_walk_returns(g, k_max, False)
-    return SeriesTable(n=g.n, k_max=k_max,
-                       p=[Fraction(x, scale ** k) for k, x in enumerate(a)])
+    return [Fraction(x, scale ** k) for k, x in enumerate(a)]
 
 
 def solve_fraction_system(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
@@ -321,15 +331,15 @@ def estimate_gap_exact(g, c: float = 2.0) -> GapEstimate:
     threshold = 1.0 / n ** c
     k0, _ = search_budget(n, c)
     horizon = min(k0, MAX_EXACT_K)
-    table = lazy_series(g, return_gen_fun(g), horizon)
-    hit = next((k for k in range(1, horizon + 1) if table.q[k] <= threshold), None)
+    q = fractions(lazy_series(g, return_gen_fun(g), horizon).q)
+    hit = next((k for k in range(1, horizon + 1) if q[k] <= threshold), None)
     if hit is None:
         raise SearchExhausted(
             f"exact q_k above 1/n^c up to k={horizon} (K0={k0})", n)
-    q_star = float(table.q[hit])
+    q_star = float(q[hit])
     flags = ["exact"]
     tau_hat, tau_lower, tau_upper = _bracket(q_star, hit, n, flags)
-    return GapEstimate(k_star=hit, q_k=q_star, q_k_minus_1=float(table.q[hit - 1]),
+    return GapEstimate(k_star=hit, q_k=q_star, q_k_minus_1=float(q[hit - 1]),
                        tau_hat=tau_hat, tau_lower=tau_lower,
                        tau_upper=tau_upper, n_used=n, c=c, eps=0.0,
                        delta=0.0, pk_rule="exact", total_experiments=0,

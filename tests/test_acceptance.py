@@ -32,14 +32,16 @@ from batecho import (
 )
 from batecho.cli import main
 from batecho.gap import audit_budget, search_budget
-from batecho.ratfun import IntPoly, RatFun
+from batecho.ratfun import IntPoly
 from batecho.walk import SampledReturnTimes
 
 from conftest import FIXTURES, REGULAR, TREES
 from det_oracle import determinant_gen_fun
+from field_oracle import Rat, rat_eval
 from exact_oracle import (
     estimate_gap_exact,
     find_dependency,
+    fractions,
     power_series,
     stationary_hitting_time,
     transition_series,
@@ -86,8 +88,8 @@ def test_criterion_02_gab_closed_form_and_dependency():
     t0 = time.monotonic()
     for a in range(1, 7):
         for b in range(1, 7):
-            want = RatFun(IntPoly([a * b, -(b - 1)]),
-                          IntPoly([a * b, -(a * b - 1)]))
+            want = Rat(IntPoly([a * b, -(b - 1)]),
+                       IntPoly([a * b, -(a * b - 1)]))
             assert h_of_tree(build_gab(a, b)) == want
     dep = find_dependency([h_of_tree(build_gab(a, b))
                            for a, b in ((1, 4), (2, 2), (4, 1))])
@@ -102,11 +104,11 @@ def test_criterion_03_series_consistency():
     t0 = time.monotonic()
     for name, g in FIXTURES.items():
         f = return_gen_fun(g)
-        assert power_series(f, 100) == transition_series(g, 100).p, name
+        assert power_series(f, 100) == transition_series(g, 100), name
         assert f == determinant_gen_fun(g), name
     for name in TREES:
         t = FIXTURES[name]
-        assert power_series(h_of_tree(t), 50) == h_from_series(t, 51), name
+        assert power_series(h_of_tree(t), 50) == fractions(h_from_series(t, 51)), name
     dt = time.monotonic() - t0
     assert dt < 30.0
     print(f"\n[criterion 3] PASS: det-based f == transition series (k<=100) "
@@ -119,9 +121,9 @@ def test_criterion_04_gap_bracket_and_noiseless_factor():
     for name in names:
         g = FIXTURES[name]
         tau = nd_lazy_tau(g)
-        t = lazy_series(g, return_gen_fun(g), 200)
+        qs = fractions(lazy_series(g, return_gen_fun(g), 200).q)
         for k in range(1, 201):
-            q = float(t.q[k])
+            q = float(qs[k])
             if not (0.0 < q < 1.0):
                 break
             lower, upper = gap_bounds(q, k, g.n)
@@ -139,9 +141,9 @@ def test_criterion_05_qdecrease_and_lambda2_floor():
         g = FIXTURES[name]
         if g.n < 4:
             continue
-        t = lazy_series(g, return_gen_fun(g), 200)
+        q = fractions(lazy_series(g, return_gen_fun(g), 200).q)
         for k in range(200):
-            assert t.q[k + 1] >= t.q[k] / 3, (name, k)
+            assert q[k + 1] >= q[k] / 3, (name, k)
         lam2 = spectrum(g).eigenvalues[1]
         assert (1 + lam2) / 2 >= 1 / 3 - 1e-12, name
     print("\n[criterion 5] PASS: q_{k+1} >= q_k/3 for k <= 200 and lazy "
@@ -177,7 +179,7 @@ def test_criterion_07_estimator_calibration():
     t0 = time.monotonic()
     g = FIXTURES["c4"]
     k, eps, delta = 3, 0.02, 0.05
-    exact = float(lazy_series(g, return_gen_fun(g), k).p[k])
+    exact = float(fractions(lazy_series(g, return_gen_fun(g), k).p)[k])
     hits = 0
     for i in range(200):
         rt = SampledReturnTimes(g, seed=3000 + i, lazy=True)
@@ -242,7 +244,7 @@ def test_criterion_10_reconstruction_and_parity(capsys, tmp_path):
     # exact failure bound: P(100 iid return gaps all even) on the triangle.
     # P(T1 even) = 1 - 1/(2 f(-1)) from the first-return generating function.
     f = return_gen_fun(FIXTURES["triangle"])
-    even_mass = 1 - 1 / (2 * f.eval(Fraction(-1)))
+    even_mass = 1 - 1 / (2 * rat_eval(f, Fraction(-1)))
     bound = float(even_mass) ** 100
     assert even_mass == Fraction(2, 3)
     assert bound < 1e-17

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from batecho import first_return_series, return_gen_fun
 from batecho.cli import build_parser, main, parse_family, render
 from batecho.errors import BatechoError, DomainError
 from batecho.exact import MAX_EXACT_N
-from batecho.graphs import RootedGraph
+from batecho.graphs import RootedGraph, from_text
 from batecho.treefun import MAX_FORGE_K
 from batecho.walk import MAX_WALK_N
+
+from exact_oracle import fractions
 
 
 def run(capsys, *argv):
@@ -226,7 +229,7 @@ def test_simulate_gaps_follow_first_return_law(capsys, family):
     times = json.loads(out)["return_times"]
     gaps = np.diff([0] + times)
     g = parse_family(family)
-    s = first_return_series(g, return_gen_fun(g), 60).s
+    s = fractions(first_return_series(g, return_gen_fun(g), 60).s)
     buckets = [k for k in range(61) if m * s[k] >= 40]
     observed = [int(np.sum(gaps == k)) for k in buckets]
     expected = [m * float(s[k]) for k in buckets]
@@ -242,7 +245,7 @@ def test_forge_writes_files_and_certificate(capsys, tmp_path):
     doc = json.loads(out)
     for side in ("left", "right"):
         assert os.path.exists(doc["files"][side])
-    cert = json.loads(open(doc["certificate"]).read())
+    cert = json.loads(Path(doc["certificate"]).read_text())
     assert cert["return_series_match"] is True
     assert cert["isomorphic"] is False
 
@@ -276,6 +279,31 @@ def test_graph_file_input(capsys, tmp_path):
     code, out, err = run(capsys, "exact", "--graph", str(p), "--k-max", "4")
     assert code == 0
     assert json.loads(out)["graph"]["n"] == 3
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python sets no digit limit on int-to-string conversion")
+def test_exact_refuses_a_number_beyond_the_int_string_limit(capsys, tmp_path):
+    """The 24-vertex staircase, vertex i joined to every j < min(i, 24 - i),
+    has degrees 1..23, so its lazy scale 2 lcm(1..23) is about 10^10: the
+    reduced terms at k_max = 1000 pass CPython's limit on converting an
+    int to a string (4300 digits by default), those at 300 do not.
+    `exact` exits 2 with a message naming the limit, and leaves that
+    process-wide setting as it found it."""
+    n = 24
+    p = tmp_path / "staircase.txt"
+    p.write_text(f"{n} 0\n" + "".join(f"{j} {i}\n" for i in range(n)
+                                      for j in range(min(i, n - i))))
+    assert sorted(map(len, from_text(p.read_text()).adjacency)) == sorted(
+        [*range(1, n), n // 2])
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "exact", "--graph", str(p), "--k-max", "1000")
+    assert (code, out) == (2, "")
+    assert err == ("batecho: an exact number has more digits than Python converts "
+                   f"to a string (limit {limit} digits); lower --k-max\n")
+    assert sys.get_int_max_str_digits() == limit
+    code, out, err = run(capsys, "exact", "--graph", str(p), "--k-max", "300")
+    assert code == 0, err
 
 
 def test_missing_graph_is_config_error(capsys):
@@ -387,7 +415,7 @@ def test_forge_builds_pairs_above_the_exact_engine_cap(capsys, tmp_path, k):
     assert code == 0, err
     doc = json.loads(out)
     assert doc["n_left"] == doc["n_right"] > MAX_EXACT_N
-    cert = json.loads(open(doc["certificate"]).read())
+    cert = json.loads(Path(doc["certificate"]).read_text())
     assert cert["return_series_match"] is True
     assert cert["isomorphic"] is False
 
@@ -455,7 +483,7 @@ def test_render_refuses_a_non_str_key_above_a_container():
 # writes or replaces, at several depths, so that an encoded string that
 # held one would show.
 _TEXT = st.one_of(st.text(), st.sampled_from([
-    "},\n  {", "},\n    {", "},\n      {", "],\n    [", ", ", "}", "a\nb",
+    "},\n  {", "},\n    {", "},\n      {", "],\n    [", "],\n      [", ", ", "}", "a\nb",
     "\x00", "\u00e9\u2028\U0001f987"]))
 _SCALAR = st.one_of(st.none(), st.booleans(), st.floats(), st.integers(),
                     st.integers(10 ** 20, 10 ** 400), st.integers(-10 ** 400, -10 ** 20),

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from batecho import (
     build_family,
@@ -31,14 +31,23 @@ from batecho import (
     spectrum,
 )
 from batecho.errors import DomainError
-from batecho.exact import MAX_EXACT_K, MAX_EXACT_N, _closed_walk, _scaled_series
+from batecho.exact import (
+    MAX_EXACT_K,
+    MAX_EXACT_N,
+    GenFun,
+    _closed_walk,
+    _lowest_terms,
+    _scale_primes,
+    _scaled_series,
+)
 from batecho.graphs import from_edge_list
 from batecho.ratfun import IntPoly, RatFun
 
 from conftest import FIXTURES, TREES, fixture_params, regular_params
 from det_oracle import determinant_gen_fun
-from field_oracle import sub
+from field_oracle import Rat, derivative, poly_gcd, rat_eval, sub
 from exact_oracle import (
+    fractions,
     full_walk_first_returns,
     full_walk_gen_fun,
     full_walk_returns,
@@ -91,7 +100,7 @@ def _enumerate_first_returns(g, k_max):
 def test_transition_series_against_enumeration(name):
     g = FIXTURES[name]
     k = 8
-    assert transition_series(g, k).p == _enumerate_returns(g, k)
+    assert transition_series(g, k) == _enumerate_returns(g, k)
 
 
 @pytest.mark.parametrize("name", ["k2", "triangle", "c4", "star3"])
@@ -99,13 +108,13 @@ def test_first_return_series_against_enumeration(name):
     g = FIXTURES[name]
     k = 8
     table = first_return_series(g, return_gen_fun(g), k)
-    assert table.s == _enumerate_first_returns(g, k)
+    assert fractions(table.s) == _enumerate_first_returns(g, k)
 
 
 def _binomial_mixture(g, k_max):
     """Lazy return probabilities from the non-lazy series by the exact
     mixture P'_k = 2^-k sum_j C(k,j) P_j."""
-    p = transition_series(g, k_max).p
+    p = transition_series(g, k_max)
     return [sum(math.comb(k, j) * p[j] for j in range(k + 1)) / 2 ** k
             for k in range(k_max + 1)]
 
@@ -115,22 +124,22 @@ def test_lazy_series_two_routes_agree(g):
     k = 30
     mix = _binomial_mixture(g, k)
     direct = lazy_series(g, return_gen_fun(g), k)
-    assert direct.p == mix
-    assert direct.q == [pk - Fraction(1, g.n) for pk in mix]
+    assert fractions(direct.p) == mix
+    assert fractions(direct.q) == [pk - Fraction(1, g.n) for pk in mix]
 
 
 def test_lazy_c4_q_closed_form():
     g = FIXTURES["c4"]
     t = lazy_series(g, return_gen_fun(g), 12)
     for k in range(1, 13):
-        assert t.q[k] == Fraction(1, 2 ** (k + 1))
+        assert t.q[k] == (1, 2 ** (k + 1))
 
 
 @pytest.mark.parametrize("g", fixture_params())
 def test_genfun_series_equals_transition_series(g):
     k = 40
     f = return_gen_fun(g)
-    assert power_series(f, k) == transition_series(g, k).p
+    assert power_series(f, k) == transition_series(g, k)
 
 
 @pytest.mark.parametrize(
@@ -145,7 +154,7 @@ def test_gen_fun_recurrence_edge_cases():
     the same degree as the denominator (cycle:8)."""
     for name in TREES + ("c4", "c8", "q3"):
         g = FIXTURES[name]
-        assert not any(transition_series(g, 2 * g.n).p[1::2]), name
+        assert not any(transition_series(g, 2 * g.n)[1::2]), name
     assert FIXTURES["k2"].n == 2
     f = return_gen_fun(FIXTURES["c8"])
     assert f.num.degree == f.den.degree
@@ -172,6 +181,21 @@ def connected_graphs(draw, max_n=7):
 @given(connected_graphs())
 def test_gen_fun_equals_determinant_formula_on_random_graphs(g):
     assert return_gen_fun(g) == determinant_gen_fun(g)
+
+
+@pytest.mark.parametrize("g", fixture_params())
+def test_gen_fun_pair_is_coprime(g):
+    """RatFun divides out no common factor, so f's pair must be coprime
+    as read off the walk: the recurrence behind it is minimal."""
+    f = return_gen_fun(g)
+    assert poly_gcd(f.num, f.den) == IntPoly.one
+
+
+@settings(max_examples=400)
+@given(connected_graphs(max_n=14))
+def test_gen_fun_pair_is_coprime_on_random_graphs(g):
+    f = return_gen_fun(g)
+    assert poly_gcd(f.num, f.den) == IntPoly.one
 
 
 @given(connected_graphs(max_n=14))
@@ -205,12 +229,12 @@ def test_series_from_gen_fun_equal_full_walks(g):
     f = return_gen_fun(g)
     for k_max in (2 * g.n, 2 * g.n + 1, 6 * g.n):
         a, scale = full_walk_returns(g, k_max, True)
-        assert lazy_series(g, f, k_max).p == [Fraction(x, scale ** k)
-                                              for k, x in enumerate(a)]
+        assert fractions(lazy_series(g, f, k_max).p) == [Fraction(x, scale ** k)
+                                                         for k, x in enumerate(a)]
         s = full_walk_first_returns(g, k_max)
         table = first_return_series(g, f, k_max)
-        assert table.s == s
-        assert table.z == [1 - sum(s[:k + 1]) for k in range(k_max + 1)]
+        assert fractions(table.s) == s
+        assert fractions(table.z) == [1 - sum(s[:k + 1]) for k in range(k_max + 1)]
 
 
 @given(st.lists(st.integers(-9, 9), max_size=5), st.lists(st.integers(-9, 9), max_size=5),
@@ -222,7 +246,38 @@ def test_scaled_series_equals_fraction_expansion(p, q, q0, scale):
     m = max(len(p), len(q)) - 1
     num = IntPoly([x * scale ** (m - k) for k, x in enumerate(p)])
     den = IntPoly([x * scale ** (m - k) for k, x in enumerate(q)])
-    assert _scaled_series(num, den, scale, 12) == power_series(RatFun(num, den), 12)
+    terms = _scaled_series(num, den, scale, 12)
+    assert [Fraction(a, scale ** k) for k, a in enumerate(terms)] == power_series(
+        RatFun(num, den), 12)
+
+
+@given(st.integers(-10 ** 6, 10 ** 6), st.tuples(*[st.integers(0, 130)] * 4),
+       st.sampled_from([2, 4, 12, 30, 126]), st.integers(0, 60))
+def test_lowest_terms_equal_fraction(base, exps, scale, k):
+    """a / S^k reduced by the primes of S is Fraction's pair, den > 0 and
+    coprime, for a = 0, negative a, and a carrying fewer or more factors
+    of a prime than S^k (126 = 2 3^2 7 caps 3 at 2k), past the few odd
+    divisions after which a gcd finishes the term."""
+    a = base * math.prod(p ** x for p, x in zip((2, 3, 5, 7), exps))
+    num, den = _lowest_terms([0] * k + [a], _scale_primes([scale]))[k]
+    x = Fraction(a, scale ** k)
+    assert (num, den) == (x.numerator, x.denominator)
+    assert den > 0 and math.gcd(num, den) == 1
+
+
+@given(st.lists(st.integers(1, 200), min_size=1, max_size=12))
+def test_scale_primes_factor_the_lcm_of_the_degrees(degrees):
+    primes = _scale_primes(degrees)
+    assert math.prod(p ** e for p, e in primes) == math.lcm(*degrees)
+    assert all(e > 0 and all(p % q for q in range(2, p)) for p, e in primes)
+
+
+def test_gen_fun_must_equal_one_at_zero():
+    """f(0) = N(0) / D(0) read off the canonical pair's constant terms."""
+    assert GenFun(IntPoly([-3]), IntPoly([-3, 3])) == RatFun(IntPoly([1]), IntPoly([1, -1]))
+    for num, den in (([2], [1, -1]), ([0, 1], [1, -1]), ([1], [0, 1]), ([], [1])):
+        with pytest.raises(DomainError, match="^generating function must equal 1 at t=0$"):
+            GenFun(IntPoly(num), IntPoly(den))
 
 
 def test_scaled_series_refuses_a_non_integer_term():
@@ -241,9 +296,10 @@ def test_series_refuse_a_negative_k_max(series):
 def test_survival_and_first_return_are_consistent():
     g = FIXTURES["c4"]
     t = first_return_series(g, return_gen_fun(g), 20)
-    assert t.z[0] == 1
-    assert all(t.z[k] == 1 - sum(t.s[1:k + 1]) for k in range(21))
-    assert all(0 <= x <= 1 for x in t.s[1:])
+    s, z = fractions(t.s), fractions(t.z)
+    assert z[0] == 1
+    assert all(z[k] == 1 - sum(s[1:k + 1]) for k in range(21))
+    assert all(0 <= x <= 1 for x in s[1:])
 
 
 # --- spectrum ----------------------------------------------------------------
@@ -265,7 +321,7 @@ def test_jacobi_matches_numpy(g):
 def test_root_weights_reproduce_return_probabilities(g):
     """P_k(r,r) = sum_i w_i lambda_i^k at the root, any graph."""
     sp = spectrum(g)
-    p = transition_series(g, 12).p
+    p = transition_series(g, 12)
     for k in range(13):
         approx = float(np.sum(sp.root_weights * sp.eigenvalues ** k))
         assert abs(approx - float(p[k])) < 1e-9
@@ -281,7 +337,7 @@ def test_transitive_trace_formula():
     n * P_k(r,r) equals the k-th spectral moment."""
     g = FIXTURES["q3"]
     sp = spectrum(g)
-    p = transition_series(g, 10).p
+    p = transition_series(g, 10)
     for k in range(11):
         assert abs(g.n * float(p[k]) - float(np.sum(sp.eigenvalues ** k))) < 1e-8
 
@@ -336,9 +392,9 @@ def test_q_decrease_bounded(g):
     Regularity matters: q_k = P'_k - 1/n only decays to zero when 1/n is
     the root's stationary mass, i.e. on regular graphs.
     """
-    t = lazy_series(g, return_gen_fun(g), 60)
+    q = fractions(lazy_series(g, return_gen_fun(g), 60).q)
     for k in range(60):
-        assert t.q[k + 1] >= t.q[k] / 3
+        assert q[k + 1] >= q[k] / 3
 
 
 @pytest.mark.parametrize("g", fixture_params())
@@ -366,8 +422,8 @@ def test_lazy_gap_at_least_inverse_n_squared(g):
 
 
 def _ratfun_derivative(r):
-    return RatFun(sub(r.num.derivative() * r.den, r.num * r.den.derivative()),
-                  r.den * r.den)
+    return Rat(sub(derivative(r.num) * r.den, r.num * derivative(r.den)),
+               r.den * r.den)
 
 
 @pytest.mark.parametrize("g", fixture_params())
@@ -381,8 +437,8 @@ def test_hitting_two_routes_agree(g):
     d1 = _ratfun_derivative(RatFun(f.den, f.num))
     d2 = _ratfun_derivative(d1)
     one = Fraction(1)
-    assert res.mean_t1 == -d1.eval(one)
-    assert res.mean_t1_sq == -d2.eval(one) + res.mean_t1
+    assert res.mean_t1 == -rat_eval(d1, one)
+    assert res.mean_t1_sq == -rat_eval(d2, one) + res.mean_t1
 
 
 @given(connected_graphs(max_n=12))

@@ -28,7 +28,7 @@ from batecho.exact import MAX_EXACT_K
 from batecho.gap import GapEstimate, estimate_n, per_eval_eta, search_budget
 
 from conftest import FIXTURES, regular_params
-from exact_oracle import estimate_gap_exact, evaluations_accurate
+from exact_oracle import estimate_gap_exact, evaluations_accurate, fractions
 from walk_oracle import matrix_power_return_probability
 
 
@@ -70,9 +70,9 @@ def test_gap_bounds_lower_clamped():
 def test_bracket_contains_tau_for_all_k(g):
     """lower <= tau <= upper at every k <= 200, using exact lazy q_k."""
     tau = lazy_tau(g)
-    t = lazy_series(g, return_gen_fun(g), 200)
+    qs = fractions(lazy_series(g, return_gen_fun(g), 200).q)
     for k in range(1, 201):
-        q = float(t.q[k])
+        q = float(qs[k])
         if not (0.0 < q < 1.0):
             break
         lower, upper = gap_bounds(q, k, g.n)
@@ -104,8 +104,8 @@ def test_exact_estimator_doubling_stops_at_exact_cap():
     g = build_family("cycle", 40)
     est = estimate_gap_exact(g, 2.0)
     assert est.k_star == 710
-    assert float(lazy_series(g, return_gen_fun(g), 710).q[710]) <= 1 / 40 ** 2 < float(
-        lazy_series(g, return_gen_fun(g), 709).q[709])
+    assert float(fractions(lazy_series(g, return_gen_fun(g), 710).q)[710]) <= 1 / 40 ** 2 < float(
+        fractions(lazy_series(g, return_gen_fun(g), 709).q)[709])
     with pytest.raises(SearchExhausted):
         estimate_gap_exact(build_family("cycle", 60), 2.0)
 
@@ -197,10 +197,10 @@ def test_estimate_gap_k4_bracket_and_audits():
     budget = audit_budget(est)
     assert budget["within_budget"]
     k_top = max(entry["k"] for entry in est.trace)
-    t = lazy_series(g, return_gen_fun(g), k_top)
+    q = fractions(lazy_series(g, return_gen_fun(g), k_top).q)
     checks = audit_error_chain(est)
     assert checks["ok"], checks
-    accurate, worst = evaluations_accurate(est, lambda k: t.q[k])
+    accurate, worst = evaluations_accurate(est, lambda k: q[k])
     assert accurate, worst
 
 

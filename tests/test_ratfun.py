@@ -7,7 +7,7 @@ from batecho.ratfun import IntPoly, RatFun
 
 from det_oracle import poly_det_bareiss
 from exact_oracle import find_dependency, power_series
-from field_oracle import Rat, T, sub
+from field_oracle import Rat, T, derivative, poly_eval, poly_gcd, rat_eval, sub
 
 coeffs = st.lists(st.integers(-9, 9), min_size=0, max_size=5)
 polys = coeffs.map(IntPoly)
@@ -21,7 +21,7 @@ def test_intpoly_trims_trailing_zeros():
 def test_intpoly_arith():
     p = (T + IntPoly.one) * sub(T, IntPoly.one)
     assert p == IntPoly([-1, 0, 1])
-    assert p.eval(Fraction(3)) == 8
+    assert poly_eval(p, Fraction(3)) == 8
 
 
 def test_exact_div():
@@ -32,7 +32,7 @@ def test_exact_div():
 
 
 def test_derivative():
-    assert IntPoly([5, 3, 0, 2]).derivative() == IntPoly([3, 0, 6])
+    assert derivative(IntPoly([5, 3, 0, 2])) == IntPoly([3, 0, 6])
 
 
 @given(polys, polys, polys)
@@ -42,15 +42,25 @@ def test_distributivity(a, b, c):
 
 @given(polys, polys, st.fractions())
 def test_eval_is_a_homomorphism(a, b, x):
-    assert (a * b).eval(x) == a.eval(x) * b.eval(x)
-    assert (a + b).eval(x) == a.eval(x) + b.eval(x)
-    assert sub(a, b).eval(x) == a.eval(x) - b.eval(x)
+    assert poly_eval(a * b, x) == poly_eval(a, x) * poly_eval(b, x)
+    assert poly_eval(a + b, x) == poly_eval(a, x) + poly_eval(b, x)
+    assert poly_eval(sub(a, b), x) == poly_eval(a, x) - poly_eval(b, x)
 
 
 def test_ratfun_canonical_form():
-    # common factors and content removed, positive leading denominator
-    r = RatFun(IntPoly([-2, 0, 2]), IntPoly([-2, 2]))
-    assert r == RatFun(IntPoly([1, 1]), IntPoly([1]))
+    # RatFun takes a coprime pair and removes the common content and the
+    # sign; Rat divides out the common factors first
+    assert RatFun(IntPoly([-2, -4]), IntPoly([-6, 0, -2])) == RatFun(
+        IntPoly([1, 2]), IntPoly([3, 0, 1]))
+    r = Rat(IntPoly([-2, 0, 2]), IntPoly([-2, 2]))
+    assert (r.num, r.den) == (IntPoly([1, 1]), IntPoly([1]))
+
+
+def test_poly_gcd_is_the_primitive_common_factor():
+    x_plus_1, x_minus_1 = IntPoly([1, 1]), IntPoly([-1, 1])
+    assert poly_gcd(x_plus_1 * x_minus_1 * 6, x_plus_1 * IntPoly([2, 4])) == x_plus_1
+    assert poly_gcd(x_plus_1 * -3, IntPoly.zero) == x_plus_1
+    assert poly_gcd(x_minus_1, IntPoly([2, 1])) == IntPoly.one
 
 
 def test_ratfun_zero_denominator_rejected():
@@ -71,8 +81,8 @@ def test_ratfun_arith_and_eval():
     x = Rat(T, IntPoly.one)
     r = (x + 1) / (x - 1)
     two = Fraction(2)
-    assert r.eval(two) == 3
-    assert (r * r).eval(two) == 9
+    assert rat_eval(r, two) == 3
+    assert rat_eval(r * r, two) == 9
     assert (r - r).is_zero
     assert (2 - x) * Fraction(1, 2) == 1 - x / 2
     assert (1 / r) * r == Rat(IntPoly.one, IntPoly.one)
@@ -102,7 +112,7 @@ def test_series_inverts_multiplication(den, num):
 def _det_fraction_gauss(rows, x):
     """Oracle: evaluate the matrix at x and run plain fraction Gaussian
     elimination, fully independent of the Bareiss code path."""
-    m = [[p.eval(x) for p in row] for row in rows]
+    m = [[poly_eval(p, x) for p in row] for row in rows]
     n = len(m)
     det = Fraction(1)
     for col in range(n):
@@ -127,7 +137,7 @@ def _det_fraction_gauss(rows, x):
 def test_bareiss_determinant_against_gauss(rows):
     det = poly_det_bareiss(rows)
     for x in (Fraction(0), Fraction(1), Fraction(-2), Fraction(1, 3)):
-        assert det.eval(x) == _det_fraction_gauss(rows, x)
+        assert poly_eval(det, x) == _det_fraction_gauss(rows, x)
 
 
 def test_bareiss_known_value():

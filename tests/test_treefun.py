@@ -20,11 +20,12 @@ from batecho.ratfun import IntPoly, RatFun
 from exact_oracle import (
     class_h,
     find_dependency,
+    fractions,
     power_series,
     recursive_ahu,
     recursive_h,
 )
-from field_oracle import Rat, coerce
+from field_oracle import Rat, coerce, poly_gcd
 
 COMPOSITES = [k for k in range(4, MAX_FORGE_K + 1) if any(k % a == 0 for a in range(2, k))]
 
@@ -40,7 +41,9 @@ def forge_size(k: int) -> int:
 
 
 def gab_closed_form(a, b):
-    return RatFun(IntPoly([a * b, -(b - 1)]), IntPoly([a * b, -(a * b - 1)]))
+    """(ab - (b-1)x) / (ab - (ab-1)x); for a = 1 the two factors cancel
+    to 1, the single edge's h."""
+    return Rat(IntPoly([a * b, -(b - 1)]), IntPoly([a * b, -(a * b - 1)]))
 
 
 def test_single_edge_h_is_one():
@@ -52,6 +55,17 @@ def test_single_edge_h_is_one():
 @pytest.mark.parametrize("b", range(1, 7))
 def test_gab_closed_form(a, b):
     assert h_of_tree(build_gab(a, b)) == gab_closed_form(a, b)
+
+
+def test_h_pairs_are_coprime():
+    """RatFun divides out no common factor, so h's pair must be coprime
+    as read off the walk, on every G_{a,b} with a, b <= 6 and on both
+    trees of every forged pair with k <= 24."""
+    trees = [build_gab(a, b) for a in range(1, 7) for b in range(1, 7)]
+    trees += [t for k in COMPOSITES if k <= 24 for t in forge_tree_pair(k)]
+    for t in trees:
+        h = h_of_tree(t)
+        assert poly_gcd(h.num, h.den) == IntPoly.one, t.to_text()
 
 
 def test_h_additive_under_gluing():
@@ -96,7 +110,7 @@ def test_h_matches_survival_series(parents):
     """Dual route: h's Taylor coefficients are d(r) * z_{2k}."""
     t = _random_tree(parents)
     k = 12
-    assert power_series(h_of_tree(t), k - 1) == h_from_series(t, k)
+    assert power_series(h_of_tree(t), k - 1) == fractions(h_from_series(t, k))
 
 
 @given(st.lists(st.integers(0, 1000), min_size=1, max_size=24))

@@ -27,7 +27,7 @@ from batecho.walk import batch_return_successes, child_seed
 
 import walk_oracle
 from conftest import FIXTURES
-from exact_oracle import transition_series
+from exact_oracle import fractions, transition_series
 from walk_oracle import from_walk, gaps, simulate
 
 
@@ -64,7 +64,7 @@ def test_run_experiment_advances_origin():
 def test_estimate_pk_within_three_sigma_of_exact():
     g = FIXTURES["c4"]
     k, eps, delta = 3, 0.05, 0.05
-    exact = float(lazy_series(g, return_gen_fun(g), k).p[k])
+    exact = float(fractions(lazy_series(g, return_gen_fun(g), k).p)[k])
     est = estimate_pk(from_walk(g, seed=7, lazy=True), k, eps, delta)
     n = est.experiments
     sigma = math.sqrt(exact * (1 - exact) / n)
@@ -80,8 +80,8 @@ def test_estimate_pk_validates_inputs():
 
 def test_observer_stats_match_exact_moments():
     g = FIXTURES["triangle"]
-    t = first_return_series(g, return_gen_fun(g), 200)
-    mean_exact = float(sum(k * t.s[k] for k in range(201)))
+    s = fractions(first_return_series(g, return_gen_fun(g), 200).s)
+    mean_exact = float(sum(k * s[k] for k in range(201)))
     rt = SampledReturnTimes(g, seed=11)
     mean, mean_sq, all_even = observer_stats(np.bincount(gaps(rt, 20000))[1:])
     assert abs(mean - mean_exact) < 0.05
@@ -91,7 +91,7 @@ def test_observer_stats_match_exact_moments():
 def test_gap_distribution_chi_square():
     """Gaps of the sequential walk follow the exact first-return law."""
     g = FIXTURES["c4"]
-    t = first_return_series(g, return_gen_fun(g), 12)
+    s = fractions(first_return_series(g, return_gen_fun(g), 12).s)
     rt = from_walk(g, seed=5)
     m = 4000
     gaps = walk_oracle.gaps(rt, m)
@@ -105,7 +105,7 @@ def test_gap_distribution_chi_square():
     chi2 = 0.0
     tail_p = 1.0
     for k, obs in buckets.items():
-        p = float(t.s[k])
+        p = float(s[k])
         tail_p -= p
         chi2 += (obs - m * p) ** 2 / (m * p)
     chi2 += (tail - m * tail_p) ** 2 / (m * tail_p)
@@ -147,7 +147,7 @@ def test_lazify_matches_direct_lazy_law():
     lazy chain's return probability (cross-route, fixed seeds)."""
     g = FIXTURES["c4"]
     k = 4
-    exact = float(lazy_series(g, return_gen_fun(g), k).p[k])
+    exact = float(fractions(lazy_series(g, return_gen_fun(g), k).p)[k])
     rt = _lazify_returns(simulate(g, seed=21).bits(), seed=22)
     n = 4000
     hits = sum(run_experiment(rt, k) for _ in range(n))
@@ -179,8 +179,8 @@ def test_sampled_return_times_match_sequential_law():
 
 def _exact_returns(g, k_max, lazy):
     """Exact P_k(r,r) for k <= k_max on the lazy or the plain walk."""
-    return (lazy_series(g, return_gen_fun(g), k_max) if lazy
-            else transition_series(g, k_max)).p
+    return (fractions(lazy_series(g, return_gen_fun(g), k_max).p) if lazy
+            else transition_series(g, k_max))
 
 
 @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "plain"])
@@ -200,7 +200,7 @@ def test_batch_successes_match_exact_probability(name, lazy):
 def test_batch_stride_observes_even_time_chain():
     g = FIXTURES["c4"]
     k = 2
-    exact = float(transition_series(g, 2 * k).p[2 * k])
+    exact = float(transition_series(g, 2 * k)[2 * k])
     n = 100000
     hits = batch_return_successes(spectrum(g), k, n, seed=17, lazy=False, stride=2)
     sigma = math.sqrt(exact * (1 - exact) / n)
@@ -241,7 +241,7 @@ def test_spectral_return_probability_is_a_probability(name):
     home."""
     g = FIXTURES[name]
     spec = spectrum(g)
-    exact = transition_series(g, 61).p
+    exact = transition_series(g, 61)
     for t in range(1, 62):
         p = walk._return_probability(spec, t, lazy=False)
         assert 0.0 <= p <= 1.0 and abs(p - float(exact[t])) <= 1e-15, t
@@ -371,8 +371,8 @@ def _first_return_law(g, lazy, k_max):
     walk, and for the lazy walk the same renewal inversion
     p'_k = sum_j s_j p'_{k-j} of the exact lazy return series."""
     if not lazy:
-        return first_return_series(g, return_gen_fun(g), k_max).s
-    p = lazy_series(g, return_gen_fun(g), k_max).p
+        return fractions(first_return_series(g, return_gen_fun(g), k_max).s)
+    p = fractions(lazy_series(g, return_gen_fun(g), k_max).p)
     s = [Fraction(0)] * (k_max + 1)
     for k in range(1, k_max + 1):
         s[k] = p[k] - sum(s[j] * p[k - j] for j in range(1, k))
