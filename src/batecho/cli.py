@@ -14,7 +14,9 @@ Subcommands:
 Options may also come from a JSON config file (--config); explicit flags
 win over the config, which wins over defaults.  Output is deterministic
 for a fixed seed and is written with sorted keys so runs are
-byte-comparable.
+byte-comparable.  `exact` refuses, from bit lengths, a number with more
+digits than the interpreter converts to a string before it converts
+any, and its series is written straight from the integer pairs.
 """
 from __future__ import annotations
 
@@ -85,6 +87,8 @@ def load_graph(opts) -> graphs.RootedGraph:
 
 
 def _flatten(prefix: str, value, into: list):
+    if isinstance(value, ex.SeriesTable):
+        value = value.to_json()
     if isinstance(value, dict):
         for k in sorted(value):
             _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], into)
@@ -100,11 +104,15 @@ _SCALARS = {str, int, float, bool, type(None)}
 
 def _json_text(value, depth: int) -> str:
     """`json.dumps(value, sort_keys=True, indent=2)` for a value nested
-    `depth` levels deep whose dict keys are str.  `json.dumps` uses its C
-    encoder only without `indent`, so each container of scalars, and
-    each table (a list of non-empty dicts of scalars, or of non-empty
-    lists of scalars, such as a graph's edges), is one C call whose item
-    separator carries the newline and indent; the rest recurses."""
+    `depth` levels deep whose dict keys are str, a `SeriesTable` standing
+    for its `to_json()` and writing its own text from its int pairs
+    (`SeriesTable.json_text`).  `json.dumps` uses its C encoder only
+    without `indent`, so each container of scalars, and each table (a
+    list of non-empty dicts of scalars, or of non-empty lists of scalars,
+    such as a graph's edges), is one C call whose item separator carries
+    the newline and indent; the rest recurses."""
+    if isinstance(value, ex.SeriesTable):
+        return value.json_text(depth)
     if not isinstance(value, (dict, list, tuple)) or not value:
         return json.dumps(value)
     outer = "\n" + "  " * depth
@@ -141,7 +149,8 @@ def _json_text(value, depth: int) -> str:
 
 
 def render(payload: dict, fmt: str) -> str:
-    """The payload as text: JSON byte for byte as
+    """The payload as text, a `SeriesTable` in it standing for its
+    `to_json()`: JSON byte for byte as
     `json.dumps(payload, sort_keys=True, indent=2)` plus a newline (dict
     keys must be str: a non-str key where the dict holds a container
     raises TypeError), or CSV rows of flattened keys and values."""
@@ -176,32 +185,47 @@ def emit(payload: dict, opts) -> None:
 # subcommands
 
 
+def _check_digit_limit(numbers: list[int]) -> None:
+    """Refuse, before any of them is converted, numbers of which one has
+    more decimal digits than `str` converts: the interpreter's limit, a
+    setting of the whole process that is left alone here (Python 3.10
+    has none).  A number of fewer bits than 10**limit has fewer digits
+    and one of more bits has more, so only numbers of its bit length are
+    compared with it exactly."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit:
+        return
+    bound = 10 ** limit
+    bits = bound.bit_length()
+    widest = max(map(int.bit_length, numbers))
+    if widest > bits or widest == bits and any(
+            abs(x) >= bound for x in numbers if x.bit_length() == bits):
+        raise DomainError(
+            f"an exact number has more digits than Python converts to a string "
+            f"(limit {limit} digits); lower --k-max")
+
+
 def cmd_exact(opts) -> int:
     g = load_graph(opts)
     k_max = opts.get("k_max", 20)
     fgen = ex.return_gen_fun(g)
     table = ex.lazy_series(g, fgen, k_max)
-    spec = ex.spectrum(g)
     hit = ex.hitting_from_stationary(fgen)
-    try:
-        payload = {
-            "graph": g.to_json(),
-            "series": table.to_json(),
-            "gen_fun": fgen.to_json_dict(),
-            "spectrum": spec.to_json(),
-            "hitting": {
-                "value": float(hit.value),
-                "mean_t1": str(hit.mean_t1),
-                "mean_t1_sq": str(hit.mean_t1_sq),
-            },
-            "mean_return_time": str(hit.mean_t1),
-        }
-    except ValueError as exc:
-        # str() refuses an int with more digits than the interpreter's
-        # limit, a setting of the whole process that is left alone here
-        raise DomainError(
-            f"an exact number has more digits than Python converts to a string "
-            f"(limit {sys.get_int_max_str_digits()} digits); lower --k-max") from exc
+    _check_digit_limit([x for pair in table.p + table.q for x in pair]
+                       + [*fgen.num.c, *fgen.den.c, *hit.mean_t1.as_integer_ratio(),
+                          *hit.mean_t1_sq.as_integer_ratio()])
+    payload = {
+        "graph": g.to_json(),
+        "series": table,        # render writes it from its int pairs
+        "gen_fun": fgen.to_json_dict(),
+        "spectrum": ex.spectrum(g).to_json(),
+        "hitting": {
+            "value": float(hit.value),
+            "mean_t1": str(hit.mean_t1),
+            "mean_t1_sq": str(hit.mean_t1_sq),
+        },
+        "mean_return_time": str(hit.mean_t1),
+    }
     emit(payload, opts)
     return EXIT_OK
 

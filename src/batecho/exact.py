@@ -20,10 +20,12 @@ chain), comes out in lowest terms without a big-integer gcd
 and they come from factoring the degrees, so each is divided out by its
 own valuation, and q_k = p_k - 1/n needs only gcd(den, n), a divisor of
 n.  The tables hold (num, den) int pairs; the tests compare them with
-Fraction.  The root statistics are read off f too: the first two
-moments of the first-return time are exact derivatives at t=1, integer
-sums of f's coefficients, and the stationary hitting time follows from
-them; the tests check it against the hitting times of the linear system.
+Fraction, and `SeriesTable.json_text` writes a table's JSON straight
+from them, with no dict of strings in between.  The root statistics
+are read off f too: the first two moments of the first-return time are
+exact derivatives at t=1, integer sums of f's coefficients, and the
+stationary hitting time follows from them; the tests check it against
+the hitting times of the linear system.
 
 Everything statistical elsewhere in the library is validated against the
 exact rationals produced here.
@@ -49,7 +51,8 @@ MAX_EXACT_K = 1000
 @dataclass
 class SeriesTable:
     """Exact rational sequences indexed by step count, each term a
-    (num, den) pair of ints in lowest terms with den > 0.
+    (num, den) pair of ints in lowest terms with den > 0, k_max + 1
+    terms per sequence.
 
     p[k]  return probability at step k (lazy chain if `lazy`)
     s[k]  probability the first return happens at step k
@@ -72,6 +75,27 @@ class SeriesTable:
             if seq is not None:
                 doc[name] = [{"num": str(num), "den": str(den)} for num, den in seq]
         return doc
+
+    def json_text(self, depth: int) -> str:
+        """`json.dumps(self.to_json(), sort_keys=True, indent=2)` for the
+        table nested `depth` levels deep, written straight from the int
+        pairs: decimal digits need no escaping, so each row is one
+        format of its two ints."""
+        outer = "\n" + "  " * depth
+        pad = outer + "  "
+        row = pad + "  "
+        cell = row + "  "
+        head, mid, tail = "{" + cell + '"den": "', '",' + cell + '"num": "', '"' + row + "}"
+        # the keys in sorted order
+        items = [f'"k_max": {self.k_max}', f'"lazy": {"true" if self.lazy else "false"}',
+                 f'"n": {self.n}']
+        for name in ("p", "q", "s", "z"):
+            seq = getattr(self, name)
+            if seq is None:
+                continue
+            rows = ("," + row).join([f"{head}{den}{mid}{num}{tail}" for num, den in seq])
+            items.append(f'"{name}": [{row}{rows}{pad}]')
+        return "{" + pad + ("," + pad).join(items) + outer + "}"
 
 
 @dataclass
@@ -192,11 +216,24 @@ def _lowest_terms(terms: list[int], primes: list[tuple[int, int]]) -> list[tuple
     return out
 
 
+def _homogenised(p: IntPoly, m: int) -> IntPoly:
+    """sum_k p_k t^k (2-t)^(m-k) for m >= deg p, by the binomial theorem:
+    its t^e coefficient is 2^(m-e) sum_{k<=e} (-1)^(e-k) C(m-k, e-k) p_k,
+    O(m^2) integer products."""
+    alt = [-x if k & 1 else x for k, x in enumerate(p.c)]
+    out = []
+    for e in range(m + 1):
+        acc = sum(math.comb(m - k, e - k) * x for k, x in enumerate(alt[:e + 1]))
+        out.append((-acc if e & 1 else acc) << (m - e))
+    return IntPoly(out)
+
+
 def lazy_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
     """Lazy-chain return probabilities P'_k, plus q_k = P'_k - 1/n, from
     the plain generating function f = N/D.  The lazy chain (I+M)/2 has
     generating function 2/(2-t) f(t/(2-t)), which is 2 N~ / ((2-t) D~)
-    with p~(t) = (2-t)^m p(t/(2-t)) and m the larger degree of N and D.
+    with p~(t) = (2-t)^m p(t/(2-t)) and m the larger degree of N and D;
+    `_homogenised` expands both, (2-t) D~ as D homogenised to m + 1.
     S^k P'_k is an integer, S = 2L and L the lcm of the degrees, so
     _scaled_series expands it and `_lowest_terms` reduces each term by
     the primes of S.  q_k then needs only g = gcd(den, n), a divisor of
@@ -208,18 +245,9 @@ def lazy_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
     if k_max > MAX_EXACT_K:
         raise DomainError(f"exact mode capped at k_max <= {MAX_EXACT_K}, got {k_max}")
     m = max(f.num.degree, f.den.degree)
-    two_minus_t = IntPoly([2, -1])
-
-    def homogenised(p: IntPoly) -> IntPoly:
-        # sum_k p_k t^k (2-t)^(m-k), one factor (2-t) per step
-        acc = IntPoly.zero
-        for k, x in enumerate(p.c + (0,) * (m + 1 - len(p.c))):
-            acc = acc * two_minus_t + IntPoly([0] * k + [x])
-        return acc
-
     doubled = [2 * len(a) for a in g.adjacency]     # lcm(doubled) = 2L
     p = _lowest_terms(
-        _scaled_series(2 * homogenised(f.num), homogenised(f.den) * two_minus_t,
+        _scaled_series(2 * _homogenised(f.num, m), _homogenised(f.den, m + 1),
                        math.lcm(*doubled), k_max),
         _scale_primes(doubled))
     n, q = g.n, []

@@ -7,7 +7,8 @@ root absorbing, behind the series `exact` expands from the generating
 function (and the plain series `transition_series` built on them), the
 full 2n-tick walk and Berlekamp-Massey behind the walk `exact` stops at
 closure, the Fraction power-series expansion behind
-`exact._scaled_series`, Gaussian elimination in Fractions for the
+`exact._scaled_series`, the (2-t) Horner product behind
+`exact._homogenised`'s binomial expansion, Gaussian elimination in Fractions for the
 hitting times behind `exact.hitting_from_stationary`'s moment identity,
 Kac's formula for the mean return time it reads off the generating
 function, the per-class and per-vertex recursions behind
@@ -134,6 +135,16 @@ def power_series(r: RatFun, k_max: int) -> list[Fraction]:
             acc -= b[j] * out[k - j]
         out.append(acc / b[0])
     return out
+
+
+def horner_homogenised(p: IntPoly, m: int) -> IntPoly:
+    """sum_k p_k t^k (2-t)^(m-k) for m >= deg p, one factor (2-t) per
+    step of a Horner product."""
+    two_minus_t = IntPoly([2, -1])
+    acc = IntPoly.zero
+    for k, x in enumerate(p.c + (0,) * (m + 1 - len(p.c))):
+        acc = acc * two_minus_t + IntPoly([0] * k + [x])
+    return acc
 
 
 def transition_series(g, k_max: int) -> list[Fraction]:

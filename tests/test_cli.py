@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import batecho
-from batecho import first_return_series, return_gen_fun
-from batecho.cli import build_parser, main, parse_family, render
+from batecho import first_return_series, lazy_series, return_gen_fun
+from batecho.cli import _check_digit_limit, build_parser, main, parse_family, render
 from batecho.errors import BatechoError, DomainError
-from batecho.exact import MAX_EXACT_N
+from batecho.exact import MAX_EXACT_N, SeriesTable
 from batecho.graphs import RootedGraph, from_text
 from batecho.treefun import MAX_FORGE_K
 from batecho.walk import MAX_WALK_N
@@ -72,7 +72,7 @@ def test_exact_output_is_byte_identical(capsys, tmp_path):
 # whose walk now stops at closure); `spectrum` is left out because LAPACK
 # floats may differ across BLAS builds.  A change to any exact payload
 # fails here.
-@pytest.mark.parametrize("argv,digest", [
+_EXACT_PINS = [
     ("exact --family cycle:64",
      "b0670cf289fec03a42f777218fffd180087d9b4a880923e0d0f1f820155465af"),
     ("exact --family hypercube:5 --k-max 400",
@@ -85,7 +85,10 @@ def test_exact_output_is_byte_identical(capsys, tmp_path):
      "e72e54f66a8c2983f2517b26d4c6d0173bde13b3860e1e586d62ddb6831ae01b"),
     ("exact --family hypercube:6",
      "38f7d1c0fd98c5628b2e6da1d7867d5d963f145a73ac49e61d495ab917b550f6"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,digest", _EXACT_PINS)
 def test_exact_payload_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
     assert code == 0, err
@@ -93,6 +96,27 @@ def test_exact_payload_is_pinned(capsys, argv, digest):
     del doc["spectrum"]
     text = json.dumps(doc, sort_keys=True, indent=2)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in _EXACT_PINS]
+                         + ["exact --family cycle:4 --k-max 0"])
+def test_exact_stdout_is_indented_json_dumps(capsys, argv):
+    """The pins above hash the parsed payload dumped again; this compares
+    the raw bytes, so a slip in how the series writes itself would show."""
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def test_exact_csv_is_pinned(capsys):
+    """sha256 of the CSV as it was printed when the series went through
+    a dict of strings; the spectrum rows are left out, as above."""
+    code, out, err = run(capsys, "exact", "--family", "hypercube:3", "--format", "csv")
+    assert code == 0, err
+    text = "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("spectrum."))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "57eda30f328b575c1b67267429568ee3835a29d9c1f9ef22ff298bf96bdd7201")
 
 
 def test_forge_certificate_is_pinned(capsys, tmp_path):
@@ -281,29 +305,84 @@ def test_graph_file_input(capsys, tmp_path):
     assert json.loads(out)["graph"]["n"] == 3
 
 
-@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
-                    reason="this Python sets no digit limit on int-to-string conversion")
-def test_exact_refuses_a_number_beyond_the_int_string_limit(capsys, tmp_path):
+@pytest.fixture
+def staircase(tmp_path):
     """The 24-vertex staircase, vertex i joined to every j < min(i, 24 - i),
-    has degrees 1..23, so its lazy scale 2 lcm(1..23) is about 10^10: the
-    reduced terms at k_max = 1000 pass CPython's limit on converting an
-    int to a string (4300 digits by default), those at 300 do not.
-    `exact` exits 2 with a message naming the limit, and leaves that
-    process-wide setting as it found it."""
+    as a graph file.  It has degrees 1..23, so its lazy scale
+    2 lcm(1..23) is about 10^10 and its reduced terms grow by about ten
+    digits a step."""
     n = 24
     p = tmp_path / "staircase.txt"
     p.write_text(f"{n} 0\n" + "".join(f"{j} {i}\n" for i in range(n)
                                       for j in range(min(i, n - i))))
     assert sorted(map(len, from_text(p.read_text()).adjacency)) == sorted(
         [*range(1, n), n // 2])
+    return p
+
+
+def _digit_limit_message(limit: int) -> str:
+    return ("batecho: an exact number has more digits than Python converts "
+            f"to a string (limit {limit} digits); lower --k-max\n")
+
+
+_NO_DIGIT_LIMIT = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python sets no digit limit on int-to-string conversion")
+
+
+@_NO_DIGIT_LIMIT
+def test_exact_refuses_a_number_beyond_the_int_string_limit(capsys, staircase):
+    """The staircase's reduced terms at k_max = 1000 pass CPython's limit
+    on converting an int to a string (4300 digits by default), those at
+    300 do not.  `exact` exits 2 with a message naming the limit, and
+    leaves that process-wide setting as it found it."""
     limit = sys.get_int_max_str_digits()
-    code, out, err = run(capsys, "exact", "--graph", str(p), "--k-max", "1000")
-    assert (code, out) == (2, "")
-    assert err == ("batecho: an exact number has more digits than Python converts "
-                   f"to a string (limit {limit} digits); lower --k-max\n")
+    code, out, err = run(capsys, "exact", "--graph", str(staircase), "--k-max", "1000")
+    assert (code, out, err) == (2, "", _digit_limit_message(limit))
     assert sys.get_int_max_str_digits() == limit
-    code, out, err = run(capsys, "exact", "--graph", str(p), "--k-max", "300")
+    code, out, err = run(capsys, "exact", "--graph", str(staircase), "--k-max", "300")
     assert code == 0, err
+
+
+@_NO_DIGIT_LIMIT
+def test_digit_limit_check_agrees_with_str():
+    """The check from bit lengths refuses exactly the ints `str` refuses,
+    at and next to the bit length of 10**limit, of either sign."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("the interpreter's digit limit is switched off")
+    bound = 10 ** limit
+    bits = bound.bit_length()
+    for x in (bound - 1, bound, 1 << (bits - 1), (1 << bits) - 1, 1 << bits, 1 << (bits - 2)):
+        for y in (x, -x):
+            try:
+                str(y)
+            except ValueError:
+                with pytest.raises(DomainError, match=f"limit {limit} digits"):
+                    _check_digit_limit([1, y])
+            else:
+                _check_digit_limit([1, y])
+
+
+@_NO_DIGIT_LIMIT
+def test_exact_refusal_follows_the_interpreters_digit_limit(staircase):
+    """Under `-X int_max_str_digits=2000` the staircase's denominators at
+    k_max = 300 (2,210 digits) are refused, naming that limit, and those
+    at 200 print: the refusal reads the interpreter's limit."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(batecho.__file__)))
+
+    def exact(k_max):
+        return subprocess.run(
+            [sys.executable, "-X", "int_max_str_digits=2000", "-m", "batecho.cli",
+             "exact", "--graph", str(staircase), "--k-max", str(k_max)],
+            capture_output=True, text=True, env=env, timeout=60)
+
+    proc = exact(300)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", _digit_limit_message(2000))
+    proc = exact(200)
+    assert proc.returncode == 0, proc.stderr
+    widest = max(len(row["den"]) for row in json.loads(proc.stdout)["series"]["p"])
+    assert 1000 < widest <= 2000
 
 
 def test_missing_graph_is_config_error(capsys):
@@ -501,6 +580,47 @@ _JSON = st.recursive(
 @given(value=_JSON)
 def test_render_json_equals_indented_json_dumps(value):
     assert render(value, "json") == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def _nested(value, depth: int, in_list: bool):
+    for _ in range(depth):
+        value = [value] if in_list else {"series": value}
+    return value
+
+
+# Series tables of one to four rows with (0, 1) terms and numerators of
+# either sign: lazy (p, q) tables and first-return (s, z) tables.
+_PAIRS = st.lists(st.one_of(st.just((0, 1)),
+                            st.tuples(st.integers(-10 ** 60, 10 ** 60),
+                                      st.integers(1, 10 ** 60))),
+                  min_size=1, max_size=4)
+_SERIES_TABLE = st.one_of(
+    st.builds(SeriesTable, n=st.integers(1, 64), k_max=st.integers(0, 1000),
+              p=_PAIRS, q=_PAIRS, lazy=st.just(True)),
+    st.builds(SeriesTable, n=st.integers(1, 64), k_max=st.integers(0, 1000),
+              s=_PAIRS, z=_PAIRS))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(table=_SERIES_TABLE, depth=st.integers(0, 3), in_list=st.booleans())
+def test_series_table_text_equals_indented_json_dumps(table, depth, in_list):
+    """A series table written straight from its int pairs, at any depth
+    of dicts or lists, is the indented `json.dumps` of its `to_json()`."""
+    assert render(_nested(table, depth, in_list), "json") == json.dumps(
+        _nested(table.to_json(), depth, in_list), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("k_max", [0, 1, 30])
+@pytest.mark.parametrize("series", [lazy_series, first_return_series])
+def test_engine_tables_write_their_json_text(series, k_max):
+    """The same for the engine's own tables on a star rooted at a leaf,
+    whose q_k turn negative and whose first returns and q_3 are 0."""
+    g = parse_family("gab:3,1")
+    table = series(g, return_gen_fun(g), k_max)
+    for depth in range(3):
+        assert table.json_text(depth) == json.dumps(
+            table.to_json(), sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+    assert render({"series": table}, "csv") == render({"series": table.to_json()}, "csv")
 
 
 def test_repeated_main_calls_carry_no_state(capsys, monkeypatch, tmp_path):

@@ -36,6 +36,7 @@ from batecho.exact import (
     MAX_EXACT_N,
     GenFun,
     _closed_walk,
+    _homogenised,
     _lowest_terms,
     _scale_primes,
     _scaled_series,
@@ -51,6 +52,7 @@ from exact_oracle import (
     full_walk_first_returns,
     full_walk_gen_fun,
     full_walk_returns,
+    horner_homogenised,
     mean_return_time,
     power_series,
     stationary_hitting_time,
@@ -284,6 +286,17 @@ def test_scaled_series_refuses_a_non_integer_term():
     """1/(2 - t) = sum t^k / 2^(k+1) has no integer 2^k c_k."""
     with pytest.raises(ArithmeticError):
         _scaled_series(IntPoly.one, IntPoly([2, -1]), 2, 3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(coeffs=st.lists(st.integers(-10 ** 30, 10 ** 30), max_size=41),
+       extra=st.integers(0, 40))
+def test_homogenised_matches_the_horner_product(coeffs, extra):
+    """The binomial expansion of sum_k p_k t^k (2-t)^(m-k) equals one
+    factor (2-t) per Horner step, for any m from deg p up to 40."""
+    p = IntPoly(coeffs)
+    m = min(max(p.degree, 0) + extra, 40)
+    assert _homogenised(p, m) == horner_homogenised(p, m)
 
 
 @pytest.mark.parametrize("series", [lazy_series, first_return_series])
