@@ -110,7 +110,8 @@ def _json_text(value, depth: int) -> str:
     without `indent`, so each container of scalars, and each table (a
     list of non-empty dicts of scalars, or of non-empty lists of scalars,
     such as a graph's edges), is one C call whose item separator carries
-    the newline and indent; the rest recurses."""
+    the newline and indent, as are the scalar items of a dict that also
+    holds containers; the rest recurses."""
     if isinstance(value, ex.SeriesTable):
         return value.json_text(depth)
     if not isinstance(value, (dict, list, tuple)) or not value:
@@ -124,8 +125,15 @@ def _json_text(value, depth: int) -> str:
         else:
             if not all(isinstance(k, str) for k in value):
                 raise TypeError("render takes dict keys of type str only")
-            items = sep.join(f"{json.dumps(k)}: {_json_text(v, depth + 1)}"
-                             for k, v in sorted(value.items()))
+            # the scalar items in one C call, split on the item separator,
+            # which no encoded scalar holds (no raw newline)
+            scalars = {k: v for k, v in value.items() if type(v) in _SCALARS}
+            texts = {k: f"{json.dumps(k)}: {_json_text(v, depth + 1)}"
+                     for k, v in value.items() if type(v) not in _SCALARS}
+            if scalars:
+                texts.update(zip(sorted(scalars), json.JSONEncoder(
+                    sort_keys=True, separators=(sep, ": ")).encode(scalars)[1:-1].split(sep)))
+            items = sep.join(texts[k] for k in sorted(texts))
         return "{" + pad + items + outer + "}"
     rows = {type(v) for v in value}
     if rows <= _SCALARS:

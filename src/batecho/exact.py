@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -264,17 +264,24 @@ def lazy_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
 # spectrum
 
 
+def _symmetrised_matrix(g: RootedGraph) -> np.ndarray:
+    """N = D M D^{-1}, entry 1/sqrt(d_u d_v) on each edge, set in one
+    index assignment: a row index per edge end, repeated d_u times, and
+    the concatenated adjacency as the columns."""
+    sizes = list(map(len, g.adjacency))
+    degs = np.array(sizes, dtype=float)
+    rows = np.repeat(np.arange(g.n), sizes)
+    cols = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=rows.size)
+    mat = np.zeros((g.n, g.n))
+    mat[rows, cols] = 1.0 / np.sqrt(degs[rows] * degs[cols])
+    return mat
+
+
 def spectrum(g: RootedGraph) -> Spectrum:
     """Eigen-decomposition of the symmetrized transition matrix
     N = D M D^{-1}, with root weights from the orthonormal eigenbasis."""
-    n = g.n
-    degs = np.array([g.degree(i) for i in range(n)], dtype=float)
-    mat = np.zeros((n, n))
-    for u in range(n):
-        for v in g.adjacency[u]:
-            mat[u, v] = 1.0 / math.sqrt(degs[u] * degs[v])
     try:
-        vals, vecs = np.linalg.eigh(mat)
+        vals, vecs = np.linalg.eigh(_symmetrised_matrix(g))
     except np.linalg.LinAlgError as exc:
         raise BatechoError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(-vals)

@@ -13,6 +13,10 @@ with their geometric mean as the point estimate.  The upper end needs 1/n
 to be the root's stationary probability (true on regular graphs), and the
 lower end needs lambda_2's root weight to be at least 1/n (true on
 vertex-transitive graphs).
+
+A search builds one `walk.RootMeasure` and reads every evaluation from
+it: the spectrum is decomposed and snapped once per search, and the
+first-return kernel is built only when n is estimated from return times.
 """
 from __future__ import annotations
 
@@ -22,11 +26,9 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import DomainError, SearchExhausted
-from .exact import spectrum
 from .graphs import RootedGraph
-from .walk import (_first_return_kernel, _return_histogram,
-                   batch_return_successes, check_walk_size, child_seed,
-                   hoeffding_count, observer_stats)
+from .walk import (RootMeasure, _return_histogram, batch_return_successes,
+                   child_seed, hoeffding_count, observer_stats)
 
 
 def gap_bounds(q_k: float, k: int, n: int) -> tuple[float, float]:
@@ -86,18 +88,17 @@ def per_eval_eta(n: int, c: float, eps: float) -> float:
     return eps / (8.0 * n ** c)
 
 
-def estimate_n(g: RootedGraph, seed, lazy: bool = True) -> int:
-    """Estimate n from the root's mean return time (which equals n on a
-    regular graph, lazy or not).  Pools rounds of first returns, 2^12 in
-    the first and then as many as are pooled, so the pooled count
-    doubles, until the pooled mean's standard error sqrt((m2 - m1^2)/m)
-    is at most 1/8, and rounds that mean.  Refuses the graph once the
-    pooled count would pass 2^32."""
-    kernel = _first_return_kernel(g, lazy)
+def estimate_n(measure: RootMeasure, seed) -> int:
+    """Estimate n from the root's mean return time under the measure's
+    chain (which equals n on a regular graph, lazy or not).  Pools
+    rounds of first returns, 2^12 in the first and then as many as are
+    pooled, so the pooled count doubles, until the pooled mean's
+    standard error sqrt((m2 - m1^2)/m) is at most 1/8, and rounds that
+    mean.  Refuses the graph once the pooled count would pass 2^32."""
     counts, pooled, idx = np.zeros(0, dtype=np.int64), 0, 0
     while pooled < 1 << 32:
         draw = pooled or 1 << 12
-        hist = _return_histogram(kernel, g.root, draw,
+        hist = _return_histogram(measure, draw,
                                  np.random.default_rng(child_seed(seed, 9000 + idx)))
         counts = np.pad(counts, (0, max(0, hist.size - counts.size)))
         counts[:hist.size] += hist
@@ -137,9 +138,10 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
         raise DomainError(f"c must be positive and finite, got {c}")
     if not (0 < eps < 1 and 0 < delta < 1):
         raise DomainError(f"eps and delta must lie in (0, 1), got {eps}, {delta}")
+    measure = RootMeasure(g, lazy)
     flags = []
     if n == "estimate":
-        n_used = estimate_n(g, seed, lazy=lazy)
+        n_used = estimate_n(measure, seed)
         flags.append("n_estimated")
     elif n is None:
         n_used = g.n
@@ -162,16 +164,14 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
                           f"a 64-bit count holds")
     threshold = 1.0 / n_used ** c
 
-    check_walk_size(g)
-    spec = spectrum(g)
     trace = []
     # Q_0 is known exactly: the walk is at the root, so Q_0 = 1 - 1/n.
     cache: dict[int, float] = {0: 1.0 - 1.0 / n_used}
 
     def q_hat(k: int) -> float:
         if k not in cache:
-            succ = batch_return_successes(spec, k, n_exp, child_seed(seed, len(trace)),
-                                          lazy=lazy, stride=stride)
+            succ = batch_return_successes(measure, k, n_exp, child_seed(seed, len(trace)),
+                                          stride=stride)
             cache[k] = succ / n_exp - 1.0 / n_used
             trace.append({"k": k, "q_hat": cache[k], "experiments": n_exp,
                           "successes": succ})

@@ -2,7 +2,8 @@
 canonical pair of them.
 
 IntPoly stores coefficients lowest-degree first with no trailing zeros,
-with the ring operations the exact engine expands series with.  RatFun
+with the scalar multiple and exact division the exact engine needs; the
+ring operations live with the test oracles that use them.  RatFun
 is a numerator and denominator in canonical form: coprime over Q,
 integer contents coprime, denominator leading coefficient positive.
 Equality of canonical forms is therefore plain tuple equality.  RatFun
@@ -57,27 +58,12 @@ class IntPoly:
     def __repr__(self):
         return f"IntPoly({list(self.c)})"
 
-    # -- ring operations -------------------------------------------------
-    def __add__(self, other):
-        a, b = self.c, other.c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, x in enumerate(b):
-            out[i] += x
-        return IntPoly(out)
-
+    # -- arithmetic ------------------------------------------------------
     def __mul__(self, other):
-        if isinstance(other, int):
-            return IntPoly([other * x for x in self.c])
-        if self.is_zero or other.is_zero:
-            return IntPoly()
-        out = [0] * (len(self.c) + len(other.c) - 1)
-        for i, x in enumerate(self.c):
-            if x:
-                for j, y in enumerate(other.c):
-                    out[i + j] += x * y
-        return IntPoly(out)
+        """The multiple by an int scalar; `lazy_series` doubles with it."""
+        if not isinstance(other, int):
+            return NotImplemented
+        return IntPoly([other * x for x in self.c])
 
     __rmul__ = __mul__
 

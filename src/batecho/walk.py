@@ -1,26 +1,32 @@
 """Seeded random-walk simulation and the observer's view of it.
 
 The observer at the root sees only the clock and the return bits; every
-estimator in the library consumes that interface.  A batch of independent
-walkers is drawn from the root's laws, never walker by walker.  The
-walkers are i.i.d., so many ticks are drawn at once: the return-bit
-count at tick t is one binomial draw with P_t(r,r), read from the walk's
-spectrum, and first returns are drawn from the root's first-return law,
-n ticks per multinomial over the walkers still out, with the block's law
-read off the n-tick kernel of the walk with the root absorbing, a dense
-matrix built from the one-tick transition matrix.
+estimator in the library consumes that interface.  Everything it sees
+is fixed by the root's spectral measure, and a `RootMeasure` holds that
+measure for one chain (lazy or plain) on one graph, built once per
+search or sampling call: the spectrum's root weights with the chain's
+eigenvalues, snapped once, for P_t(r,r), and the n-tick first-return
+kernel for the first-return law, each built on first use.  A batch of
+independent walkers is drawn from these laws, never walker by walker.
+The walkers are i.i.d., so many ticks are drawn at once: the return-bit
+count at tick t is one binomial draw with P_t(r,r), and first returns
+are drawn n ticks per multinomial over the walkers still out, with the
+block's law read off the kernel of the walk with the root absorbing, a
+dense matrix built from the one-tick transition matrix.
 Streams are deterministic functions of (graph, seed, lazy), split from a
 master seed via numpy's SeedSequence, so parallel and serial runs see the
 same randomness.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .exact import spectrum
 from .graphs import RootedGraph
 
 # the first-return kernel takes 16 n^2 bytes (64 MiB at n = 2048)
@@ -41,7 +47,6 @@ def _first_return_kernel(g: RootedGraph, lazy: bool) -> np.ndarray:
     the one-tick transition matrix (or (I + P)/2) and Q that matrix with
     its root column zeroed, the first block's column j is Q^(j-1) P[:, root]
     and the second block is Q^n."""
-    check_walk_size(g)
     p = np.zeros((g.n, g.n))
     for v, nbrs in enumerate(g.adjacency):
         p[v, list(nbrs)] = 1.0 / len(nbrs)
@@ -55,6 +60,42 @@ def _first_return_kernel(g: RootedGraph, lazy: bool) -> np.ndarray:
         hit = q @ hit
     kernel[:, g.n:] = np.linalg.matrix_power(q, g.n)
     return kernel
+
+
+class RootMeasure:
+    """The root's spectral measure for one chain on `g`, the lazy one
+    (I + P)/2 or the plain one P, refused above MAX_WALK_N vertices
+    before either half is built.  Each half is built on first use and
+    kept: `spectral` for the return probabilities, `kernel` for the
+    first-return law."""
+
+    def __init__(self, g: RootedGraph, lazy: bool):
+        check_walk_size(g)
+        self.graph = g
+        self.lazy = lazy
+
+    @functools.cached_property
+    def spectral(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, mu): exact.spectrum's root weights, and the chain's
+        eigenvalues mu = (1 + lambda)/2 on the lazy chain and lambda on
+        the plain one.  The exact eigenvalues +-1 are snapped, as mu^t
+        amplifies eigh's few ulp t-fold (any other lies order 1/n^3
+        inside)."""
+        spec = spectrum(self.graph)
+        lam = spec.eigenvalues
+        lam = np.where(np.abs(np.abs(lam) - 1.0) < 1e-12, np.sign(lam), lam)
+        return spec.root_weights, (1.0 + lam) / 2 if self.lazy else lam
+
+    @functools.cached_property
+    def kernel(self) -> np.ndarray:
+        """The chain's n-tick first-return kernel (`_first_return_kernel`)."""
+        return _first_return_kernel(self.graph, self.lazy)
+
+    def return_probability(self, t: int) -> float:
+        """P_t(r,r) = sum_i w_i mu_i^t, clipped to [0, 1], which rounding
+        can leave by a few ulp."""
+        w, mu = self.spectral
+        return min(max(float(w @ mu ** t), 0.0), 1.0)
 
 
 def child_seed(seed, index: int) -> np.random.SeedSequence:
@@ -94,7 +135,7 @@ class SampledReturnTimes(ReturnTimes):
 
     def __init__(self, graph: RootedGraph, seed, lazy: bool = False):
         super().__init__(iter(()), graph=graph)
-        self._kernel = _first_return_kernel(graph, lazy)
+        self._measure = RootMeasure(graph, lazy)
         self._seed = seed
         self._spawned = 0
         self._gaps = np.empty(0, dtype=np.int64)
@@ -104,8 +145,7 @@ class SampledReturnTimes(ReturnTimes):
         if self._i >= len(self._gaps):
             child = child_seed(self._seed, self._spawned)
             self._spawned += 1
-            self._gaps = _shuffled_returns(self._kernel, self.graph.root, 1 << 16,
-                                           child)
+            self._gaps = _shuffled_returns(self._measure, 1 << 16, child)
             self._i = 0
         gap = int(self._gaps[self._i])
         self._i += 1
@@ -179,30 +219,18 @@ def observer_stats(counts):
 # vectorized samplers
 
 
-def _return_probability(spec, t: int, lazy: bool) -> float:
-    """P_t(r,r) = sum_i w_i mu_i^t over exact.spectrum's eigenvalues and root
-    weights, with mu = (1 + lambda)/2 on the lazy chain and lambda on the
-    plain one.  The exact eigenvalues +-1 are snapped, as mu^t amplifies
-    eigh's few ulp t-fold (any other lies order 1/n^3 inside), and the sum
-    is clipped to [0, 1], which rounding can leave by a few ulp."""
-    lam = spec.eigenvalues
-    lam = np.where(np.abs(np.abs(lam) - 1.0) < 1e-12, np.sign(lam), lam)
-    mu = (1.0 + lam) / 2 if lazy else lam
-    return float(np.clip(spec.root_weights @ mu ** t, 0.0, 1.0))
-
-
-def batch_return_successes(spec, k: int, count: int, seed,
-                           lazy: bool = True, stride: int = 1) -> int:
+def batch_return_successes(measure: RootMeasure, k: int, count: int, seed,
+                           stride: int = 1) -> int:
     """Number of independent experiments (out of `count`) back at the root
     at tick stride*k, the return bit the sequential protocol tests: one
-    binomial draw with P_{stride k}(r,r) from the walk's spectrum `spec`."""
-    p = _return_probability(spec, stride * k, lazy)
+    binomial draw with P_{stride k}(r,r) from the root's measure."""
+    p = measure.return_probability(stride * k)
     return int(np.random.default_rng(seed).binomial(count, p))
 
 
-def _return_histogram(kernel: np.ndarray, root: int, count: int,
+def _return_histogram(measure: RootMeasure, count: int,
                       rng: np.random.Generator) -> np.ndarray:
-    """first_return_counts on a prebuilt first-return kernel.  `row` is
+    """first_return_counts on the measure's first-return kernel.  `row` is
     the next block's law for one walker still out, in the kernel's
     columns: first return at each of the block's n ticks, or away at each
     vertex at its end.  For the first block it is the root's kernel row;
@@ -215,8 +243,9 @@ def _return_histogram(kernel: np.ndarray, root: int, count: int,
     bipartite graph keeps every first return's parity exact, or, where no
     walker can stay out (survival exactly 0, as on a plain star), falls
     on the block's last possible tick."""
+    kernel = measure.kernel
     n = kernel.shape[0]
-    row, out = kernel[root], count
+    row, out = kernel[measure.graph.root], count
     blocks = [np.zeros(0, dtype=np.int64)]
     while out:
         away = row[n:]
@@ -230,10 +259,10 @@ def _return_histogram(kernel: np.ndarray, root: int, count: int,
     return np.trim_zeros(np.concatenate(blocks), "b")
 
 
-def _shuffled_returns(kernel: np.ndarray, root: int, count: int, seed) -> np.ndarray:
-    """sample_first_returns on a prebuilt first-return kernel."""
+def _shuffled_returns(measure: RootMeasure, count: int, seed) -> np.ndarray:
+    """sample_first_returns on the measure's first-return kernel."""
     rng = np.random.default_rng(seed)
-    counts = _return_histogram(kernel, root, count, rng)
+    counts = _return_histogram(measure, count, rng)
     out = np.repeat(np.arange(1, counts.size + 1, dtype=np.int64), counts)
     rng.shuffle(out)
     return out
@@ -249,8 +278,7 @@ def first_return_counts(g: RootedGraph, count: int, seed,
     conditioned on survival so far, one vector-matrix product over the
     first-return kernel (O(n^2) per block).  `seed` is anything
     np.random.default_rng takes."""
-    return _return_histogram(_first_return_kernel(g, lazy), g.root, count,
-                             np.random.default_rng(seed))
+    return _return_histogram(RootMeasure(g, lazy), count, np.random.default_rng(seed))
 
 
 def sample_first_returns(g: RootedGraph, count: int, seed,
@@ -259,4 +287,4 @@ def sample_first_returns(g: RootedGraph, count: int, seed,
     of the first_return_counts histogram, drawn from the same stream.
     Gaps between successive returns are iid copies of T1, so these
     samples have the observer's gap distribution."""
-    return _shuffled_returns(_first_return_kernel(g, lazy), g.root, count, seed)
+    return _shuffled_returns(RootMeasure(g, lazy), count, seed)

@@ -8,7 +8,8 @@ function (and the plain series `transition_series` built on them), the
 full 2n-tick walk and Berlekamp-Massey behind the walk `exact` stops at
 closure, the Fraction power-series expansion behind
 `exact._scaled_series`, the (2-t) Horner product behind
-`exact._homogenised`'s binomial expansion, Gaussian elimination in Fractions for the
+`exact._homogenised`'s binomial expansion, the per-edge loop behind
+`exact._symmetrised_matrix`'s one index assignment, Gaussian elimination in Fractions for the
 hitting times behind `exact.hitting_from_stationary`'s moment identity,
 Kac's formula for the mean return time it reads off the generating
 function, the per-class and per-vertex recursions behind
@@ -27,13 +28,15 @@ from fractions import Fraction
 from itertools import groupby
 from math import gcd
 
+import numpy as np
+
 from batecho.errors import SearchExhausted
 from batecho.exact import MAX_EXACT_K, GenFun, lazy_series, return_gen_fun
 from batecho.gap import GapEstimate, _bracket, per_eval_eta, search_budget
 from batecho.ratfun import IntPoly, RatFun
 from batecho.treefun import _subtree_classes
 
-from field_oracle import Rat, coprime
+from field_oracle import Rat, add, coprime, mul
 
 
 def fractions(pairs) -> list[Fraction]:
@@ -143,8 +146,19 @@ def horner_homogenised(p: IntPoly, m: int) -> IntPoly:
     two_minus_t = IntPoly([2, -1])
     acc = IntPoly.zero
     for k, x in enumerate(p.c + (0,) * (m + 1 - len(p.c))):
-        acc = acc * two_minus_t + IntPoly([0] * k + [x])
+        acc = add(mul(acc, two_minus_t), IntPoly([0] * k + [x]))
     return acc
+
+
+def symmetrised_matrix(g) -> np.ndarray:
+    """N = D M D^{-1} set entry by entry, 1/sqrt(d_u d_v) for each
+    neighbour v of each u."""
+    degs = np.array([g.degree(i) for i in range(g.n)], dtype=float)
+    mat = np.zeros((g.n, g.n))
+    for u in range(g.n):
+        for v in g.adjacency[u]:
+            mat[u, v] = 1.0 / math.sqrt(degs[u] * degs[v])
+    return mat
 
 
 def transition_series(g, k_max: int) -> list[Fraction]:
@@ -285,7 +299,7 @@ def find_dependency(funs: list[RatFun]):
         g = f.num
         for j, other in enumerate(funs):
             if j != i:
-                g = g * other.den
+                g = mul(g, other.den)
         cleared.append(g)
     deg = max((g.degree for g in cleared), default=-1)
     rows = deg + 1

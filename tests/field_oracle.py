@@ -4,9 +4,10 @@
 its RatFun is only a canonical pair and divides out no common factor.
 The tests build rational functions by hand: `poly_gcd` is the gcd over Q
 that `coprime` divides out of a pair, `Rat` is a RatFun with the field
-operations, each result made coprime and then canonical, and `sub`, `T`,
-`poly_eval` and `derivative` are the IntPoly subtraction, indeterminate,
-evaluation and derivative no route in `src/` needs.
+operations, each result made coprime and then canonical, and `add`,
+`sub`, `mul`, `T`, `poly_eval` and `derivative` are the IntPoly sum,
+difference, product, indeterminate, evaluation and derivative no route
+in `src/` needs.
 """
 from __future__ import annotations
 
@@ -19,8 +20,27 @@ from batecho.ratfun import IntPoly, RatFun
 T = IntPoly([0, 1])
 
 
+def add(a: IntPoly, b: IntPoly) -> IntPoly:
+    a, b = (a.c, b.c) if len(a.c) >= len(b.c) else (b.c, a.c)
+    out = list(a)
+    for i, x in enumerate(b):
+        out[i] += x
+    return IntPoly(out)
+
+
 def sub(a: IntPoly, b: IntPoly) -> IntPoly:
-    return a + IntPoly([-x for x in b.c])
+    return add(a, IntPoly([-x for x in b.c]))
+
+
+def mul(a: IntPoly, b: IntPoly) -> IntPoly:
+    if a.is_zero or b.is_zero:
+        return IntPoly.zero
+    out = [0] * (len(a.c) + len(b.c) - 1)
+    for i, x in enumerate(a.c):
+        if x:
+            for j, y in enumerate(b.c):
+                out[i + j] += x * y
+    return IntPoly(out)
 
 
 def poly_eval(p: IntPoly, x) -> Fraction:
@@ -112,8 +132,8 @@ class Rat(RatFun):
 
     def __add__(self, other):
         other = coerce(other)
-        return Rat(self.num * other.den + other.num * self.den,
-                   self.den * other.den)
+        return Rat(add(mul(self.num, other.den), mul(other.num, self.den)),
+                   mul(self.den, other.den))
 
     __radd__ = __add__
 
@@ -128,7 +148,7 @@ class Rat(RatFun):
 
     def __mul__(self, other):
         other = coerce(other)
-        return Rat(self.num * other.num, self.den * other.den)
+        return Rat(mul(self.num, other.num), mul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -136,7 +156,7 @@ class Rat(RatFun):
         other = coerce(other)
         if other.num.is_zero:
             raise DomainError("division by the zero rational function")
-        return Rat(self.num * other.den, self.den * other.num)
+        return Rat(mul(self.num, other.den), mul(self.den, other.num))
 
     def __rtruediv__(self, other):
         return coerce(other) / self

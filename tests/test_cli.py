@@ -151,6 +151,17 @@ def test_forge_certificate_is_pinned(capsys, tmp_path):
      "fcf843df34cebeeaf930c07fb07ca45b205ea35d6d3e916840b405843087fa3b"),
     ("observe --family cycle:64 --m 100000 --seed 3",
      "f780f2d22ccad48dfb94ca08013cf2b44c9aefb8eb83198c0a698d93c3f8ff83"),
+    # the benchmark's own gap-search and return-sampling argv, at seed 1
+    ("gap --family cycle:8 --seed 1",
+     "176a50bdc74612a76fd3427e8fd93aea9e0d27e378647777e4802477a27951da"),
+    ("gap --family hypercube:3 --seed 1",
+     "adc3d4dcec391c37993368b0504da0c683af49e64345f7099ac0a9071fe8a29b"),
+    ("gap --family complete:4 --pk-rule paper --seed 1",
+     "413b68b762dcfe9ee3b8c1cd237320c5049cc290a5e03d9275e773988addba54"),
+    ("mixing-gap --family cycle:7 --seed 1",
+     "6246f39a76565693a740553527d4c2faed35c6796fc81e8bbc9dc615982ab2d7"),
+    ("simulate --family hypercube:3 --lazy --m 20000 --seed 1",
+     "c66445bc9cfdd6dab536b046479f1d854adf00a2a8b92c5a113e90ea553f0bac"),
 ])
 def test_seeded_payload_is_pinned(capsys, argv, digest):
     code, out, err = run(capsys, *argv.split())
@@ -502,9 +513,11 @@ def test_forge_builds_pairs_above_the_exact_engine_cap(capsys, tmp_path, k):
 @pytest.mark.parametrize("command", ["observe", "simulate", "gap", "mixing-gap"])
 def test_walk_above_its_vertex_cap_exits_2(capsys, monkeypatch, tmp_path, command):
     """A graph above walk.MAX_WALK_N vertices is refused by all four walk
-    commands, before the 16 n^2-byte first-return kernel or the gap
-    search's spectrum is built."""
-    monkeypatch.setattr(batecho.gap, "spectrum", lambda g: pytest.fail("spectrum built"))
+    commands when their root measure is made, before either half of it,
+    the 16 n^2-byte first-return kernel or the spectrum, is built."""
+    monkeypatch.setattr(batecho.walk, "spectrum", lambda g: pytest.fail("spectrum built"))
+    monkeypatch.setattr(batecho.walk, "_first_return_kernel",
+                        lambda g, lazy: pytest.fail("kernel built"))
     n = MAX_WALK_N + 1
     p = tmp_path / "path.txt"
     p.write_text(f"{n} 0\n" + "".join(f"{v} {v + 1}\n" for v in range(n - 1)))

@@ -40,13 +40,14 @@ from batecho.exact import (
     _lowest_terms,
     _scale_primes,
     _scaled_series,
+    _symmetrised_matrix,
 )
 from batecho.graphs import from_edge_list
 from batecho.ratfun import IntPoly, RatFun
 
 from conftest import FIXTURES, TREES, fixture_params, regular_params
 from det_oracle import determinant_gen_fun
-from field_oracle import Rat, derivative, poly_gcd, rat_eval, sub
+from field_oracle import Rat, derivative, mul, poly_gcd, rat_eval, sub
 from exact_oracle import (
     fractions,
     full_walk_first_returns,
@@ -56,6 +57,7 @@ from exact_oracle import (
     mean_return_time,
     power_series,
     stationary_hitting_time,
+    symmetrised_matrix,
     transition_series,
 )
 
@@ -355,6 +357,16 @@ def test_transitive_trace_formula():
         assert abs(g.n * float(p[k]) - float(np.sum(sp.eigenvalues ** k))) < 1e-8
 
 
+@pytest.mark.parametrize("g", fixture_params() + [
+    pytest.param(build_family(name, size), id=f"{name}:{size}")
+    for name, size in (("complete", 16), ("hypercube", 6), ("cycle", 64))])
+def test_symmetrised_matrix_equals_the_per_edge_loop(g):
+    """The one index assignment sets the same doubles as the per-edge
+    loop (sqrt and the division are correctly rounded either way), so
+    eigh sees the same matrix."""
+    assert _symmetrised_matrix(g).tobytes() == symmetrised_matrix(g).tobytes()
+
+
 def test_k4_spectrum():
     sp = spectrum(FIXTURES["k4"])
     assert np.allclose(sp.eigenvalues, [1, -1 / 3, -1 / 3, -1 / 3])
@@ -435,8 +447,8 @@ def test_lazy_gap_at_least_inverse_n_squared(g):
 
 
 def _ratfun_derivative(r):
-    return Rat(sub(derivative(r.num) * r.den, r.num * derivative(r.den)),
-               r.den * r.den)
+    return Rat(sub(mul(derivative(r.num), r.den), mul(r.num, derivative(r.den))),
+               mul(r.den, r.den))
 
 
 @pytest.mark.parametrize("g", fixture_params())

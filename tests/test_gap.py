@@ -132,37 +132,68 @@ def test_exact_estimator_computes_the_series_once(monkeypatch):
     assert calls == [MAX_EXACT_K]
 
 
-@pytest.mark.parametrize("run", [
-    lambda: estimate_gap(FIXTURES["c8"], seed=1),
-    lambda: estimate_gap(FIXTURES["k4"], seed=31, n="estimate"),
-    lambda: estimate_mixing_gap(FIXTURES["k4"], seed=1).even_chain,
+@pytest.mark.parametrize("run,kernels", [
+    (lambda: estimate_gap(FIXTURES["c8"], seed=1), 0),
+    (lambda: estimate_gap(FIXTURES["k4"], seed=31, n="estimate"), 1),
+    (lambda: estimate_mixing_gap(FIXTURES["k4"], seed=1).even_chain, 0),
 ], ids=["gap", "gap-estimated-n", "mixing-gap"])
-def test_search_decomposes_the_walk_once(monkeypatch, run):
-    """One exact.spectrum call per search, however many evaluations the
-    search makes."""
-    calls = []
-    real = gap_module.spectrum
-    monkeypatch.setattr(gap_module, "spectrum", lambda g: calls.append(g) or real(g))
+def test_search_decomposes_the_walk_once(monkeypatch, run, kernels):
+    """One exact.spectrum call (one eigh) per search, however many
+    evaluations the search makes, and one first-return kernel when n is
+    estimated from return times, none otherwise."""
+    calls, builds, eighs = [], [], []
+    real_spectrum, real_kernel, real_eigh = (walk.spectrum, walk._first_return_kernel,
+                                             np.linalg.eigh)
+    monkeypatch.setattr(walk, "spectrum", lambda g: calls.append(g) or real_spectrum(g))
+    monkeypatch.setattr(walk, "_first_return_kernel",
+                        lambda *a: builds.append(a) or real_kernel(*a))
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: eighs.append(m) or real_eigh(m))
     est = run()
     assert len(est.trace) > 1
-    assert len(calls) == 1
+    assert len(calls) == len(eighs) == 1
+    assert len(builds) == kernels
+
+
+@pytest.mark.parametrize("command", ["observe", "simulate"])
+def test_sampling_never_decomposes_the_walk(monkeypatch, capsys, command):
+    """`observe` and `simulate` draw first returns from the kernel alone:
+    no spectrum, and one kernel per call."""
+    builds = []
+    real_kernel = walk._first_return_kernel
+    monkeypatch.setattr(walk, "spectrum", lambda g: pytest.fail("spectrum built"))
+    monkeypatch.setattr(walk, "_first_return_kernel",
+                        lambda *a: builds.append(a) or real_kernel(*a))
+    assert main([command, "--family", "cycle:8", "--m", "1000", "--seed", "1"]) == 0
+    assert len(builds) == 1
+    next(SampledReturnTimes(FIXTURES["c8"], seed=1, lazy=True))
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("argv", [["gap", "--family", "cycle:8"],
+                                  ["mixing-gap", "--family", "cycle:7"]])
+def test_gap_search_never_builds_the_kernel(monkeypatch, capsys, argv):
+    """Without `--n estimate` the searches read P_t from the spectrum
+    alone, and never build the first-return kernel."""
+    monkeypatch.setattr(walk, "_first_return_kernel",
+                        lambda *a: pytest.fail("kernel built"))
+    assert main([*argv, "--seed", "1"]) == 0
 
 
 @pytest.mark.parametrize("stride", [1, 2], ids=["gap", "mixing-gap"])
 @pytest.mark.parametrize("name,size", [("cycle", 64), ("hypercube", 6), ("path", 9)])
 def test_search_probabilities_match_matrix_powers(monkeypatch, name, size, stride):
     """At every k a seed-1 search evaluates (up to K0 where it exhausts),
-    P_{stride k}(r,r) from the spectrum agrees with the root entry of the
-    matrix power P^(stride k) to 1e-12: the lazy chain for `gap`, the
-    plain chain at even times for `mixing-gap`."""
+    P_{stride k}(r,r) from the search's root measure agrees with the root
+    entry of the matrix power P^(stride k) to 1e-12: the lazy chain for
+    `gap`, the plain chain at even times for `mixing-gap`."""
     g = build_family(name, size)
     lazy = stride == 1
     seen = []
     real = gap_module.batch_return_successes
 
-    def recording(spec, k, *args, **kwargs):
-        seen.append((spec, k))
-        return real(spec, k, *args, **kwargs)
+    def recording(measure, k, *args, **kwargs):
+        seen.append((measure, k))
+        return real(measure, k, *args, **kwargs)
 
     monkeypatch.setattr(gap_module, "batch_return_successes", recording)
     if lazy:
@@ -171,9 +202,11 @@ def test_search_probabilities_match_matrix_powers(monkeypatch, name, size, strid
     else:
         estimate_mixing_gap(g, seed=1)
     assert len(seen) > 1
-    for spec, k in seen:
+    assert len({id(measure) for measure, _ in seen}) == 1
+    for measure, k in seen:
+        assert measure.graph is g and measure.lazy is lazy
         t = stride * k
-        spectral = walk._return_probability(spec, t, lazy)
+        spectral = measure.return_probability(t)
         assert abs(spectral - matrix_power_return_probability(g, t, lazy)) <= 1e-12, k
 
 
@@ -273,8 +306,8 @@ def test_estimate_gap_with_estimated_n():
 
 
 def test_estimate_n_values():
-    assert estimate_n(FIXTURES["c8"], seed=41) == 8
-    assert estimate_n(FIXTURES["k4"], seed=43, lazy=False) == 4
+    assert estimate_n(walk.RootMeasure(FIXTURES["c8"], True), seed=41) == 8
+    assert estimate_n(walk.RootMeasure(FIXTURES["k4"], False), seed=43) == 4
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -282,7 +315,7 @@ def test_estimate_n_resolves_cycle_64(seed):
     """The pooled mean's standard error reaches 1/8 before it is rounded,
     so the mean return time 64 is read exactly; stopping when two
     rounded means agreed gave 60 at seed 3."""
-    assert estimate_n(build_family("cycle", 64), seed=seed) == 64
+    assert estimate_n(walk.RootMeasure(build_family("cycle", 64), True), seed=seed) == 64
 
 
 def test_non_regular_graph_exhausts_search():
@@ -300,7 +333,7 @@ def test_unevaluated_horizon_exits_3_within_l_evaluations(monkeypatch, capsys):
     k0, levels = search_budget(8, 2.0)
     calls = []
 
-    def law(spec, k, count, seed, lazy=True, stride=1):
+    def law(measure, k, count, seed, stride=1):
         calls.append(k)
         # all walkers home before K0 (q = 7/8), q = 1/128 <= 1/64 at K0
         return count if k < k0 else count // 8 + count // 128

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 
@@ -19,11 +20,10 @@ from batecho import (
     return_gen_fun,
     run_experiment,
     sample_first_returns,
-    spectrum,
 )
 from batecho import walk
 from batecho.errors import DomainError
-from batecho.walk import batch_return_successes, child_seed
+from batecho.walk import RootMeasure, batch_return_successes, child_seed
 
 import walk_oracle
 from conftest import FIXTURES
@@ -192,7 +192,7 @@ def test_batch_successes_match_exact_probability(name, lazy):
     k = 3 if lazy else 4     # even: the plain walk on a tree is periodic
     exact = float(_exact_returns(g, k, lazy)[k])
     n = 200000
-    hits = batch_return_successes(spectrum(g), k, n, seed=13, lazy=lazy)
+    hits = batch_return_successes(RootMeasure(g, lazy), k, n, seed=13)
     sigma = math.sqrt(exact * (1 - exact) / n)
     assert abs(hits / n - exact) <= 4 * sigma   # sigma = 0 on star3-plain
 
@@ -202,7 +202,7 @@ def test_batch_stride_observes_even_time_chain():
     k = 2
     exact = float(transition_series(g, 2 * k)[2 * k])
     n = 100000
-    hits = batch_return_successes(spectrum(g), k, n, seed=17, lazy=False, stride=2)
+    hits = batch_return_successes(RootMeasure(g, False), k, n, seed=17, stride=2)
     sigma = math.sqrt(exact * (1 - exact) / n)
     assert abs(hits / n - exact) < 4 * sigma
 
@@ -214,7 +214,7 @@ def test_batch_successes_survive_rounding_of_long_powers():
     move the draw off it."""
     g = build_family("hypercube", 5)
     count, p = 10 ** 6, 2 / 32
-    hits = batch_return_successes(spectrum(g), 12776, count, seed=19, lazy=False,
+    hits = batch_return_successes(RootMeasure(g, False), 12776, count, seed=19,
                                   stride=2)
     assert abs(hits / count - p) < 4 * math.sqrt(p * (1 - p) / count)
 
@@ -226,9 +226,9 @@ def test_spectral_return_probability_equals_exact_series(name, lazy):
     t <= 200, on regular (c8, leafy_cutpoint) and irregular (path4, star3)
     graphs, lazy and plain."""
     g = FIXTURES[name]
-    spec = spectrum(g)
+    measure = RootMeasure(g, lazy)
     exact = _exact_returns(g, 200, lazy)
-    worst = max(abs(walk._return_probability(spec, t, lazy) - float(exact[t]))
+    worst = max(abs(measure.return_probability(t) - float(exact[t]))
                 for t in range(201))
     assert worst <= 1e-12
 
@@ -240,12 +240,12 @@ def test_spectral_return_probability_is_a_probability(name):
     binomial parameter within 1e-15 of the exact one, and draws no walker
     home."""
     g = FIXTURES[name]
-    spec = spectrum(g)
+    measure = RootMeasure(g, False)
     exact = transition_series(g, 61)
     for t in range(1, 62):
-        p = walk._return_probability(spec, t, lazy=False)
+        p = measure.return_probability(t)
         assert 0.0 <= p <= 1.0 and abs(p - float(exact[t])) <= 1e-15, t
-    assert batch_return_successes(spec, 31, 10 ** 6, seed=3, lazy=False) == 0
+    assert batch_return_successes(measure, 31, 10 ** 6, seed=3) == 0
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
@@ -355,10 +355,11 @@ def test_batch_success_counts_are_binomial(sampler, name, lazy, k, stride):
     count = 10 ** 6 if sampler is walk else 10 ** 4   # the oracle pays per walker
     ticks = stride * k
     p = float(_exact_returns(g, ticks, lazy)[ticks])
-    source = spectrum(g) if sampler is walk else g
-    hits = np.array([sampler.batch_return_successes(source, k, count, seed, lazy=lazy,
-                                                    stride=stride)
-                     for seed in range(100)])
+    if sampler is walk:
+        draw = functools.partial(walk.batch_return_successes, RootMeasure(g, lazy))
+    else:
+        draw = functools.partial(walk_oracle.batch_return_successes, g, lazy=lazy)
+    hits = np.array([draw(k, count, seed, stride=stride) for seed in range(100)])
     if p in (0.0, 1.0):       # a periodic return: every batch is exact
         assert (hits == count * p).all()
         return
@@ -439,8 +440,7 @@ def test_return_histogram_draws_one_multinomial_per_block(lazy):
     the count."""
     g = build_family("cycle", 64)
     rng = _CountingRng(5)
-    counts = walk._return_histogram(walk._first_return_kernel(g, lazy), g.root,
-                                    10 ** 6, rng)
+    counts = walk._return_histogram(RootMeasure(g, lazy), 10 ** 6, rng)
     assert counts.sum() == 10 ** 6 and counts[-1] > 0
     assert rng.multinomials == -(-counts.size // g.n) > 1
 
@@ -458,8 +458,7 @@ def test_zero_survival_ends_in_one_block(family, size):
     g = build_family(family, size)
     rng = _CountingRng(3)
     with np.errstate(all="raise"):
-        counts = walk._return_histogram(walk._first_return_kernel(g, False), g.root,
-                                        INT64_MAX, rng)
+        counts = walk._return_histogram(RootMeasure(g, False), INT64_MAX, rng)
         lazy = first_return_counts(g, INT64_MAX, 3, lazy=True)
     assert counts.tolist() == [0, INT64_MAX] and rng.multinomials == 1
     assert lazy.sum() == INT64_MAX and lazy.min() >= 0 and lazy[-1] > 0
