@@ -40,6 +40,7 @@ from .treefun import (
 )
 from .walk import (
     ReturnTimes,
+    RootMeasure,
     SampledReturnTimes,
     estimate_pk,
     first_return_counts,

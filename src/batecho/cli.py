@@ -43,9 +43,29 @@ EXIT_BUDGET = 4
 _FAMILIES = ("path", "cycle", "complete", "star", "hypercube", "gab", "leafy")
 
 
+def _vertex_count(name: str, nums: tuple[int, ...]) -> int:
+    """The vertex count of family `name` from its integer parameters,
+    before anything is built.  A parameter below its builder's minimum
+    is raised to it (the builder refuses it with its own message), and
+    an exponent stops past the bit length of walk.MAX_WALK_N, so no
+    large number is formed and a count past the cap stays past it."""
+    top = walk.MAX_WALK_N.bit_length()
+    if name == "hypercube":
+        return 1 << min(max(nums[0], 1), top)
+    if name == "gab":
+        a, b = (max(x, 1) for x in nums)
+        return 2 + (a - 1) * b
+    if name == "leafy":
+        h, d = min(max(nums[0], 1), top), max(nums[1], 2)
+        return 1 + (d + 1) * (d ** h - 1) // (d - 1)
+    return nums[0] + (name == "star")
+
+
 def parse_family(spec: str) -> graphs.RootedGraph:
     """Build a named graph from a spec like 'cycle:8', 'gab:2,2' or
-    'leafy:3,2,cutpoint'."""
+    'leafy:3,2,cutpoint'.  A family with more vertices than
+    walk.MAX_WALK_N, which no subcommand takes, is refused before it is
+    built."""
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
     args = [a.strip() for a in rest.split(",")] if rest else []
@@ -54,21 +74,24 @@ def parse_family(spec: str) -> graphs.RootedGraph:
     try:
         if name == "gab":
             a, b = args
-            a, b = int(a), int(b)
+            nums = (int(a), int(b))
         elif name == "leafy":
             h, d, mode = args
-            h, d = int(h), int(d)
+            nums = (int(h), int(d))
         else:
             (size,) = args
-            size = int(size)
+            nums = (int(size),)
     except ValueError as exc:
         raise BatechoError(f"bad family spec {spec!r}: {exc}") from exc
+    if _vertex_count(name, nums) > walk.MAX_WALK_N:
+        raise DomainError(f"family {spec!r} has more than {walk.MAX_WALK_N} vertices, "
+                          f"the most any subcommand takes")
     # the builders' own refusals pass through with their messages
     if name == "gab":
-        return graphs.build_gab(a, b)
+        return graphs.build_gab(*nums)
     if name == "leafy":
-        return graphs.build_leafy(h, d, mode=mode)
-    return graphs.build_family(name, size)
+        return graphs.build_leafy(*nums, mode=mode)
+    return graphs.build_family(name, *nums)
 
 
 def load_graph(opts) -> graphs.RootedGraph:
@@ -305,7 +328,7 @@ def cmd_observe(opts) -> int:
     # the walk holds its walker counts in int64
     m = _sample_count(opts, 10000, np.iinfo(np.int64).max)
     lazy = bool(opts.get("lazy", False))
-    counts = walk.first_return_counts(g, m, opts.get("seed", 0), lazy=lazy)
+    counts = walk.first_return_counts(walk.RootMeasure(g, lazy), m, opts.get("seed", 0))
     mean, mean_sq, all_even = walk.observer_stats(counts)
     d_r = g.root_degree
     payload = {
@@ -331,7 +354,7 @@ def cmd_simulate(opts) -> int:
     lazy = bool(opts.get("lazy", False))
     try:
         # the gaps between returns are iid copies of the first-return time
-        gaps = walk.sample_first_returns(g, m, opts.get("seed", 0), lazy=lazy)
+        gaps = walk.sample_first_returns(walk.RootMeasure(g, lazy), m, opts.get("seed", 0))
         times = np.cumsum(gaps).tolist()
     except MemoryError as exc:
         raise DomainError(f"--m {m} return times do not fit in memory") from exc

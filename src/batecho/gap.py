@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DomainError, SearchExhausted
 from .graphs import RootedGraph
-from .walk import (RootMeasure, _return_histogram, batch_return_successes,
-                   child_seed, hoeffding_count, observer_stats)
+from .walk import (RootMeasure, batch_return_successes, child_seed,
+                   first_return_counts, hoeffding_count, observer_stats)
 
 
 def gap_bounds(q_k: float, k: int, n: int) -> tuple[float, float]:
@@ -98,8 +98,7 @@ def estimate_n(measure: RootMeasure, seed) -> int:
     counts, pooled, idx = np.zeros(0, dtype=np.int64), 0, 0
     while pooled < 1 << 32:
         draw = pooled or 1 << 12
-        hist = _return_histogram(measure, draw,
-                                 np.random.default_rng(child_seed(seed, 9000 + idx)))
+        hist = first_return_counts(measure, draw, child_seed(seed, 9000 + idx))
         counts = np.pad(counts, (0, max(0, hist.size - counts.size)))
         counts[:hist.size] += hist
         pooled += draw

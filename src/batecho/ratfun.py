@@ -2,8 +2,8 @@
 canonical pair of them.
 
 IntPoly stores coefficients lowest-degree first with no trailing zeros,
-with the scalar multiple and exact division the exact engine needs; the
-ring operations live with the test oracles that use them.  RatFun
+with the scalar multiple the exact engine needs; the ring operations and
+exact division live with the test oracles that use them.  RatFun
 is a numerator and denominator in canonical form: coprime over Q,
 integer contents coprime, denominator leading coefficient positive.
 Equality of canonical forms is therefore plain tuple equality.  RatFun
@@ -66,31 +66,6 @@ class IntPoly:
         return IntPoly([other * x for x in self.c])
 
     __rmul__ = __mul__
-
-    def exact_div(self, other: "IntPoly") -> "IntPoly":
-        """Exact polynomial division; raises if the quotient is not an
-        integer polynomial (used where a factor is known to divide)."""
-        if other.is_zero:
-            raise DomainError("polynomial division by zero")
-        if self.is_zero:
-            return IntPoly()
-        rem = list(self.c)
-        dn, dd = self.degree, other.degree
-        if dn < dd:
-            raise ArithmeticError("non-exact polynomial division")
-        out = [0] * (dn - dd + 1)
-        lead = other.lead
-        for k in range(dn - dd, -1, -1):
-            q, r = divmod(rem[dd + k], lead)
-            if r:
-                raise ArithmeticError("non-exact polynomial division")
-            out[k] = q
-            if q:
-                for j, y in enumerate(other.c):
-                    rem[j + k] -= q * y
-        if any(rem[:dd]):
-            raise ArithmeticError("non-exact polynomial division")
-        return IntPoly(out)
 
 
 IntPoly.zero = IntPoly()

@@ -16,6 +16,7 @@ edges is, see `graphs`); the entry points refuse any other graph.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 from .errors import DomainError
@@ -56,12 +57,16 @@ def _subtree_classes(g: RootedGraph) -> list[tuple[int, ...]]:
 
 def _h_of(t: RootedGraph, f: GenFun) -> RatFun:
     """h read off the tree's walked f = N/D: N and D are even, so N(sqrt x)
-    and D(sqrt x) are their even coefficients, and D(1) = 0, so (1 - x)
-    divides D(sqrt x) exactly.  The pair is coprime, as N and D are: a
-    common root x of the two would give a common root sqrt x of N and
-    D."""
+    and D(sqrt x) are their even coefficients.  D(sqrt x) divided by
+    (1 - x) has D(sqrt x)'s partial sums as coefficients, and the last
+    partial sum, the remainder, is D(1), which is 0 for a walked f.  The
+    pair is coprime, as N and D are: a common root x of the two would
+    give a common root sqrt x of N and D."""
     num, den = (IntPoly(p.c[::2]) for p in (f.num, f.den))
-    return RatFun(t.root_degree * den.exact_div(IntPoly([1, -1])), num)
+    *quotient, remainder = itertools.accumulate(den.c)
+    if remainder:
+        raise ArithmeticError(f"D(1) = {remainder}: (1 - x) does not divide D(sqrt x)")
+    return RatFun(t.root_degree * IntPoly(quotient), num)
 
 
 def _h_series(g: RootedGraph, f: GenFun, k_max: int) -> list[tuple[int, int]]:

@@ -2,17 +2,17 @@
 
 The observer at the root sees only the clock and the return bits; every
 estimator in the library consumes that interface.  Everything it sees
-is fixed by the root's spectral measure, and a `RootMeasure` holds that
-measure for one chain (lazy or plain) on one graph, built once per
-search or sampling call: the spectrum's root weights with the chain's
-eigenvalues, snapped once, for P_t(r,r), and the n-tick first-return
-kernel for the first-return law, each built on first use.  A batch of
-independent walkers is drawn from these laws, never walker by walker.
-The walkers are i.i.d., so many ticks are drawn at once: the return-bit
-count at tick t is one binomial draw with P_t(r,r), and first returns
-are drawn n ticks per multinomial over the walkers still out, with the
-block's law read off the kernel of the walk with the root absorbing, a
-dense matrix built from the one-tick transition matrix.
+is fixed by the root's spectral measure.  A `RootMeasure` holds it for
+one chain (lazy or plain) on one graph: the spectrum's root weights with
+the chain's eigenvalues, snapped once, for P_t(r,r), and the n-tick
+first-return kernel for the first-return law, each built on first use.
+A caller builds one per search or sampling call and passes it to every
+sampler, one per observable.  The walkers are i.i.d., so a batch is
+drawn from the root's laws, never walker by walker:
+`batch_return_successes` draws the return-bit count at tick t as one
+binomial with P_t(r,r); `first_return_counts` draws first returns n
+ticks per multinomial over the walkers still out, with the block's law
+read off the kernel; `sample_first_returns` shuffles that histogram.
 Streams are deterministic functions of (graph, seed, lazy), split from a
 master seed via numpy's SeedSequence, so parallel and serial runs see the
 same randomness.
@@ -31,12 +31,6 @@ from .graphs import RootedGraph
 
 # the first-return kernel takes 16 n^2 bytes (64 MiB at n = 2048)
 MAX_WALK_N = 2048
-
-
-def check_walk_size(g: RootedGraph) -> None:
-    """Refuse a graph above MAX_WALK_N vertices before allocating for it."""
-    if g.n > MAX_WALK_N:
-        raise DomainError(f"walk simulation capped at n <= {MAX_WALK_N}, got {g.n}")
 
 
 def _first_return_kernel(g: RootedGraph, lazy: bool) -> np.ndarray:
@@ -70,7 +64,8 @@ class RootMeasure:
     first-return law."""
 
     def __init__(self, g: RootedGraph, lazy: bool):
-        check_walk_size(g)
+        if g.n > MAX_WALK_N:
+            raise DomainError(f"walk simulation capped at n <= {MAX_WALK_N}, got {g.n}")
         self.graph = g
         self.lazy = lazy
 
@@ -110,9 +105,8 @@ class ReturnTimes:
     """Iterator over the root-return times T1 < T2 < ... of a bit stream.
     `origin` tracks the boundary of the last completed experiment."""
 
-    def __init__(self, bit_source, graph: RootedGraph | None = None):
+    def __init__(self, bit_source):
         self._bits = bit_source
-        self.graph = graph
         self.tick = 0
         self.origin = 0
 
@@ -134,7 +128,7 @@ class SampledReturnTimes(ReturnTimes):
     watching one long walk, at a fraction of the cost."""
 
     def __init__(self, graph: RootedGraph, seed, lazy: bool = False):
-        super().__init__(iter(()), graph=graph)
+        super().__init__(iter(()))
         self._measure = RootMeasure(graph, lazy)
         self._seed = seed
         self._spawned = 0
@@ -145,7 +139,7 @@ class SampledReturnTimes(ReturnTimes):
         if self._i >= len(self._gaps):
             child = child_seed(self._seed, self._spawned)
             self._spawned += 1
-            self._gaps = _shuffled_returns(self._measure, 1 << 16, child)
+            self._gaps = sample_first_returns(self._measure, 1 << 16, child)
             self._i = 0
         gap = int(self._gaps[self._i])
         self._i += 1
@@ -180,21 +174,16 @@ def run_experiment(rt: ReturnTimes, k: int) -> bool:
     raise RuntimeError("return stream ended")  # pragma: no cover
 
 
-def estimate_pk(rt: ReturnTimes, k: int, eps: float, delta: float,
-                log: list | None = None) -> PkEstimate:
+def estimate_pk(rt: ReturnTimes, k: int, eps: float, delta: float) -> PkEstimate:
     """Estimate P_k(r,r) by independent return-time experiments, sized by
-    the Hoeffding bound."""
+    the Hoeffding bound.  An experiment's first return comes after its
+    origin, so it can test only k >= 1."""
+    if k < 1:
+        raise DomainError(f"k must be at least 1, got {k}")
     if not (0 < eps < 1 and 0 < delta < 1):
         raise DomainError("eps and delta must lie in (0, 1)")
     n = hoeffding_count(eps, delta)
-    successes = 0
-    for _ in range(n):
-        start = rt.origin
-        ok = run_experiment(rt, k)
-        successes += ok
-        if log is not None:
-            log.append({"k": k, "success": bool(ok),
-                        "duration_ticks": rt.origin - start})
+    successes = sum(run_experiment(rt, k) for _ in range(n))
     return PkEstimate(k=k, p_hat=successes / n, experiments=n,
                       successes=successes, eps=eps, delta=delta)
 
@@ -228,21 +217,24 @@ def batch_return_successes(measure: RootMeasure, k: int, count: int, seed,
     return int(np.random.default_rng(seed).binomial(count, p))
 
 
-def _return_histogram(measure: RootMeasure, count: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """first_return_counts on the measure's first-return kernel.  `row` is
-    the next block's law for one walker still out, in the kernel's
-    columns: first return at each of the block's n ticks, or away at each
-    vertex at its end.  For the first block it is the root's kernel row;
-    for a later one, the last row's normalised away part times the
-    kernel, since where the walkers still out stand does not depend on
-    the draws.  Each block draws one multinomial of the walkers still out
-    over the n ticks and one "still out" category.  numpy's multinomial
-    gives its rounding remainder to the last category, so the law never
-    ends in a category of zero mass: the remainder stays out, which on a
-    bipartite graph keeps every first return's parity exact, or, where no
-    walker can stay out (survival exactly 0, as on a plain star), falls
-    on the block's last possible tick."""
+def first_return_counts(measure: RootMeasure, count: int, seed) -> np.ndarray:
+    """The histogram of `count` independent first-return times:
+    counts[j - 1] walks first return at tick j, and the last entry is not
+    zero.  `seed` is anything np.random.default_rng takes, a Generator
+    included.  The walkers advance n ticks per draw.  `row` is the next
+    block's law for one walker still out, in the kernel's columns: first
+    return at each of the block's n ticks, or away at each vertex at its
+    end.  For the first block it is the root's kernel row; for a later
+    one, the last row's normalised away part times the kernel (O(n^2)
+    per block), since where the walkers still out stand does not depend
+    on the draws.  Each block draws one multinomial of the walkers still
+    out over the n ticks and one "still out" category.  numpy's
+    multinomial gives its rounding remainder to the last category, so the
+    law never ends in a category of zero mass: the remainder stays out,
+    which on a bipartite graph keeps every first return's parity exact,
+    or, where no walker can stay out (survival exactly 0, as on a plain
+    star), falls on the block's last possible tick."""
+    rng = np.random.default_rng(seed)
     kernel = measure.kernel
     n = kernel.shape[0]
     row, out = kernel[measure.graph.root], count
@@ -259,32 +251,13 @@ def _return_histogram(measure: RootMeasure, count: int,
     return np.trim_zeros(np.concatenate(blocks), "b")
 
 
-def _shuffled_returns(measure: RootMeasure, count: int, seed) -> np.ndarray:
-    """sample_first_returns on the measure's first-return kernel."""
-    rng = np.random.default_rng(seed)
-    counts = _return_histogram(measure, count, rng)
-    out = np.repeat(np.arange(1, counts.size + 1, dtype=np.int64), counts)
-    rng.shuffle(out)
-    return out
-
-
-def first_return_counts(g: RootedGraph, count: int, seed,
-                        lazy: bool = False) -> np.ndarray:
-    """The histogram of `count` independent first-return times:
-    counts[j - 1] walks first return at tick j, and the last entry is not
-    zero.  The walkers advance n ticks per draw: one multinomial over
-    the walkers still out splits them into first returns at each tick of
-    the block and the walkers still out at its end, with the block's law
-    conditioned on survival so far, one vector-matrix product over the
-    first-return kernel (O(n^2) per block).  `seed` is anything
-    np.random.default_rng takes."""
-    return _return_histogram(RootMeasure(g, lazy), count, np.random.default_rng(seed))
-
-
-def sample_first_returns(g: RootedGraph, count: int, seed,
-                         lazy: bool = False) -> np.ndarray:
+def sample_first_returns(measure: RootMeasure, count: int, seed) -> np.ndarray:
     """`count` independent first-return times, in random order: a shuffle
     of the first_return_counts histogram, drawn from the same stream.
     Gaps between successive returns are iid copies of T1, so these
     samples have the observer's gap distribution."""
-    return _shuffled_returns(RootMeasure(g, lazy), count, seed)
+    rng = np.random.default_rng(seed)
+    counts = first_return_counts(measure, count, rng)
+    out = np.repeat(np.arange(1, counts.size + 1, dtype=np.int64), counts)
+    rng.shuffle(out)
+    return out

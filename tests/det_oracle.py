@@ -8,7 +8,7 @@ determinants are taken by fraction-free (Bareiss) elimination.
 from batecho.exact import GenFun
 from batecho.ratfun import IntPoly
 
-from field_oracle import coprime, mul, sub
+from field_oracle import coprime, exact_div, mul, sub
 
 
 def poly_det_bareiss(mat: list[list[IntPoly]]) -> IntPoly:
@@ -31,7 +31,7 @@ def poly_det_bareiss(mat: list[list[IntPoly]]) -> IntPoly:
                 return IntPoly.zero
         for i in range(k + 1, n):
             for j in range(k + 1, n):
-                m[i][j] = sub(mul(m[k][k], m[i][j]), mul(m[i][k], m[k][j])).exact_div(prev)
+                m[i][j] = exact_div(sub(mul(m[k][k], m[i][j]), mul(m[i][k], m[k][j])), prev)
             m[i][k] = IntPoly.zero
         prev = m[k][k]
     det = m[n - 1][n - 1]

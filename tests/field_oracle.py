@@ -5,9 +5,9 @@ its RatFun is only a canonical pair and divides out no common factor.
 The tests build rational functions by hand: `poly_gcd` is the gcd over Q
 that `coprime` divides out of a pair, `Rat` is a RatFun with the field
 operations, each result made coprime and then canonical, and `add`,
-`sub`, `mul`, `T`, `poly_eval` and `derivative` are the IntPoly sum,
-difference, product, indeterminate, evaluation and derivative no route
-in `src/` needs.
+`sub`, `mul`, `exact_div`, `T`, `poly_eval` and `derivative` are the
+IntPoly sum, difference, product, exact quotient, indeterminate,
+evaluation and derivative no route in `src/` needs.
 """
 from __future__ import annotations
 
@@ -40,6 +40,31 @@ def mul(a: IntPoly, b: IntPoly) -> IntPoly:
         if x:
             for j, y in enumerate(b.c):
                 out[i + j] += x * y
+    return IntPoly(out)
+
+
+def exact_div(a: IntPoly, b: IntPoly) -> IntPoly:
+    """The quotient a / b; raises if it is not an integer polynomial
+    (used where a factor is known to divide)."""
+    if b.is_zero:
+        raise DomainError("polynomial division by zero")
+    if a.is_zero:
+        return IntPoly()
+    rem = list(a.c)
+    dn, dd = a.degree, b.degree
+    if dn < dd:
+        raise ArithmeticError("non-exact polynomial division")
+    out = [0] * (dn - dd + 1)
+    for k in range(dn - dd, -1, -1):
+        q, r = divmod(rem[dd + k], b.lead)
+        if r:
+            raise ArithmeticError("non-exact polynomial division")
+        out[k] = q
+        if q:
+            for j, y in enumerate(b.c):
+                rem[j + k] -= q * y
+    if any(rem[:dd]):
+        raise ArithmeticError("non-exact polynomial division")
     return IntPoly(out)
 
 
@@ -97,7 +122,7 @@ def coprime(num: IntPoly, den: IntPoly) -> tuple[IntPoly, IntPoly]:
     if num.is_zero or den.is_zero:
         return num, den
     g = poly_gcd(num, den)
-    return num.exact_div(g), den.exact_div(g)
+    return exact_div(num, g), exact_div(den, g)
 
 
 def rat_eval(r: RatFun, x) -> Fraction:

@@ -33,7 +33,7 @@ from batecho import (
 from batecho.cli import main
 from batecho.gap import audit_budget, search_budget
 from batecho.ratfun import IntPoly
-from batecho.walk import SampledReturnTimes
+from batecho.walk import RootMeasure, SampledReturnTimes
 
 from conftest import FIXTURES, REGULAR, TREES
 from det_oracle import determinant_gen_fun
@@ -212,7 +212,7 @@ def test_criterion_09_moment_identity():
     for name in ("c4", "triangle"):
         g = FIXTURES[name]
         exact = float(hitting_from_stationary(return_gen_fun(g)).value)
-        counts = first_return_counts(g, 10 ** 6, seed=77)
+        counts = first_return_counts(RootMeasure(g, False), 10 ** 6, seed=77)
         est = estimate_hitting(*observer_stats(counts)[:2])
         assert abs(est - exact) / exact < 0.01, (name, est, exact)
     dt = time.monotonic() - t0

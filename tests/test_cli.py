@@ -527,6 +527,52 @@ def test_walk_above_its_vertex_cap_exits_2(capsys, monkeypatch, tmp_path, comman
     assert err.startswith("batecho: walk simulation capped at n <= 2048")
 
 
+# each family at the fewest vertices above walk.MAX_WALK_N its parameters
+# reach, and two whose counts would be huge numbers
+@pytest.mark.parametrize("spec", [
+    "path:2049", "cycle:2049", "complete:2049", "star:2048", "hypercube:12",
+    "gab:24,89", "leafy:1,2047,cutpoint", "leafy:10,2,expander",
+    "hypercube:1000000000", "leafy:1000000,2,cutpoint"])
+def test_family_above_the_walk_cap_is_refused_before_it_is_built(
+        capsys, monkeypatch, spec):
+    """No subcommand takes more than walk.MAX_WALK_N vertices, so
+    `--family` refuses such a family from its parameters alone, with
+    exit 2, before any builder runs."""
+    for builder in ("build_family", "build_gab", "build_leafy"):
+        monkeypatch.setattr(batecho.graphs, builder,
+                            lambda *a, **k: pytest.fail("family built"))
+    with pytest.raises(DomainError, match=f"has more than {MAX_WALK_N} vertices"):
+        parse_family(spec)
+    code, out, err = run(capsys, "gap", "--family", spec)
+    assert code == 2 and out == ""
+    assert err.startswith(f"batecho: family {spec!r} has more than {MAX_WALK_N}")
+
+
+@pytest.mark.parametrize("spec,n", [("hypercube:11", 2048), ("path:2048", 2048),
+                                    ("cycle:2048", 2048), ("star:2047", 2048),
+                                    ("gab:2,2046", 2048), ("gab:1,1000000000", 2)])
+def test_family_at_the_walk_cap_is_built(spec, n):
+    assert parse_family(spec).n == n
+
+
+@pytest.mark.parametrize("argv,lazy", [
+    ("observe --family cycle:8 --m 1000 --seed 1", False),
+    ("observe --family path:4 --m 1000 --lazy --seed 1", True),
+    ("simulate --family cycle:8 --m 100 --seed 1", False),
+    ("simulate --family star:3 --m 100 --lazy --seed 1", True),
+    ("gap --family cycle:4 --n estimate --seed 3", True)])
+def test_each_walk_call_builds_one_root_measure(capsys, monkeypatch, argv, lazy):
+    """observe, simulate and a gap search with n estimated from return
+    times each build one RootMeasure and draw every sample from it."""
+    built = []
+    real = batecho.walk.RootMeasure.__init__
+    monkeypatch.setattr(batecho.walk.RootMeasure, "__init__",
+                        lambda self, g, lazy: built.append(lazy) or real(self, g, lazy))
+    code, out, err = run(capsys, *argv.split())
+    assert code == 0, err
+    assert built == [lazy]
+
+
 def test_csv_format_flattens_json(capsys):
     code, js, _ = run(capsys, "observe", "--family", "cycle:4",
                       "--seed", "5", "--m", "1000")

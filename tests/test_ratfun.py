@@ -7,7 +7,8 @@ from batecho.ratfun import IntPoly, RatFun
 
 from det_oracle import poly_det_bareiss
 from exact_oracle import find_dependency, power_series
-from field_oracle import Rat, T, add, derivative, mul, poly_eval, poly_gcd, rat_eval, sub
+from field_oracle import (Rat, T, add, derivative, exact_div, mul, poly_eval, poly_gcd,
+                          rat_eval, sub)
 
 coeffs = st.lists(st.integers(-9, 9), min_size=0, max_size=5)
 polys = coeffs.map(IntPoly)
@@ -37,10 +38,12 @@ def test_intpoly_multiplies_by_an_int_only():
 
 
 def test_exact_div():
+    """The oracles' exact quotient, which the Bareiss determinant and
+    `coprime` divide by."""
     p = IntPoly([-1, 0, 1])
-    assert p.exact_div(IntPoly([1, 1])) == IntPoly([-1, 1])
+    assert exact_div(p, IntPoly([1, 1])) == IntPoly([-1, 1])
     with pytest.raises(ArithmeticError):
-        p.exact_div(IntPoly([0, 0, 1]))
+        exact_div(p, IntPoly([0, 0, 1]))
 
 
 def test_derivative():

@@ -12,9 +12,9 @@ from batecho import (
     h_of_tree,
 )
 from batecho.errors import DomainError
-from batecho.exact import MAX_EXACT_N, _closed_walk
+from batecho.exact import MAX_EXACT_N, GenFun, _closed_walk
 from batecho.graphs import _make, from_text
-from batecho.treefun import MAX_FORGE_K, _forge_plan
+from batecho.treefun import MAX_FORGE_K, _forge_plan, _h_of
 from batecho.ratfun import IntPoly, RatFun
 
 from exact_oracle import (
@@ -49,6 +49,15 @@ def gab_closed_form(a, b):
 def test_single_edge_h_is_one():
     t = build_family("path", 2)
     assert h_of_tree(t) == RatFun(IntPoly.one, IntPoly.one)
+
+
+def test_h_refuses_an_f_whose_denominator_misses_one():
+    """h divides D(sqrt x) by (1 - x), whose remainder is D(1); a walked
+    f has D(1) = 0, and any other f is refused, not divided with a
+    remainder dropped."""
+    f = GenFun(IntPoly([1]), IntPoly([1, 0, -2]))      # D(1) = -1
+    with pytest.raises(ArithmeticError):
+        _h_of(build_family("path", 2), f)
 
 
 @pytest.mark.parametrize("a", range(1, 7))

@@ -1,4 +1,7 @@
+import dataclasses
 import functools
+import hashlib
+import json
 import math
 from fractions import Fraction
 
@@ -76,6 +79,28 @@ def test_estimate_pk_validates_inputs():
     rt = from_walk(FIXTURES["c4"], seed=0, lazy=True)
     with pytest.raises(DomainError, match=r"^eps and delta must lie in \(0, 1\)$"):
         estimate_pk(rt, 3, 1.5, 0.05)
+    # an experiment's first return comes after its origin, so k = 0
+    # would read 0 for P_0(r,r) = 1
+    for k in (0, -1):
+        with pytest.raises(DomainError, match=r"^k must be at least 1"):
+            estimate_pk(rt, k, 0.1, 0.1)
+    assert rt.tick == 0
+
+
+def test_sampled_estimate_pk_is_pinned():
+    """The benchmark's estimate_pk call (cycle:4, seed 1, lazy), pinned by
+    sha256 as the stream printed it before its refills went through
+    `sample_first_returns`: the estimate as the benchmark prints it, and
+    the first 150,000 return times, which span three refills."""
+    g = build_family("cycle", 4)
+    est = estimate_pk(SampledReturnTimes(g, 1, lazy=True), 3, 0.02, 0.05)
+    text = json.dumps(dataclasses.asdict(est), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3157974bb22c2b1561c057b2cef898fee72cc183188ab001c5de37252665a419")
+    rt = SampledReturnTimes(g, 1, lazy=True)
+    times = np.fromiter((next(rt) for _ in range(150000)), dtype=np.int64)
+    assert hashlib.sha256(times.tobytes()).hexdigest() == (
+        "8e7693e4a8d468c2c80cd4d7ef9271c48e69d62ab6c69b9e70f1064367151777")
 
 
 def test_observer_stats_match_exact_moments():
@@ -253,7 +278,7 @@ def test_spectral_return_probability_is_a_probability(name):
 def test_sample_first_returns_mean(name, lazy):
     """E T1 = 2|E|/d(r) for the plain and the lazy walk alike."""
     g = FIXTURES[name]
-    gaps = sample_first_returns(g, 50000, seed=23, lazy=lazy)
+    gaps = sample_first_returns(RootMeasure(g, lazy), 50000, seed=23)
     mean = 2 * g.edge_count / g.root_degree
     sigma = float(gaps.std()) / math.sqrt(gaps.size)
     assert abs(float(gaps.mean()) - mean) <= 5 * sigma   # T1 = 2 on star3-plain
@@ -278,10 +303,10 @@ def test_sample_first_returns_shuffles_the_histogram():
     histogram's times, and the histogram sums to the count with no
     trailing zero."""
     for name, lazy in (("c8", False), ("star3", True), ("leafy_cutpoint", True)):
-        g = FIXTURES[name]
-        counts = first_return_counts(g, 5000, 37, lazy=lazy)
+        measure = RootMeasure(FIXTURES[name], lazy)
+        counts = first_return_counts(measure, 5000, 37)
         assert counts.sum() == 5000 and counts[-1] > 0
-        gaps = sample_first_returns(g, 5000, 37, lazy=lazy)
+        gaps = sample_first_returns(measure, 5000, 37)
         times = np.repeat(np.arange(1, counts.size + 1), counts)
         assert (np.sort(gaps) == times).all()
 
@@ -307,7 +332,8 @@ def test_sampled_stream_builds_its_kernel_once(monkeypatch, lazy):
     times = np.array([next(rt) for _ in range(2 * refill + 1)])
     assert len(builds) == 1
     monkeypatch.setattr(walk, "_first_return_kernel", real)
-    want = np.concatenate([sample_first_returns(g, refill, child_seed(17, i), lazy=lazy)
+    measure = RootMeasure(g, lazy)
+    want = np.concatenate([sample_first_returns(measure, refill, child_seed(17, i))
                            for i in range(3)])
     assert (np.diff(times, prepend=0) == want[:times.size]).all()
 
@@ -390,7 +416,10 @@ def test_first_return_histogram_follows_exact_law(sampler, name, lazy):
     own too, because callers read the samples in order."""
     g = FIXTURES[name]
     m = 20000
-    gaps = sampler.sample_first_returns(g, m, 29, lazy=lazy)
+    if sampler is walk:
+        gaps = walk.sample_first_returns(RootMeasure(g, lazy), m, 29)
+    else:
+        gaps = walk_oracle.sample_first_returns(g, m, 29, lazy=lazy)
     assert gaps.size == m
     s = _first_return_law(g, lazy, 80)
     for part in (gaps, gaps[: m // 10]):
@@ -410,7 +439,7 @@ def test_first_return_counts_follow_exact_law_across_blocks(lazy):
     tail bucket."""
     g = build_family("cycle", 64)
     m, k_max = 10 ** 6, 4 * g.n
-    counts = first_return_counts(g, m, 31, lazy=lazy)
+    counts = first_return_counts(RootMeasure(g, lazy), m, 31)
     assert counts.sum() == m and counts[-1] > 0
     s = _first_return_law(g, lazy, k_max)
     buckets = [k for k in range(1, k_max + 1) if m * s[k] >= 40]
@@ -421,16 +450,18 @@ def test_first_return_counts_follow_exact_law_across_blocks(lazy):
     assert _chi2_pvalue(observed, expected) > 1e-4, (observed, expected)
 
 
-class _CountingRng:
-    """A Generator stand-in that counts its multinomial draws."""
+class _CountingRng(np.random.Generator):
+    """A Generator that counts its multinomial draws; the samplers take
+    it as their seed, as np.random.default_rng returns a Generator as
+    it is."""
 
     def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
+        super().__init__(np.random.PCG64(seed))
         self.multinomials = 0
 
     def multinomial(self, n, pvals):
         self.multinomials += 1
-        return self._rng.multinomial(n, pvals)
+        return super().multinomial(n, pvals)
 
 
 @pytest.mark.parametrize("lazy", [False, True], ids=["plain", "lazy"])
@@ -440,7 +471,7 @@ def test_return_histogram_draws_one_multinomial_per_block(lazy):
     the count."""
     g = build_family("cycle", 64)
     rng = _CountingRng(5)
-    counts = walk._return_histogram(RootMeasure(g, lazy), 10 ** 6, rng)
+    counts = first_return_counts(RootMeasure(g, lazy), 10 ** 6, rng)
     assert counts.sum() == 10 ** 6 and counts[-1] > 0
     assert rng.multinomials == -(-counts.size // g.n) > 1
 
@@ -458,8 +489,8 @@ def test_zero_survival_ends_in_one_block(family, size):
     g = build_family(family, size)
     rng = _CountingRng(3)
     with np.errstate(all="raise"):
-        counts = walk._return_histogram(RootMeasure(g, False), INT64_MAX, rng)
-        lazy = first_return_counts(g, INT64_MAX, 3, lazy=True)
+        counts = first_return_counts(RootMeasure(g, False), INT64_MAX, rng)
+        lazy = first_return_counts(RootMeasure(g, True), INT64_MAX, 3)
     assert counts.tolist() == [0, INT64_MAX] and rng.multinomials == 1
     assert lazy.sum() == INT64_MAX and lazy.min() >= 0 and lazy[-1] > 0
 
@@ -470,8 +501,8 @@ def test_bipartite_first_returns_stay_even_at_int64_scale(family, size):
     only.  At 2^63 - 1 walkers the multinomial's rounding remainder is
     large enough to land somewhere; it must land on walkers still out,
     never on an odd tick."""
-    g = build_family(family, size)
+    measure = RootMeasure(build_family(family, size), False)
     for seed in range(5):
-        counts = first_return_counts(g, INT64_MAX, seed)
+        counts = first_return_counts(measure, INT64_MAX, seed)
         assert counts.sum() == INT64_MAX
         assert counts[0::2].sum() == 0, (seed, np.flatnonzero(counts[0::2]) * 2 + 1)

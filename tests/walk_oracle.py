@@ -58,7 +58,7 @@ def simulate(g, seed, lazy: bool = False) -> WalkStream:
 
 def from_walk(g, seed, lazy: bool = False) -> ReturnTimes:
     """The observer's return times of one sequential walk."""
-    return ReturnTimes(simulate(g, seed, lazy).bits(), graph=g)
+    return ReturnTimes(simulate(g, seed, lazy).bits())
 
 
 def gaps(rt, m):
@@ -104,8 +104,9 @@ def batch_return_successes(g, k, count, seed, lazy=True, stride=1):
 
 
 def sample_first_returns(g, count, seed, lazy=False):
-    """Per-walker twin of `batecho.walk.sample_first_returns`: each walker
-    is stepped until it is back at the root."""
+    """Per-walker twin of `batecho.walk.sample_first_returns`, on the
+    graph and chain rather than their RootMeasure: each walker is stepped
+    until it is back at the root."""
     adj, rng = _flat_adjacency(g), np.random.default_rng(seed)
     out = np.empty(count, dtype=np.int64)
     alive = np.arange(count)                 # slots in `out` still walking
