@@ -61,11 +61,12 @@ def _vertex_count(name: str, nums: tuple[int, ...]) -> int:
     return nums[0] + (name == "star")
 
 
-def parse_family(spec: str) -> graphs.RootedGraph:
+def parse_family(spec: str, check_size=None) -> graphs.RootedGraph:
     """Build a named graph from a spec like 'cycle:8', 'gab:2,2' or
     'leafy:3,2,cutpoint'.  A family with more vertices than
     walk.MAX_WALK_N, which no subcommand takes, is refused before it is
-    built."""
+    built, and so is one whose vertex count `check_size`, if given,
+    refuses (a subcommand's own cap, such as exact.check_exact_size)."""
     name, _, rest = spec.partition(":")
     name = name.strip().lower()
     args = [a.strip() for a in rest.split(",")] if rest else []
@@ -83,9 +84,12 @@ def parse_family(spec: str) -> graphs.RootedGraph:
             nums = (int(size),)
     except ValueError as exc:
         raise BatechoError(f"bad family spec {spec!r}: {exc}") from exc
-    if _vertex_count(name, nums) > walk.MAX_WALK_N:
+    n = _vertex_count(name, nums)
+    if n > walk.MAX_WALK_N:
         raise DomainError(f"family {spec!r} has more than {walk.MAX_WALK_N} vertices, "
                           f"the most any subcommand takes")
+    if check_size is not None:
+        check_size(n)
     # the builders' own refusals pass through with their messages
     if name == "gab":
         return graphs.build_gab(*nums)
@@ -94,7 +98,9 @@ def parse_family(spec: str) -> graphs.RootedGraph:
     return graphs.build_family(name, *nums)
 
 
-def load_graph(opts) -> graphs.RootedGraph:
+def load_graph(opts, check_size=None) -> graphs.RootedGraph:
+    """The graph of --graph or --family; `check_size` goes to
+    parse_family, so a --family it refuses is never built."""
     if opts.get("graph") and opts.get("family"):
         raise BatechoError("give either --graph or --family, not both")
     if opts.get("graph"):
@@ -105,7 +111,7 @@ def load_graph(opts) -> graphs.RootedGraph:
             raise BatechoError(f"cannot read graph {opts['graph']}: {exc}") from exc
         return graphs.from_text(text)
     if opts.get("family"):
-        return parse_family(opts["family"])
+        return parse_family(opts["family"], check_size)
     raise BatechoError("a graph is required: pass --graph FILE or --family SPEC")
 
 
@@ -237,7 +243,7 @@ def _check_digit_limit(numbers: list[int]) -> None:
 
 
 def cmd_exact(opts) -> int:
-    g = load_graph(opts)
+    g = load_graph(opts, ex.check_exact_size)
     k_max = opts.get("k_max", 20)
     fgen = ex.return_gen_fun(g)
     table = ex.lazy_series(g, fgen, k_max)

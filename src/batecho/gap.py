@@ -17,6 +17,10 @@ vertex-transitive graphs).
 A search builds one `walk.RootMeasure` and reads every evaluation from
 it: the spectrum is decomposed and snapped once per search, and the
 first-return kernel is built only when n is estimated from return times.
+It also draws from one random stream, `np.random.default_rng(seed)`:
+first the rounds that estimate n, if it is estimated, then one binomial
+per evaluation, in the order the search makes them.  The search is
+sequential, so the stream fixes the whole estimate.
 """
 from __future__ import annotations
 
@@ -27,8 +31,8 @@ import numpy as np
 
 from .errors import DomainError, SearchExhausted
 from .graphs import RootedGraph
-from .walk import (RootMeasure, batch_return_successes, child_seed,
-                   first_return_counts, hoeffding_count, observer_stats)
+from .walk import (RootMeasure, batch_return_successes, first_return_counts,
+                   hoeffding_count, observer_stats)
 
 
 def gap_bounds(q_k: float, k: int, n: int) -> tuple[float, float]:
@@ -94,18 +98,20 @@ def estimate_n(measure: RootMeasure, seed) -> int:
     rounds of first returns, 2^12 in the first and then as many as are
     pooled, so the pooled count doubles, until the pooled mean's
     standard error sqrt((m2 - m1^2)/m) is at most 1/8, and rounds that
-    mean.  Refuses the graph once the pooled count would pass 2^32."""
-    counts, pooled, idx = np.zeros(0, dtype=np.int64), 0, 0
+    mean.  Refuses the graph once the pooled count would pass 2^32.
+    Every round draws from the one stream np.random.default_rng(seed),
+    which is `seed` itself when it is a Generator."""
+    rng = np.random.default_rng(seed)
+    counts, pooled = np.zeros(0, dtype=np.int64), 0
     while pooled < 1 << 32:
         draw = pooled or 1 << 12
-        hist = first_return_counts(measure, draw, child_seed(seed, 9000 + idx))
+        hist = first_return_counts(measure, draw, rng)
         counts = np.pad(counts, (0, max(0, hist.size - counts.size)))
         counts[:hist.size] += hist
         pooled += draw
         mean, mean_sq, _ = observer_stats(counts)
         if mean_sq - mean * mean <= pooled / 64:
             return int(round(mean))
-        idx += 1
     raise DomainError(f"the mean return time's standard error stayed above "
                       f"1/8 after {pooled} first returns")
 
@@ -132,15 +138,22 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     signals a gap too small to resolve at this c, or if the estimate at
     the top of the bracket is not positive.  Each k is evaluated once,
     with n_exp experiments, and at most L = ceil(log2 K0) k's are.
+    `seed` is anything np.random.default_rng takes, and the search draws
+    every experiment from that one stream.
     """
     if not (math.isfinite(c) and c > 0):
         raise DomainError(f"c must be positive and finite, got {c}")
     if not (0 < eps < 1 and 0 < delta < 1):
         raise DomainError(f"eps and delta must lie in (0, 1), got {eps}, {delta}")
+    try:
+        rng = np.random.default_rng(seed)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"seed must be a non-negative integer, a SeedSequence "
+                          f"or a Generator, got {seed!r}") from exc
     measure = RootMeasure(g, lazy)
     flags = []
     if n == "estimate":
-        n_used = estimate_n(measure, seed)
+        n_used = estimate_n(measure, rng)
         flags.append("n_estimated")
     elif n is None:
         n_used = g.n
@@ -169,8 +182,7 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
 
     def q_hat(k: int) -> float:
         if k not in cache:
-            succ = batch_return_successes(measure, k, n_exp, child_seed(seed, len(trace)),
-                                          stride=stride)
+            succ = batch_return_successes(measure, k, n_exp, rng, stride=stride)
             cache[k] = succ / n_exp - 1.0 / n_used
             trace.append({"k": k, "q_hat": cache[k], "experiments": n_exp,
                           "successes": succ})

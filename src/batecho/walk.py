@@ -13,14 +13,18 @@ drawn from the root's laws, never walker by walker:
 binomial with P_t(r,r); `first_return_counts` draws first returns n
 ticks per multinomial over the walkers still out, with the block's law
 read off the kernel; `sample_first_returns` shuffles that histogram.
-Streams are deterministic functions of (graph, seed, lazy), split from a
-master seed via numpy's SeedSequence, so parallel and serial runs see the
-same randomness.
+Each sampler draws from np.random.default_rng(seed), which is the seed
+itself when it is a Generator, so one stream can feed many draws: a gap
+search draws every evaluation from one stream, in its order.
+`SampledReturnTimes` draws each refill from its own child of the seed
+(`child_seed`).  Either way the draws are a deterministic function of
+(graph, seed, lazy).
 """
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,12 +199,13 @@ def observer_stats(counts):
     the gaps nor their number costs precision."""
     counts = np.asarray(counts, dtype=np.int64)
     ticks = np.flatnonzero(counts) + 1
-    pairs = list(zip(ticks.tolist(), counts[ticks - 1].tolist()))
-    m = sum(c for _, c in pairs)
+    t, c = ticks.tolist(), counts[ticks - 1].tolist()
+    m = sum(c)
     if m == 0:
         raise DomainError("need at least one gap")
-    mean = sum(t * c for t, c in pairs) / m
-    mean_sq = sum(t * t * c for t, c in pairs) / m
+    t_c = list(map(operator.mul, t, c))
+    mean = sum(t_c) / m
+    mean_sq = sum(map(operator.mul, t, t_c)) / m
     return mean, mean_sq, bool((ticks % 2 == 0).all())
 
 
@@ -239,13 +244,19 @@ def first_return_counts(measure: RootMeasure, count: int, seed) -> np.ndarray:
     n = kernel.shape[0]
     row, out = kernel[measure.graph.root], count
     blocks = [np.zeros(0, dtype=np.int64)]
+    law = np.empty(n + 1)
     while out:
         away = row[n:]
         survival = away.sum()
-        law = np.append(row[:n], survival)
-        drawn = rng.multinomial(out, law[:np.flatnonzero(law)[-1] + 1])
+        law[:n] = row[:n]
+        law[n] = survival
+        if survival:
+            drawn = rng.multinomial(out, law)
+            out = int(drawn[n])
+        else:
+            drawn = rng.multinomial(out, law[:np.flatnonzero(law)[-1] + 1])
+            out = 0
         blocks.append(drawn[:n])
-        out = int(drawn[n:].sum())
         if out:
             row = away / survival @ kernel
     return np.trim_zeros(np.concatenate(blocks), "b")

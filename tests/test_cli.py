@@ -133,33 +133,38 @@ def test_forge_certificate_is_pinned(capsys, tmp_path):
 # and first returns drawn n ticks at a time from the root's law: lazy
 # and plain walks on regular and irregular graphs, through the gap search
 # (with and without estimated n), the even-time mixing-gap search and
-# first-return sampling.
+# first-return sampling.  A gap search draws from one stream,
+# np.random.default_rng(seed) (test_gap's replay oracle rebuilds it).
 @pytest.mark.parametrize("argv,digest", [
     ("gap --family gab:2,2 --seed 1",
-     "fb8d8a29c2e155a70d17d25538b614c6dfbcb6bbfd37102c133be8339350009d"),
+     "81d0c033a6e7904bcc09e6ffadd393870cabb97f2b214c273e879dec3ec91bd5"),
     ("gap --family complete:4 --seed 2",
-     "d38b0fc3f598c1641d102e93d9bc778ae5b0cd3ddb984018464086a65ed93759"),
+     "b3446f439d3d851a3561c6c065b78ac2fb9552d9c098e9ab7f4da182a1c52eda"),
     ("gap --family cycle:4 --n estimate --seed 3",
-     "28e0d6cd86d813d425a886b04448ffd563c078c0b1ce9173f94235717f0f4b4a"),
+     "dc8798af9f0b34f8cd40950a5dc187d1d8d722cbaebad40ee3309bcbdb6e90c4"),
     ("mixing-gap --family complete:4 --seed 1",
-     "2164c3200c831d1789eb3fa3197f2944fffa48e402b27d3e68ddc6fa5bc645f8"),
+     "97f565e12c7fc0afb57dcfc31be0e1ba86e2c960f1ea9b6608c53ce5f74674dd"),
     ("mixing-gap --family cycle:5 --seed 2",
-     "d3bb1ba3a734c9c2c769303653268ddbd56f97de2b893f4d725c174b97cdbbdf"),
+     "f173a372a6da7e5b9097c1c5bb1b1f99c0920e1432c3873c85f8cb1ac3013d31"),
     ("observe --family star:3 --m 50000 --lazy --seed 1",
      "862fc8b66c67c6b9ff645c8e143485ed8da672fc25ce280edd03c091bf842d98"),
+    # the plain star, where no walker is still out after a block, so the
+    # block's law is trimmed to its last tick of positive mass
+    ("observe --family star:3 --m 50000 --seed 1",
+     "e0ee63bb8fecae5c8843413d9a4c9c19e3818c6a2950ab9919d84baf1c5e86e9"),
     ("observe --family path:4 --m 50000 --seed 2",
      "fcf843df34cebeeaf930c07fb07ca45b205ea35d6d3e916840b405843087fa3b"),
     ("observe --family cycle:64 --m 100000 --seed 3",
      "f780f2d22ccad48dfb94ca08013cf2b44c9aefb8eb83198c0a698d93c3f8ff83"),
     # the benchmark's own gap-search and return-sampling argv, at seed 1
     ("gap --family cycle:8 --seed 1",
-     "176a50bdc74612a76fd3427e8fd93aea9e0d27e378647777e4802477a27951da"),
+     "c5f5de7be8dc039a4d992a717250f189569239187ce3ea98017b80bfc940294a"),
     ("gap --family hypercube:3 --seed 1",
-     "adc3d4dcec391c37993368b0504da0c683af49e64345f7099ac0a9071fe8a29b"),
+     "c82bdc95adfc23474e2c3d9d43bc7ad5f3e84b91612029feea9f6a6d41179cec"),
     ("gap --family complete:4 --pk-rule paper --seed 1",
-     "413b68b762dcfe9ee3b8c1cd237320c5049cc290a5e03d9275e773988addba54"),
+     "f5cf0dae44070783bba7160ce00e6a3826b6e1c42175455bf6791314312deb43"),
     ("mixing-gap --family cycle:7 --seed 1",
-     "6246f39a76565693a740553527d4c2faed35c6796fc81e8bbc9dc615982ab2d7"),
+     "3727080c1f2fac68f9d5e5f511cee6b6c2ee5f929be75dc6acb58566123bf5c0"),
     ("simulate --family hypercube:3 --lazy --m 20000 --seed 1",
      "c66445bc9cfdd6dab536b046479f1d854adf00a2a8b92c5a113e90ea553f0bac"),
 ])
@@ -553,6 +558,23 @@ def test_family_above_the_walk_cap_is_refused_before_it_is_built(
                                     ("gab:2,2046", 2048), ("gab:1,1000000000", 2)])
 def test_family_at_the_walk_cap_is_built(spec, n):
     assert parse_family(spec).n == n
+
+
+@pytest.mark.parametrize("spec,n", [
+    ("complete:2048", 2048), ("cycle:65", 65), ("star:64", 65), ("hypercube:7", 128),
+    ("gab:2,64", 66), ("leafy:3,4,expander", 106), ("path:2048", 2048)])
+def test_family_above_the_exact_cap_is_refused_before_it_is_built(
+        capsys, monkeypatch, spec, n):
+    """`exact` refuses a family above MAX_EXACT_N vertices from its
+    parameters, with the exact engine's own message, before any builder
+    runs (the pinned `exact --family hypercube:6` and `complete:64`
+    are built at the cap)."""
+    for builder in ("build_family", "build_gab", "build_leafy"):
+        monkeypatch.setattr(batecho.graphs, builder,
+                            lambda *a, **k: pytest.fail("family built"))
+    code, out, err = run(capsys, "exact", "--family", spec)
+    assert code == 2 and out == ""
+    assert err == f"batecho: exact mode capped at n <= {MAX_EXACT_N}, got {n}\n"
 
 
 @pytest.mark.parametrize("argv,lazy", [

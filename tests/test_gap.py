@@ -1,4 +1,5 @@
 import contextlib
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from batecho import (
     spectrum,
 )
 from batecho import walk
-from batecho.cli import main
+from batecho.cli import main, parse_family
 from batecho.errors import DomainError, SearchExhausted
 from batecho.exact import MAX_EXACT_K
 from batecho.gap import GapEstimate, estimate_n, per_eval_eta, search_budget
@@ -210,6 +211,58 @@ def test_search_probabilities_match_matrix_powers(monkeypatch, name, size, strid
         assert abs(spectral - matrix_power_return_probability(g, t, lazy)) <= 1e-12, k
 
 
+@pytest.mark.parametrize("argv,lazy,stride", [
+    ("gap --family cycle:8", True, 1),
+    ("gap --family hypercube:3", True, 1),
+    ("mixing-gap --family cycle:7", False, 2),
+    ("mixing-gap --family complete:4", False, 2),
+    ("gap --family cycle:4 --n estimate", True, 1),
+    ("mixing-gap --family complete:4 --n estimate", False, 2),
+])
+@pytest.mark.parametrize("seed", [1, 3, 7])
+def test_search_replays_from_one_stream(capsys, argv, lazy, stride, seed):
+    """Replay oracle for the search's stream: rebuild every trace entry's
+    `successes` from one np.random.default_rng(seed), in evaluation
+    order, as one binomial with RootMeasure.return_probability(stride*k).
+    With `--n estimate` the rounds that estimate n come first on the
+    same stream: 2^12 first returns, then as many as are pooled, until
+    the pooled mean's standard error is at most 1/8."""
+    assert main([*argv.split(), "--seed", str(seed)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    est = doc["estimate"] if argv.startswith("gap") else doc["even_chain"]
+    measure = walk.RootMeasure(parse_family(argv.split()[2]), lazy)
+    rng = np.random.default_rng(seed)
+    if "estimate" in argv:
+        assert "n_estimated" in est["flags"]
+        counts, pooled, var = np.zeros(0, dtype=np.int64), 0, math.inf
+        while var > pooled / 64:
+            hist = walk.first_return_counts(measure, pooled or 1 << 12, rng)
+            pooled += pooled or 1 << 12
+            counts = np.pad(counts, (0, max(0, hist.size - counts.size)))
+            counts[:hist.size] += hist
+            mean, mean_sq, _ = observer_stats(counts)
+            var = mean_sq - mean * mean
+        assert round(mean) == est["n_used"]
+    assert len(est["trace"]) > 1
+    for entry in est["trace"]:
+        p = measure.return_probability(stride * entry["k"])
+        assert int(rng.binomial(entry["experiments"], p)) == entry["successes"], entry
+
+
+def test_a_generator_seed_is_the_stream():
+    """A Generator passed as the seed is drawn from in place: the search
+    reads the same estimate as from its int seed and leaves the stream
+    after its last draw."""
+    g = FIXTURES["c8"]
+    rng = np.random.default_rng(9)
+    est = estimate_gap(g, seed=rng)
+    assert est.to_json() == estimate_gap(g, seed=9).to_json()
+    measure, replay = walk.RootMeasure(g, True), np.random.default_rng(9)
+    for entry in est.trace:
+        replay.binomial(entry["experiments"], measure.return_probability(entry["k"]))
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 def test_search_budget_values():
     k0, levels = search_budget(8, 2.0)
     assert k0 == math.ceil(3 * 64 * math.log(8)) == 400
@@ -257,10 +310,11 @@ def test_audit_reads_the_recorded_pk_rule():
 @pytest.mark.parametrize("kwargs", [
     {"c": 0.0}, {"c": -1.0}, {"eps": 0.0}, {"eps": 2.0},
     {"delta": 0.0}, {"delta": 1.0}, {"n": 1}, {"n": 5},
+    {"seed": -1}, {"seed": 1.5}, {"seed": "7"}, {"seed": [1, -2]},
 ])
 def test_estimate_gap_rejects_bad_parameters(kwargs):
     with pytest.raises(DomainError):
-        estimate_gap(FIXTURES["k4"], seed=1, **kwargs)
+        estimate_gap(FIXTURES["k4"], **{"seed": 1, **kwargs})
 
 
 def test_sibling_seeds_give_distinct_estimates():
