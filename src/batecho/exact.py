@@ -264,14 +264,21 @@ def lazy_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
 # spectrum
 
 
-def _symmetrised_matrix(g: RootedGraph) -> np.ndarray:
-    """N = D M D^{-1}, entry 1/sqrt(d_u d_v) on each edge, set in one
-    index assignment: a row index per edge end, repeated d_u times, and
-    the concatenated adjacency as the columns."""
+def _edge_ends(g: RootedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, degs): the index arrays that set a matrix's entry on
+    every directed edge u -> v in one assignment, u's index repeated d_u
+    times as the rows and the concatenated adjacency as the columns, with
+    the degrees as floats."""
     sizes = list(map(len, g.adjacency))
-    degs = np.array(sizes, dtype=float)
     rows = np.repeat(np.arange(g.n), sizes)
     cols = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=rows.size)
+    return rows, cols, np.array(sizes, dtype=float)
+
+
+def _symmetrised_matrix(g: RootedGraph) -> np.ndarray:
+    """N = D M D^{-1}, entry 1/sqrt(d_u d_v) on each edge, set in one
+    index assignment (`_edge_ends`)."""
+    rows, cols, degs = _edge_ends(g)
     mat = np.zeros((g.n, g.n))
     mat[rows, cols] = 1.0 / np.sqrt(degs[rows] * degs[cols])
     return mat

@@ -17,8 +17,9 @@ Each sampler draws from np.random.default_rng(seed), which is the seed
 itself when it is a Generator, so one stream can feed many draws: a gap
 search draws every evaluation from one stream, in its order.
 `SampledReturnTimes` draws each refill from its own child of the seed
-(`child_seed`).  Either way the draws are a deterministic function of
-(graph, seed, lazy).
+(`child_seed`), 2^12 gaps in the first and twice as many in each next
+one up to 2^16, and serves them from a list of return times.  Either
+way the draws are a deterministic function of (graph, seed, lazy).
 """
 from __future__ import annotations
 
@@ -30,11 +31,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .exact import spectrum
+from .exact import _edge_ends, spectrum
 from .graphs import RootedGraph
 
 # the first-return kernel takes 16 n^2 bytes (64 MiB at n = 2048)
 MAX_WALK_N = 2048
+
+
+def _transition_matrix(g: RootedGraph, lazy: bool) -> np.ndarray:
+    """The one-tick transition matrix P, 1/d(v) on each edge v -> u, set
+    in one index assignment (`exact._edge_ends`), or (I + P)/2 on the
+    lazy chain."""
+    rows, cols, degs = _edge_ends(g)
+    p = np.zeros((g.n, g.n))
+    p[rows, cols] = 1.0 / degs[rows]
+    return (p + np.eye(g.n)) / 2 if lazy else p
 
 
 def _first_return_kernel(g: RootedGraph, lazy: bool) -> np.ndarray:
@@ -45,10 +56,7 @@ def _first_return_kernel(g: RootedGraph, lazy: bool) -> np.ndarray:
     the one-tick transition matrix (or (I + P)/2) and Q that matrix with
     its root column zeroed, the first block's column j is Q^(j-1) P[:, root]
     and the second block is Q^n."""
-    p = np.zeros((g.n, g.n))
-    for v, nbrs in enumerate(g.adjacency):
-        p[v, list(nbrs)] = 1.0 / len(nbrs)
-    p = (p + np.eye(g.n)) / 2 if lazy else p
+    p = _transition_matrix(g, lazy)
     q = p.copy()
     q[:, g.root] = 0.0
     kernel = np.empty((g.n, 2 * g.n))
@@ -128,27 +136,44 @@ class ReturnTimes:
 class SampledReturnTimes(ReturnTimes):
     """ReturnTimes backed by vectorized gap sampling.  Successive return
     gaps of a walk are iid copies of the first-return time, so drawing
-    gaps in bulk (2^16 per refill) gives a stream with the same law as
-    watching one long walk, at a fraction of the cost."""
+    gaps in bulk gives a stream with the same law as watching one long
+    walk, at a fraction of the cost.  Refill i draws 2^min(12 + i, 16)
+    gaps from child i of the seed, so the stream never draws more than
+    twice what it has served plus one refill of 2^16.  A refill is kept
+    as a list of return times and served by the list's own iterator, so
+    a return costs one list read and `tick` is read off the list only
+    when asked for.  `seed` is an int or a SeedSequence (`child_seed`);
+    anything else is refused here, not at the first refill."""
 
     def __init__(self, graph: RootedGraph, seed, lazy: bool = False):
-        super().__init__(iter(()))
+        try:
+            child_seed(seed, 0)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"seed must be a non-negative integer or a SeedSequence, "
+                              f"got {seed!r}") from exc
+        # no bit source, and `tick` is a property, so ReturnTimes.__init__ is not called
+        self.origin = 0
         self._measure = RootMeasure(graph, lazy)
         self._seed = seed
         self._spawned = 0
-        self._gaps = np.empty(0, dtype=np.int64)
-        self._i = 0
+        self._times: list[int] = []
+        self._served = iter(self._times)
+
+    @property
+    def tick(self) -> int:
+        """The last return time served, 0 before the first."""
+        return self._times[-1 - operator.length_hint(self._served)] if self._times else 0
 
     def __next__(self) -> int:
-        if self._i >= len(self._gaps):
-            child = child_seed(self._seed, self._spawned)
+        try:
+            return next(self._served)
+        except StopIteration:
+            gaps = sample_first_returns(self._measure, 1 << min(12 + self._spawned, 16),
+                                        child_seed(self._seed, self._spawned))
             self._spawned += 1
-            self._gaps = sample_first_returns(self._measure, 1 << 16, child)
-            self._i = 0
-        gap = int(self._gaps[self._i])
-        self._i += 1
-        self.tick += gap
-        return self.tick
+            self._times = (self.tick + np.cumsum(gaps)).tolist()
+            self._served = iter(self._times)
+            return next(self._served)
 
 
 @dataclass
@@ -171,11 +196,14 @@ def run_experiment(rt: ReturnTimes, k: int) -> bool:
     origin; success iff it lands exactly on origin + k.  Leaves the stream
     positioned at an independent experiment boundary."""
     target = rt.origin + k
-    for t in rt:
-        if t >= target:
-            rt.origin = t
-            return t == target
-    raise RuntimeError("return stream ended")  # pragma: no cover
+    try:
+        t = next(rt)
+        while t < target:
+            t = next(rt)
+    except StopIteration:
+        raise RuntimeError("return stream ended") from None
+    rt.origin = t
+    return t == target
 
 
 def estimate_pk(rt: ReturnTimes, k: int, eps: float, delta: float) -> PkEstimate:

@@ -75,6 +75,16 @@ def test_estimate_pk_within_three_sigma_of_exact():
     assert est.experiments == hoeffding_count(eps, delta)
 
 
+def test_run_experiment_on_an_ended_stream_raises():
+    """A bit stream that ends mid-experiment is a RuntimeError, from
+    run_experiment and from inside estimate_pk's generator alike, never a
+    StopIteration."""
+    with pytest.raises(RuntimeError, match="^return stream ended$"):
+        run_experiment(ReturnTimes(iter([False, True])), 5)
+    with pytest.raises(RuntimeError, match="^return stream ended$"):
+        estimate_pk(ReturnTimes(iter([False, True])), 5, 0.1, 0.1)
+
+
 def test_estimate_pk_validates_inputs():
     rt = from_walk(FIXTURES["c4"], seed=0, lazy=True)
     with pytest.raises(DomainError, match=r"^eps and delta must lie in \(0, 1\)$"):
@@ -89,18 +99,18 @@ def test_estimate_pk_validates_inputs():
 
 def test_sampled_estimate_pk_is_pinned():
     """The benchmark's estimate_pk call (cycle:4, seed 1, lazy), pinned by
-    sha256 as the stream printed it before its refills went through
-    `sample_first_returns`: the estimate as the benchmark prints it, and
-    the first 150,000 return times, which span three refills."""
+    sha256 as the stream printed it once its refills grew from 2^12 to
+    2^16 gaps: the estimate as the benchmark prints it, and the first
+    150,000 return times, which span six refills."""
     g = build_family("cycle", 4)
     est = estimate_pk(SampledReturnTimes(g, 1, lazy=True), 3, 0.02, 0.05)
     text = json.dumps(dataclasses.asdict(est), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "3157974bb22c2b1561c057b2cef898fee72cc183188ab001c5de37252665a419")
+        "645635b84016acb97d3b3ccd5c7f64fc09ae2661cf56b1b749a6c29891f543d9")
     rt = SampledReturnTimes(g, 1, lazy=True)
     times = np.fromiter((next(rt) for _ in range(150000)), dtype=np.int64)
     assert hashlib.sha256(times.tobytes()).hexdigest() == (
-        "8e7693e4a8d468c2c80cd4d7ef9271c48e69d62ab6c69b9e70f1064367151777")
+        "6aaf6e88025816e192545caf72e6c08bc18649b68242a7144e8298fe270ddf24")
 
 
 def test_observer_stats_match_exact_moments():
@@ -285,6 +295,15 @@ def test_sample_first_returns_mean(name, lazy):
     assert gaps.min() >= (1 if lazy else 2)
 
 
+@pytest.mark.parametrize("lazy", [False, True])
+def test_transition_matrix_matches_the_vertex_loop(lazy):
+    """The one-assignment transition matrix is byte for byte the one the
+    oracle fills vertex by vertex, regular and irregular graphs alike."""
+    for name, g in FIXTURES.items():
+        want = walk_oracle.transition_matrix(g, lazy)
+        assert walk._transition_matrix(g, lazy).tobytes() == want.tobytes(), name
+
+
 def test_first_return_kernel_rows_are_laws():
     """Each row of the n-tick kernel is a probability law, and on the
     bipartite c4 the plain walk's first returns at odd ticks are exactly
@@ -319,23 +338,53 @@ def test_child_seed_keeps_int_and_root_streams():
 
 @pytest.mark.parametrize("lazy", [False, True])
 def test_sampled_stream_builds_its_kernel_once(monkeypatch, lazy):
-    """Three refills of 2^16 gaps build the first-return kernel once, and
-    the stream is the concatenation of sample_first_returns over the
-    seed's children 0, 1, 2."""
-    g = FIXTURES["star3"]
+    """Seven refills, of 2^12, 2^13, ... gaps capped at 2^16, build the
+    first-return kernel once, and the stream is the concatenation of
+    sample_first_returns over the seed's children 0, 1, ..., 6.  On path4:
+    every plain first return on the star is at tick 2, which any schedule
+    would match."""
+    g = FIXTURES["path4"]
     builds = []
     real = walk._first_return_kernel
     monkeypatch.setattr(walk, "_first_return_kernel",
                         lambda *a: builds.append(a) or real(*a))
     rt = SampledReturnTimes(g, seed=17, lazy=lazy)
-    refill = 1 << 16
-    times = np.array([next(rt) for _ in range(2 * refill + 1)])
+    sizes = [1 << min(12 + i, 16) for i in range(7)]
+    assert sizes == [4096, 8192, 16384, 32768, 65536, 65536, 65536]
+    times = np.array([next(rt) for _ in range(sum(sizes[:6]) + 1)])
     assert len(builds) == 1
+    assert rt.tick == times[-1]
     monkeypatch.setattr(walk, "_first_return_kernel", real)
     measure = RootMeasure(g, lazy)
-    want = np.concatenate([sample_first_returns(measure, refill, child_seed(17, i))
-                           for i in range(3)])
+    want = np.concatenate([sample_first_returns(measure, size, child_seed(17, i))
+                           for i, size in enumerate(sizes)])
     assert (np.diff(times, prepend=0) == want[:times.size]).all()
+
+
+def test_sampled_stream_draws_at_most_twice_what_it_serves(monkeypatch):
+    """After serving N returns the stream has drawn at most 2N + 2^16
+    gaps, and none before the first return is asked for."""
+    drawn = []
+    real = walk.sample_first_returns
+    monkeypatch.setattr(walk, "sample_first_returns",
+                        lambda measure, count, seed: drawn.append(count)
+                        or real(measure, count, seed))
+    rt = SampledReturnTimes(FIXTURES["c8"], seed=5, lazy=True)
+    assert drawn == [] and rt.tick == 0
+    served = 0
+    for n in (1, 4096, 4097, 9000, 20000, 61440, 61441, 200000, 300000):
+        while served < n:
+            next(rt)
+            served += 1
+        assert served <= sum(drawn) <= 2 * served + (1 << 16), (served, drawn)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", [1, -2], np.random.default_rng(1)])
+def test_sampled_stream_refuses_a_bad_seed_when_built(seed):
+    """A seed that child_seed cannot turn into a SeedSequence is refused by
+    the constructor, with a DomainError, before any draw."""
+    with pytest.raises(DomainError, match="^seed must be"):
+        SampledReturnTimes(FIXTURES["c8"], seed)
 
 
 def test_sibling_seed_sequences_give_distinct_streams():

@@ -121,12 +121,16 @@ def sample_first_returns(g, count, seed, lazy=False):
     return out
 
 
-def matrix_power_return_probability(g, t, lazy):
-    """P_t(r,r) as the root entry of P^t, P the one-tick transition
-    matrix in float64 (P[v, u] = 1/d(v) for each neighbour u of v, and
-    (I + P)/2 on the lazy walk)."""
+def transition_matrix(g, lazy):
+    """The one-tick transition matrix in float64, filled vertex by vertex:
+    P[v, u] = 1/d(v) for each neighbour u of v, and (I + P)/2 on the lazy
+    walk."""
     p = np.zeros((g.n, g.n))
     for v, nbrs in enumerate(g.adjacency):
         p[v, list(nbrs)] = 1.0 / len(nbrs)
-    p = (p + np.eye(g.n)) / 2 if lazy else p
-    return float(np.linalg.matrix_power(p, t)[g.root, g.root])
+    return (p + np.eye(g.n)) / 2 if lazy else p
+
+
+def matrix_power_return_probability(g, t, lazy):
+    """P_t(r,r) as the root entry of P^t (`transition_matrix`)."""
+    return float(np.linalg.matrix_power(transition_matrix(g, lazy), t)[g.root, g.root])
