@@ -269,9 +269,6 @@ def cmd_exact(opts) -> int:
 
 def cmd_forge(opts) -> int:
     k = opts.get("k", 4)
-    # before _forge_plan's divisor scan, which a huge k would make long
-    if k > treefun.MAX_FORGE_K:
-        raise DomainError(f"forge capped at k <= {treefun.MAX_FORGE_K}, got {k}")
     left, right = treefun.forge_tree_pair(k)
     cert = {"k": k, **treefun.certify_pair(left, right, opts.get("k_max", 12))}
     out_dir = opts.get("out") or "."
@@ -495,8 +492,6 @@ def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             opts["n"] = int(n)
         except ValueError:
             raise BatechoError(f'--n must be an integer or "estimate", got {n!r}')
-    if "seed" in vars(args) and opts.get("seed", 0) < 0:
-        raise DomainError(f"--seed must be non-negative, got {opts['seed']}")
     return opts
 
 

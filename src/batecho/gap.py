@@ -17,7 +17,7 @@ vertex-transitive graphs).
 A search builds one `walk.RootMeasure` and reads every evaluation from
 it: the spectrum is decomposed and snapped once per search, and the
 first-return kernel is built only when n is estimated from return times.
-It also draws from one random stream, `np.random.default_rng(seed)`:
+It also draws from one random stream, `walk.random_stream(seed)`:
 first the rounds that estimate n, if it is estimated, then one binomial
 per evaluation, in the order the search makes them.  The search is
 sequential, so the stream fixes the whole estimate.
@@ -25,6 +25,7 @@ sequential, so the stream fixes the whole estimate.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import DomainError, SearchExhausted
 from .graphs import RootedGraph
 from .walk import (RootMeasure, batch_return_successes, first_return_counts,
-                   hoeffding_count, observer_stats)
+                   hoeffding_count, observer_stats, random_stream)
 
 
 def gap_bounds(q_k: float, k: int, n: int) -> tuple[float, float]:
@@ -99,9 +100,9 @@ def estimate_n(measure: RootMeasure, seed) -> int:
     pooled, so the pooled count doubles, until the pooled mean's
     standard error sqrt((m2 - m1^2)/m) is at most 1/8, and rounds that
     mean.  Refuses the graph once the pooled count would pass 2^32.
-    Every round draws from the one stream np.random.default_rng(seed),
-    which is `seed` itself when it is a Generator."""
-    rng = np.random.default_rng(seed)
+    Every round draws from the one stream `random_stream(seed)`, which
+    is `seed` itself when it is a Generator and refuses `None`."""
+    rng = random_stream(seed)
     counts, pooled = np.zeros(0, dtype=np.int64), 0
     while pooled < 1 << 32:
         draw = pooled or 1 << 12
@@ -133,23 +134,20 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     """Estimate the lazy spectral gap of the walk from return observations.
 
     Pass n="estimate" to have the routine infer n from return times first
-    (regular graphs); an explicit n may not exceed the vertex count.
+    (regular graphs); an explicit n must be an integer, at most the
+    vertex count.
     Raises SearchExhausted if no evaluated k reads at most 1/n^c, which
     signals a gap too small to resolve at this c, or if the estimate at
     the top of the bracket is not positive.  Each k is evaluated once,
     with n_exp experiments, and at most L = ceil(log2 K0) k's are.
-    `seed` is anything np.random.default_rng takes, and the search draws
-    every experiment from that one stream.
+    `seed` is anything `random_stream` takes (not `None`), and the search
+    draws every experiment from that one stream.
     """
     if not (math.isfinite(c) and c > 0):
         raise DomainError(f"c must be positive and finite, got {c}")
     if not (0 < eps < 1 and 0 < delta < 1):
         raise DomainError(f"eps and delta must lie in (0, 1), got {eps}, {delta}")
-    try:
-        rng = np.random.default_rng(seed)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"seed must be a non-negative integer, a SeedSequence "
-                          f"or a Generator, got {seed!r}") from exc
+    rng = random_stream(seed)
     measure = RootMeasure(g, lazy)
     flags = []
     if n == "estimate":
@@ -158,7 +156,10 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
     elif n is None:
         n_used = g.n
     else:
-        n_used = int(n)
+        try:
+            n_used = operator.index(n)
+        except TypeError:
+            raise DomainError(f'n must be an integer or "estimate", got {n!r}') from None
         if n_used > g.n:
             raise DomainError(f"n={n_used} exceeds the graph's {g.n} vertices")
     if n_used < 2:

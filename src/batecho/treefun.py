@@ -114,6 +114,9 @@ def _forge_plan(k: int) -> tuple[list[tuple[int, int]], list[int]]:
     """The three divisor pairs (a, b) of k, namely (1,k), the smallest
     proper pair and (k,1), and the content-reduced integer dependency c
     among their trees G_{a,b}."""
+    # before the divisor scan, which a huge k would make long
+    if k > MAX_FORGE_K:
+        raise DomainError(f"forge capped at k <= {MAX_FORGE_K}, got {k}")
     if k < 4:
         raise DomainError(f"need composite k >= 4, got {k}")
     small = next((a for a in range(2, math.isqrt(k) + 1) if k % a == 0), None)

@@ -13,13 +13,13 @@ drawn from the root's laws, never walker by walker:
 binomial with P_t(r,r); `first_return_counts` draws first returns n
 ticks per multinomial over the walkers still out, with the block's law
 read off the kernel; `sample_first_returns` shuffles that histogram.
-Each sampler draws from np.random.default_rng(seed), which is the seed
-itself when it is a Generator, so one stream can feed many draws: a gap
-search draws every evaluation from one stream, in its order.
-`SampledReturnTimes` draws each refill from its own child of the seed
-(`child_seed`), 2^12 gaps in the first and twice as many in each next
-one up to 2^16, and serves them from a list of return times.  Either
-way the draws are a deterministic function of (graph, seed, lazy).
+Every entry point that takes a seed draws from `random_stream(seed)`,
+numpy's default Generator for it (the seed itself when it is a
+Generator), so one stream can feed many draws: a gap search draws every
+evaluation from one stream, in its order, and `SampledReturnTimes` every
+refill, 2^12 gaps in the first and twice as many in each next one up to
+2^16.  `None` (fresh entropy) is refused, so the draws are a
+deterministic function of (graph, seed, lazy).
 """
 from __future__ import annotations
 
@@ -105,12 +105,17 @@ class RootMeasure:
         return min(max(float(w @ mu ** t), 0.0), 1.0)
 
 
-def child_seed(seed, index: int) -> np.random.SeedSequence:
-    """The `index`-th child of `seed` (an int or a SeedSequence).  Children
-    of distinct SeedSequence siblings stay distinct, because the parent's
-    spawn key is kept."""
-    return np.random.SeedSequence(getattr(seed, "entropy", seed),
-                                  spawn_key=(*getattr(seed, "spawn_key", ()), index))
+def random_stream(seed) -> np.random.Generator:
+    """The one stream a seed stands for, np.random.default_rng(seed): `seed`
+    itself if a Generator.  `None` (fresh entropy) and what numpy refuses
+    are a DomainError."""
+    if seed is not None:
+        try:
+            return np.random.default_rng(seed)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"seed must be a non-negative integer, a SeedSequence "
+                      f"or a Generator, got {seed!r}")
 
 
 class ReturnTimes:
@@ -138,24 +143,19 @@ class SampledReturnTimes(ReturnTimes):
     gaps of a walk are iid copies of the first-return time, so drawing
     gaps in bulk gives a stream with the same law as watching one long
     walk, at a fraction of the cost.  Refill i draws 2^min(12 + i, 16)
-    gaps from child i of the seed, so the stream never draws more than
-    twice what it has served plus one refill of 2^16.  A refill is kept
-    as a list of return times and served by the list's own iterator, so
-    a return costs one list read and `tick` is read off the list only
-    when asked for.  `seed` is an int or a SeedSequence (`child_seed`);
-    anything else is refused here, not at the first refill."""
+    gaps from the one stream `random_stream(seed)`, built here, so the
+    stream never draws more than twice what it has served plus one
+    refill of 2^16, a bad seed is refused before any draw, and a
+    Generator seed is drawn from in place.  A refill is kept as a list of
+    return times and served by the list's own iterator, so a return costs
+    one list read and `tick` is read off the list only when asked for."""
 
     def __init__(self, graph: RootedGraph, seed, lazy: bool = False):
-        try:
-            child_seed(seed, 0)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"seed must be a non-negative integer or a SeedSequence, "
-                              f"got {seed!r}") from exc
+        self._rng = random_stream(seed)
         # no bit source, and `tick` is a property, so ReturnTimes.__init__ is not called
         self.origin = 0
         self._measure = RootMeasure(graph, lazy)
-        self._seed = seed
-        self._spawned = 0
+        self._refills = 0
         self._times: list[int] = []
         self._served = iter(self._times)
 
@@ -168,9 +168,9 @@ class SampledReturnTimes(ReturnTimes):
         try:
             return next(self._served)
         except StopIteration:
-            gaps = sample_first_returns(self._measure, 1 << min(12 + self._spawned, 16),
-                                        child_seed(self._seed, self._spawned))
-            self._spawned += 1
+            gaps = sample_first_returns(self._measure, 1 << min(12 + self._refills, 16),
+                                        self._rng)
+            self._refills += 1
             self._times = (self.tick + np.cumsum(gaps)).tolist()
             self._served = iter(self._times)
             return next(self._served)
@@ -246,14 +246,14 @@ def batch_return_successes(measure: RootMeasure, k: int, count: int, seed,
     """Number of independent experiments (out of `count`) back at the root
     at tick stride*k, the return bit the sequential protocol tests: one
     binomial draw with P_{stride k}(r,r) from the root's measure."""
-    p = measure.return_probability(stride * k)
-    return int(np.random.default_rng(seed).binomial(count, p))
+    rng = random_stream(seed)
+    return int(rng.binomial(count, measure.return_probability(stride * k)))
 
 
 def first_return_counts(measure: RootMeasure, count: int, seed) -> np.ndarray:
     """The histogram of `count` independent first-return times:
     counts[j - 1] walks first return at tick j, and the last entry is not
-    zero.  `seed` is anything np.random.default_rng takes, a Generator
+    zero.  `seed` is anything `random_stream` takes, a Generator
     included.  The walkers advance n ticks per draw.  `row` is the next
     block's law for one walker still out, in the kernel's columns: first
     return at each of the block's n ticks, or away at each vertex at its
@@ -267,7 +267,7 @@ def first_return_counts(measure: RootMeasure, count: int, seed) -> np.ndarray:
     which on a bipartite graph keeps every first return's parity exact,
     or, where no walker can stay out (survival exactly 0, as on a plain
     star), falls on the block's last possible tick."""
-    rng = np.random.default_rng(seed)
+    rng = random_stream(seed)
     kernel = measure.kernel
     n = kernel.shape[0]
     row, out = kernel[measure.graph.root], count
@@ -295,7 +295,7 @@ def sample_first_returns(measure: RootMeasure, count: int, seed) -> np.ndarray:
     of the first_return_counts histogram, drawn from the same stream.
     Gaps between successive returns are iid copies of T1, so these
     samples have the observer's gap distribution."""
-    rng = np.random.default_rng(seed)
+    rng = random_stream(seed)
     counts = first_return_counts(measure, count, rng)
     out = np.repeat(np.arange(1, counts.size + 1, dtype=np.int64), counts)
     rng.shuffle(out)

@@ -492,10 +492,11 @@ def test_non_utf8_input_file_exits_2(capsys, tmp_path, source):
 
 
 def test_forge_refuses_a_large_k_before_the_divisor_scan(capsys, monkeypatch):
-    """A k above forge's cap is refused before _forge_plan's trial
-    division runs."""
-    monkeypatch.setattr(batecho.treefun, "_forge_plan",
-                        lambda k: pytest.fail("divisor scan ran"))
+    """A k above forge's cap exits 2 with the library's refusal, which
+    comes before _forge_plan's trial division: 10^16 + 61 is prime, and
+    the scan would say so."""
+    monkeypatch.setattr(batecho.treefun, "build_gab",
+                        lambda a, b: pytest.fail("built a tree"))
     code, out, err = run(capsys, "forge", "--k", "10000000000000061")
     assert code == 2
     assert err == "batecho: forge capped at k <= 60, got 10000000000000061\n"
@@ -754,6 +755,10 @@ def test_repeated_main_calls_carry_no_state(capsys, monkeypatch, tmp_path):
     "forge --k 100000007",
     "forge --k 10000000000000061",
     "simulate --family cycle:4 --m 1152921504606846975",
+    "observe --family cycle:4 --seed -1",
+    "simulate --family cycle:4 --seed -1",
+    "gap --family cycle:4 --seed -1",
+    "mixing-gap --family cycle:4 --seed -1",
 ])
 def test_bad_input_exits_2_without_traceback(argv):
     src = os.path.dirname(os.path.dirname(batecho.__file__))

@@ -1,6 +1,7 @@
 import contextlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -315,6 +316,18 @@ def test_audit_reads_the_recorded_pk_rule():
 def test_estimate_gap_rejects_bad_parameters(kwargs):
     with pytest.raises(DomainError):
         estimate_gap(FIXTURES["k4"], **{"seed": 1, **kwargs})
+
+
+@pytest.mark.parametrize("n", [7.9, "abc", "8", [8]])
+def test_estimate_gap_refuses_an_n_that_is_not_an_integer(n):
+    """An n that is neither an integer nor "estimate" is refused with a
+    DomainError that names it, where 7.9 once ran as 7; a numpy integer
+    is an integer."""
+    message = f'^n must be an integer or "estimate", got {re.escape(repr(n))}$'
+    with pytest.raises(DomainError, match=message):
+        estimate_gap(FIXTURES["c8"], seed=1, n=n)
+    assert (estimate_gap(FIXTURES["c8"], seed=1, n=np.int64(8)).to_json()
+            == estimate_gap(FIXTURES["c8"], seed=1, n=8).to_json())
 
 
 def test_sibling_seeds_give_distinct_estimates():

@@ -11,6 +11,7 @@ from batecho import (
     h_from_series,
     h_of_tree,
 )
+from batecho import treefun
 from batecho.errors import DomainError
 from batecho.exact import MAX_EXACT_N, GenFun, _closed_walk
 from batecho.graphs import _make, from_text
@@ -198,6 +199,16 @@ def test_forge_closed_form_equals_the_dependency_search(k):
 def test_forge_rejects_primes_and_tiny_k(k):
     message = f"need composite k >= 4, got {k}" if k < 4 else f"{k} is prime"
     with pytest.raises(DomainError, match=message):
+        forge_tree_pair(k)
+
+
+@pytest.mark.parametrize("k", [MAX_FORGE_K + 1, MAX_FORGE_K + 2, 10 ** 16 + 61])
+def test_forge_refuses_a_k_above_the_cap_at_once(monkeypatch, k):
+    """The library refuses a k above MAX_FORGE_K before it builds a tree
+    or scans for divisors: 61 and 10^16 + 61 are prime, and the scan
+    would say so (after 6-11 s on the second)."""
+    monkeypatch.setattr(treefun, "build_gab", lambda a, b: pytest.fail("built a tree"))
+    with pytest.raises(DomainError, match=f"^forge capped at k <= {MAX_FORGE_K}, got {k}$"):
         forge_tree_pair(k)
 
 

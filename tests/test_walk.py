@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -24,9 +25,10 @@ from batecho import (
     run_experiment,
     sample_first_returns,
 )
-from batecho import walk
+from batecho import estimate_gap, walk
 from batecho.errors import DomainError
-from batecho.walk import RootMeasure, batch_return_successes, child_seed
+from batecho.gap import estimate_n
+from batecho.walk import RootMeasure, batch_return_successes
 
 import walk_oracle
 from conftest import FIXTURES
@@ -99,18 +101,19 @@ def test_estimate_pk_validates_inputs():
 
 def test_sampled_estimate_pk_is_pinned():
     """The benchmark's estimate_pk call (cycle:4, seed 1, lazy), pinned by
-    sha256 as the stream printed it once its refills grew from 2^12 to
-    2^16 gaps: the estimate as the benchmark prints it, and the first
-    150,000 return times, which span six refills."""
+    sha256 as the stream printed it once every refill (2^12 gaps growing
+    to 2^16) drew from one random stream: the estimate as the benchmark
+    prints it, and the first 150,000 return times, which span six
+    refills."""
     g = build_family("cycle", 4)
     est = estimate_pk(SampledReturnTimes(g, 1, lazy=True), 3, 0.02, 0.05)
     text = json.dumps(dataclasses.asdict(est), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "645635b84016acb97d3b3ccd5c7f64fc09ae2661cf56b1b749a6c29891f543d9")
+        "daa492e7b81d345b49b761553ea3fda50a61c49b498aeac45e6bad819a4aab14")
     rt = SampledReturnTimes(g, 1, lazy=True)
     times = np.fromiter((next(rt) for _ in range(150000)), dtype=np.int64)
     assert hashlib.sha256(times.tobytes()).hexdigest() == (
-        "6aaf6e88025816e192545caf72e6c08bc18649b68242a7144e8298fe270ddf24")
+        "781a296bf8eacd543f260f3f69c5b3a0e16f9a931cf0fe2b486c6251898e7577")
 
 
 def test_observer_stats_match_exact_moments():
@@ -330,17 +333,12 @@ def test_sample_first_returns_shuffles_the_histogram():
         assert (np.sort(gaps) == times).all()
 
 
-def test_child_seed_keeps_int_and_root_streams():
-    want = np.random.SeedSequence(5, spawn_key=(2,)).generate_state(4)
-    assert (child_seed(5, 2).generate_state(4) == want).all()
-    assert (child_seed(np.random.SeedSequence(5), 2).generate_state(4) == want).all()
-
-
 @pytest.mark.parametrize("lazy", [False, True])
 def test_sampled_stream_builds_its_kernel_once(monkeypatch, lazy):
     """Seven refills, of 2^12, 2^13, ... gaps capped at 2^16, build the
     first-return kernel once, and the stream is the concatenation of
-    sample_first_returns over the seed's children 0, 1, ..., 6.  On path4:
+    sample_first_returns of those sizes, drawn in turn from one
+    np.random.default_rng(17).  On path4:
     every plain first return on the star is at tick 2, which any schedule
     would match."""
     g = FIXTURES["path4"]
@@ -355,9 +353,9 @@ def test_sampled_stream_builds_its_kernel_once(monkeypatch, lazy):
     assert len(builds) == 1
     assert rt.tick == times[-1]
     monkeypatch.setattr(walk, "_first_return_kernel", real)
-    measure = RootMeasure(g, lazy)
-    want = np.concatenate([sample_first_returns(measure, size, child_seed(17, i))
-                           for i, size in enumerate(sizes)])
+    measure, replay = RootMeasure(g, lazy), np.random.default_rng(17)
+    want = np.concatenate([sample_first_returns(measure, size, replay)
+                           for size in sizes])
     assert (np.diff(times, prepend=0) == want[:times.size]).all()
 
 
@@ -379,25 +377,64 @@ def test_sampled_stream_draws_at_most_twice_what_it_serves(monkeypatch):
         assert served <= sum(drawn) <= 2 * served + (1 << 16), (served, drawn)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, "x", [1, -2], np.random.default_rng(1)])
+@pytest.mark.parametrize("seed", [-1, 1.5, "x", [1, -2]])
 def test_sampled_stream_refuses_a_bad_seed_when_built(seed):
-    """A seed that child_seed cannot turn into a SeedSequence is refused by
-    the constructor, with a DomainError, before any draw."""
+    """A seed `random_stream` refuses is refused by the constructor, with
+    a DomainError, not at the first refill."""
     with pytest.raises(DomainError, match="^seed must be"):
         SampledReturnTimes(FIXTURES["c8"], seed)
 
 
+def test_sampled_stream_draws_a_generator_seed_in_place():
+    """A Generator seed is the stream's own: the stream serves what the
+    Generator's int seed gives, and after the first refill of 2^12 gaps
+    the Generator stands where one draw of that size leaves a replay."""
+    g = FIXTURES["c8"]
+    rng = np.random.default_rng(23)
+    rt, by_int = SampledReturnTimes(g, rng, lazy=True), SampledReturnTimes(g, 23, lazy=True)
+    assert [next(rt) for _ in range(100)] == [next(by_int) for _ in range(100)]
+    replay = np.random.default_rng(23)
+    sample_first_returns(RootMeasure(g, True), 1 << 12, replay)
+    assert rng.bit_generator.state == replay.bit_generator.state
+
+
 def test_sibling_seed_sequences_give_distinct_streams():
-    """Children of SeedSequence siblings must not collide: the parent's
-    spawn key is part of the child's."""
+    """SeedSequence siblings must not collide: the spawn key is part of
+    the stream's seed."""
     g = FIXTURES["c8"]
     a, b = (SampledReturnTimes(g, np.random.SeedSequence(1, spawn_key=(i,)))
             for i in (1, 2))
     assert [next(a) for _ in range(50)] != [next(b) for _ in range(50)]
-    root = np.random.SeedSequence(1)
-    kids = root.spawn(2)
-    states = {tuple(child_seed(s, 0).generate_state(4)) for s in [root] + kids}
-    assert len(states) == 3
+
+
+# The six public entry points that take a seed, each called on c8.
+SEEDED = [
+    pytest.param(lambda s: batch_return_successes(RootMeasure(FIXTURES["c8"], True), 3, 100, s),
+                 id="batch_return_successes"),
+    pytest.param(lambda s: first_return_counts(RootMeasure(FIXTURES["c8"], False), 100, s),
+                 id="first_return_counts"),
+    pytest.param(lambda s: sample_first_returns(RootMeasure(FIXTURES["c8"], False), 100, s),
+                 id="sample_first_returns"),
+    pytest.param(lambda s: estimate_n(RootMeasure(FIXTURES["c8"], True), s), id="estimate_n"),
+    pytest.param(lambda s: estimate_gap(FIXTURES["c8"], seed=s), id="estimate_gap"),
+    pytest.param(lambda s: SampledReturnTimes(FIXTURES["c8"], s), id="SampledReturnTimes"),
+]
+
+
+@pytest.mark.parametrize("seed", [None, -1, 1.5, "x", [1, -2]])
+@pytest.mark.parametrize("entry", SEEDED)
+def test_every_seeded_entry_point_refuses_a_bad_seed(monkeypatch, entry, seed):
+    """Each entry point that takes a seed refuses None (fresh entropy) and
+    every seed numpy refuses with `random_stream`'s one message, before
+    any draw: neither half of the root's measure, which every draw
+    reads, is built."""
+    for half in ("spectral", "kernel"):
+        monkeypatch.setattr(RootMeasure, half,
+                            property(lambda self: pytest.fail("built the measure")))
+    message = ("^seed must be a non-negative integer, a SeedSequence or a "
+               f"Generator, got {re.escape(repr(seed))}$")
+    with pytest.raises(DomainError, match=message):
+        entry(seed)
 
 
 # The law tests below run the batch samplers of batecho.walk (id
