@@ -5,10 +5,7 @@ from .exact import (
     first_return_series,
     hitting_from_stationary,
     lazy_series,
-    nondegenerate_set,
-    poles_to_eigenvalues,
     return_gen_fun,
-    spectrum,
 )
 from .gap import (
     GapEstimate,
@@ -45,9 +42,12 @@ from .walk import (
     estimate_pk,
     first_return_counts,
     hoeffding_count,
+    nondegenerate_set,
     observer_stats,
+    poles_to_eigenvalues,
     run_experiment,
     sample_first_returns,
+    spectrum,
 )
 
 __version__ = "0.1.0"

@@ -28,8 +28,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import exact as ex
 from . import gap as gp
 from . import graphs, treefun, walk
@@ -255,7 +253,7 @@ def cmd_exact(opts) -> int:
         "graph": g.to_json(),
         "series": table,        # render writes it from its int pairs
         "gen_fun": fgen.to_json_dict(),
-        "spectrum": ex.spectrum(g).to_json(),
+        "spectrum": walk.spectrum(g).to_json(),
         "hitting": {
             "value": float(hit.value),
             "mean_t1": str(hit.mean_t1),
@@ -317,19 +315,9 @@ def cmd_mixing_gap(opts) -> int:
     return EXIT_OK
 
 
-def _sample_count(opts, default: int, cap: int) -> int:
-    m = opts.get("m", default)
-    if m < 1:
-        raise DomainError(f"--m must be at least 1, got {m}")
-    if m > cap:
-        raise DomainError(f"--m must be at most {cap}, got {m}")
-    return m
-
-
 def cmd_observe(opts) -> int:
     g = load_graph(opts)
-    # the walk holds its walker counts in int64
-    m = _sample_count(opts, 10000, np.iinfo(np.int64).max)
+    m = opts.get("m", 10000)
     lazy = bool(opts.get("lazy", False))
     counts = walk.first_return_counts(walk.RootMeasure(g, lazy), m, opts.get("seed", 0))
     mean, mean_sq, all_even = walk.observer_stats(counts)
@@ -352,13 +340,12 @@ def cmd_observe(opts) -> int:
 
 def cmd_simulate(opts) -> int:
     g = load_graph(opts)
-    # the largest int64 array of gaps numpy can size
-    m = _sample_count(opts, 100, np.iinfo(np.intp).max // np.dtype(np.int64).itemsize)
+    m = opts.get("m", 100)
     lazy = bool(opts.get("lazy", False))
     try:
         # the gaps between returns are iid copies of the first-return time
         gaps = walk.sample_first_returns(walk.RootMeasure(g, lazy), m, opts.get("seed", 0))
-        times = np.cumsum(gaps).tolist()
+        times = gaps.cumsum().tolist()
     except MemoryError as exc:
         raise DomainError(f"--m {m} return times do not fit in memory") from exc
     emit({"return_times": times, "samples": m, "lazy": lazy}, opts)
@@ -386,6 +373,14 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=["json", "csv"])
 
 
+def _int_or_text(text: str):
+    """`text` as an int if it spells one, else as it is, for the library to judge."""
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def _add_search(p: argparse.ArgumentParser):
     """The options of the two gap searches."""
     _add_common(p)
@@ -393,10 +388,19 @@ def _add_search(p: argparse.ArgumentParser):
     p.add_argument("--c", type=float)
     p.add_argument("--eps", type=float)
     p.add_argument("--delta", type=float)
-    p.add_argument("--n", help='vertex count, at most the graph\'s, or "estimate"')
+    p.add_argument("--n", type=_int_or_text,
+                   help='vertex count, at most the graph\'s, or "estimate"')
     p.add_argument("--pk-rule", dest="pk_rule", choices=["paper"],
                    help="per-evaluation accuracy rule; the paper's "
                         "eps/(8 n^c) is the only rule")
+
+
+def _add_sampling(p: argparse.ArgumentParser, m_help: str):
+    """The options of the two samplers."""
+    _add_common(p)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--m", type=int, help=m_help)
+    p.add_argument("--lazy", action="store_const", const=True)
 
 
 @functools.cache
@@ -426,16 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_search(p)
 
     p = sub.add_parser("observe", help="return-gap summary statistics")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--m", type=int, help="number of return gaps to sample")
-    p.add_argument("--lazy", action="store_const", const=True)
+    _add_sampling(p, "number of return gaps to sample")
 
     p = sub.add_parser("simulate", help="raw return times")
-    _add_common(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--m", type=int, help="number of return times")
-    p.add_argument("--lazy", action="store_const", const=True)
+    _add_sampling(p, "number of return times")
 
     return parser
 
@@ -486,12 +484,6 @@ def resolve_options(args: argparse.Namespace, parser: argparse.ArgumentParser) -
             continue
         if value is not None:
             opts[key] = value
-    n = opts.get("n")
-    if isinstance(n, str) and n != "estimate":
-        try:
-            opts["n"] = int(n)
-        except ValueError:
-            raise BatechoError(f'--n must be an integer or "estimate", got {n!r}')
     return opts
 
 

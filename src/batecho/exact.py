@@ -1,7 +1,7 @@
-"""Ground-truth engine: exact lazy return-probability series, spectra
-with root weights, generating functions, first-return and survival
-series, and the stationary hitting time with the first two moments of
-the return time.
+"""Ground-truth engine, in integers and rationals alone (the float routes,
+such as the spectrum, live in `walk`): exact lazy return-probability
+series, generating functions, first-return and survival series, and the
+stationary hitting time with the first two moments of the return time.
 
 One walk gives everything: the return generating function f.  The walk
 runs in integers, L^k times the distribution after k steps with L the
@@ -35,11 +35,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate
 
-import numpy as np
-
-from .errors import BatechoError, DomainError
+from .errors import DomainError
 from .graphs import RootedGraph
 from .ratfun import IntPoly, RatFun
 
@@ -96,25 +94,6 @@ class SeriesTable:
             rows = ("," + row).join([f"{head}{den}{mid}{num}{tail}" for num, den in seq])
             items.append(f'"{name}": [{row}{rows}{pad}]')
         return "{" + pad + ("," + pad).join(items) + outer + "}"
-
-
-@dataclass
-class Spectrum:
-    """Eigenvalues of the walk's transition matrix, sorted descending,
-    with squared root entries of the orthonormal eigenbasis."""
-
-    eigenvalues: np.ndarray
-    root_weights: np.ndarray
-
-    def to_json(self) -> dict:
-        return {
-            "eigenvalues": [float(x) for x in self.eigenvalues],
-            "root_weights": [float(x) for x in self.root_weights],
-            "nondegenerate": [
-                {"value": v, "weight": w, "flag": f}
-                for v, w, f in nondegenerate_set(self)
-            ],
-        }
 
 
 class GenFun(RatFun):
@@ -261,60 +240,6 @@ def lazy_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
 
 
 # ---------------------------------------------------------------------------
-# spectrum
-
-
-def _edge_ends(g: RootedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, cols, degs): the index arrays that set a matrix's entry on
-    every directed edge u -> v in one assignment, u's index repeated d_u
-    times as the rows and the concatenated adjacency as the columns, with
-    the degrees as floats."""
-    sizes = list(map(len, g.adjacency))
-    rows = np.repeat(np.arange(g.n), sizes)
-    cols = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=rows.size)
-    return rows, cols, np.array(sizes, dtype=float)
-
-
-def _symmetrised_matrix(g: RootedGraph) -> np.ndarray:
-    """N = D M D^{-1}, entry 1/sqrt(d_u d_v) on each edge, set in one
-    index assignment (`_edge_ends`)."""
-    rows, cols, degs = _edge_ends(g)
-    mat = np.zeros((g.n, g.n))
-    mat[rows, cols] = 1.0 / np.sqrt(degs[rows] * degs[cols])
-    return mat
-
-
-def spectrum(g: RootedGraph) -> Spectrum:
-    """Eigen-decomposition of the symmetrized transition matrix
-    N = D M D^{-1}, with root weights from the orthonormal eigenbasis."""
-    try:
-        vals, vecs = np.linalg.eigh(_symmetrised_matrix(g))
-    except np.linalg.LinAlgError as exc:
-        raise BatechoError(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(-vals)
-    vals = vals[order]
-    weights = vecs[g.root, order] ** 2
-    return Spectrum(eigenvalues=vals, root_weights=weights)
-
-
-def nondegenerate_set(spec: Spectrum) -> list[tuple[float, float, bool]]:
-    """Cluster eigenvalues within 1e-8 and flag a cluster nondegenerate
-    when its summed root weight exceeds 1e-7."""
-    out = []
-    vals, weights = spec.eigenvalues, spec.root_weights
-    i = 0
-    while i < len(vals):
-        j = i
-        while j + 1 < len(vals) and vals[i] - vals[j + 1] <= 1e-8:
-            j += 1
-        w = float(np.sum(weights[i:j + 1]))
-        rep = float(np.mean(vals[i:j + 1]))
-        out.append((rep, w, w > 1e-7))
-        i = j + 1
-    return out
-
-
-# ---------------------------------------------------------------------------
 # generating function
 
 
@@ -429,32 +354,6 @@ def first_return_series(g: RootedGraph, f: GenFun, k_max: int) -> SeriesTable:
     return SeriesTable(n=g.n, k_max=k_max,
                        s=_lowest_terms([0] + [-a for a in inv[1:]], primes),
                        z=_lowest_terms(sums, primes))
-
-
-def poles_to_eigenvalues(fgen: RatFun):
-    """Reciprocals of the real denominator roots (the nonzero
-    nondegenerate eigenvalues), plus a flag telling whether zero is a
-    nondegenerate eigenvalue (degree comparison).  A root counts as real
-    when its imaginary part is within 1e-9 (1 + |root|)."""
-    den = fgen.den
-    if den.degree < 1:
-        return [], fgen.num.degree == den.degree
-    coeffs = list(reversed(den.c))
-    try:
-        roots = np.roots(coeffs)
-    except Exception as exc:  # pragma: no cover
-        raise BatechoError(str(exc)) from exc
-    if np.any(~np.isfinite(roots)):
-        raise BatechoError("non-finite root from the polynomial solver")
-    eigs = []
-    for root in roots:
-        if abs(root.imag) <= 1e-9 * (1 + abs(root)):
-            if root.real == 0:
-                raise BatechoError("denominator root at 0")
-            eigs.append(1.0 / root.real)
-    eigs.sort(reverse=True)
-    zero_flag = fgen.num.degree == den.degree
-    return eigs, zero_flag
 
 
 # ---------------------------------------------------------------------------

@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import DomainError, SearchExhausted
 from .graphs import RootedGraph
-from .walk import (RootMeasure, batch_return_successes, first_return_counts,
-                   hoeffding_count, observer_stats, random_stream)
+from .walk import (MAX_WALKERS, RootMeasure, batch_return_successes,
+                   first_return_counts, hoeffding_count, observer_stats, random_stream)
 
 
 def gap_bounds(q_k: float, k: int, n: int) -> tuple[float, float]:
@@ -170,8 +170,7 @@ def estimate_gap(g: RootedGraph, c: float = 2.0, eps: float = 0.25,
         n_exp = hoeffding_count(per_eval_eta(n_used, c, eps), delta / levels)
     except (OverflowError, ZeroDivisionError):
         n_exp = math.inf
-    # an evaluation is one binomial draw, whose count numpy takes as int64
-    if n_exp > np.iinfo(np.int64).max:
+    if n_exp > MAX_WALKERS:     # an evaluation is one binomial draw
         raise DomainError(f"c={c}, eps={eps}, delta={delta} on n={n_used} need "
                           f"{n_exp:.3g} experiments per evaluation, more than "
                           f"a 64-bit count holds")

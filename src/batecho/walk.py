@@ -1,4 +1,5 @@
-"""Seeded random-walk simulation and the observer's view of it.
+"""Seeded random-walk simulation, the observer's view of it, and the float
+routes: the spectrum, and the eigenvalues at the poles of `exact`'s f.
 
 The observer at the root sees only the clock and the return bits; every
 estimator in the library consumes that interface.  Everything it sees
@@ -14,12 +15,13 @@ binomial with P_t(r,r); `first_return_counts` draws first returns n
 ticks per multinomial over the walkers still out, with the block's law
 read off the kernel; `sample_first_returns` shuffles that histogram.
 Every entry point that takes a seed draws from `random_stream(seed)`,
-numpy's default Generator for it (the seed itself when it is a
-Generator), so one stream can feed many draws: a gap search draws every
-evaluation from one stream, in its order, and `SampledReturnTimes` every
-refill, 2^12 gaps in the first and twice as many in each next one up to
-2^16.  `None` (fresh entropy) is refused, so the draws are a
-deterministic function of (graph, seed, lazy).
+numpy's default Generator for it (the seed itself when it is a Generator),
+so one stream can feed many draws: a gap search draws every evaluation
+from one stream, in its order, and `SampledReturnTimes` every refill, 2^12
+gaps in the first and twice as many in each next one up to 2^16.  `None`
+(fresh entropy) is refused, so the draws are a deterministic function of
+(graph, seed, lazy).  A walker count is an integer from 1 to the largest
+int64, and is refused before any draw too.
 """
 from __future__ import annotations
 
@@ -27,21 +29,114 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .errors import DomainError
-from .exact import _edge_ends, spectrum
+from .errors import BatechoError, DomainError
 from .graphs import RootedGraph
 
 # the first-return kernel takes 16 n^2 bytes (64 MiB at n = 2048)
 MAX_WALK_N = 2048
+# numpy draws a walker count as an int64, and must size an int64 array of samples
+MAX_WALKERS = int(np.iinfo(np.int64).max)
+MAX_SAMPLES = int(np.iinfo(np.intp).max) // np.dtype(np.int64).itemsize
+
+
+@dataclass
+class Spectrum:
+    """Eigenvalues of the walk's transition matrix, sorted descending,
+    with squared root entries of the orthonormal eigenbasis."""
+
+    eigenvalues: np.ndarray
+    root_weights: np.ndarray
+
+    def to_json(self) -> dict:
+        return {
+            "eigenvalues": [float(x) for x in self.eigenvalues],
+            "root_weights": [float(x) for x in self.root_weights],
+            "nondegenerate": [{"value": v, "weight": w, "flag": f}
+                              for v, w, f in nondegenerate_set(self)],
+        }
+
+
+def _edge_ends(g: RootedGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, degs): the index arrays that set a matrix's entry on
+    every directed edge u -> v in one assignment, u's index repeated d_u
+    times as the rows and the concatenated adjacency as the columns, with
+    the degrees as floats."""
+    sizes = list(map(len, g.adjacency))
+    rows = np.repeat(np.arange(g.n), sizes)
+    cols = np.fromiter(chain.from_iterable(g.adjacency), dtype=np.intp, count=rows.size)
+    return rows, cols, np.array(sizes, dtype=float)
+
+
+def _symmetrised_matrix(g: RootedGraph) -> np.ndarray:
+    """N = D M D^{-1}, entry 1/sqrt(d_u d_v) on each edge, set in one
+    index assignment (`_edge_ends`)."""
+    rows, cols, degs = _edge_ends(g)
+    mat = np.zeros((g.n, g.n))
+    mat[rows, cols] = 1.0 / np.sqrt(degs[rows] * degs[cols])
+    return mat
+
+
+def spectrum(g: RootedGraph) -> Spectrum:
+    """Eigen-decomposition of the symmetrized transition matrix
+    N = D M D^{-1}, with root weights from the orthonormal eigenbasis."""
+    try:
+        vals, vecs = np.linalg.eigh(_symmetrised_matrix(g))
+    except np.linalg.LinAlgError as exc:
+        raise BatechoError(f"eigensolver did not converge: {exc}") from exc
+    order = np.argsort(-vals)
+    return Spectrum(eigenvalues=vals[order], root_weights=vecs[g.root, order] ** 2)
+
+
+def nondegenerate_set(spec: Spectrum) -> list[tuple[float, float, bool]]:
+    """Cluster eigenvalues within 1e-8 and flag a cluster nondegenerate
+    when its summed root weight exceeds 1e-7."""
+    out = []
+    vals, weights = spec.eigenvalues, spec.root_weights
+    i = 0
+    while i < len(vals):
+        j = i
+        while j + 1 < len(vals) and vals[i] - vals[j + 1] <= 1e-8:
+            j += 1
+        w = float(np.sum(weights[i:j + 1]))
+        rep = float(np.mean(vals[i:j + 1]))
+        out.append((rep, w, w > 1e-7))
+        i = j + 1
+    return out
+
+
+def poles_to_eigenvalues(fgen):
+    """Reciprocals of the real roots of the denominator of `fgen`, a
+    `RatFun` such as `exact.return_gen_fun`'s f (the nonzero
+    nondegenerate eigenvalues), plus a flag telling whether zero is a
+    nondegenerate eigenvalue (degree comparison).  A root counts as real
+    when its imaginary part is within 1e-9 (1 + |root|)."""
+    den = fgen.den
+    if den.degree < 1:
+        return [], fgen.num.degree == den.degree
+    try:
+        roots = np.roots(den.c[::-1])
+    except Exception as exc:  # pragma: no cover
+        raise BatechoError(str(exc)) from exc
+    if np.any(~np.isfinite(roots)):
+        raise BatechoError("non-finite root from the polynomial solver")
+    eigs = []
+    for root in roots:
+        if abs(root.imag) <= 1e-9 * (1 + abs(root)):
+            if root.real == 0:
+                raise BatechoError("denominator root at 0")
+            eigs.append(1.0 / root.real)
+    eigs.sort(reverse=True)
+    return eigs, fgen.num.degree == den.degree
 
 
 def _transition_matrix(g: RootedGraph, lazy: bool) -> np.ndarray:
     """The one-tick transition matrix P, 1/d(v) on each edge v -> u, set
-    in one index assignment (`exact._edge_ends`), or (I + P)/2 on the
-    lazy chain."""
+    in one index assignment (`_edge_ends`), or (I + P)/2 on the lazy
+    chain."""
     rows, cols, degs = _edge_ends(g)
     p = np.zeros((g.n, g.n))
     p[rows, cols] = 1.0 / degs[rows]
@@ -83,7 +178,7 @@ class RootMeasure:
 
     @functools.cached_property
     def spectral(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, mu): exact.spectrum's root weights, and the chain's
+        """(w, mu): `spectrum`'s root weights, and the chain's
         eigenvalues mu = (1 + lambda)/2 on the lazy chain and lambda on
         the plain one.  The exact eigenvalues +-1 are snapped, as mu^t
         amplifies eigh's few ulp t-fold (any other lies order 1/n^3
@@ -99,8 +194,10 @@ class RootMeasure:
         return _first_return_kernel(self.graph, self.lazy)
 
     def return_probability(self, t: int) -> float:
-        """P_t(r,r) = sum_i w_i mu_i^t, clipped to [0, 1], which rounding
-        can leave by a few ulp."""
+        """P_t(r,r) = sum_i w_i mu_i^t for an integer t >= 0, clipped to
+        [0, 1], which rounding can leave by a few ulp."""
+        if not (isinstance(t, (int, np.integer)) and t >= 0):
+            raise DomainError(f"t must be a non-negative integer, got {t!r}")
         w, mu = self.spectral
         return min(max(float(w @ mu ** t), 0.0), 1.0)
 
@@ -116,6 +213,13 @@ def random_stream(seed) -> np.random.Generator:
             pass
     raise DomainError(f"seed must be a non-negative integer, a SeedSequence "
                       f"or a Generator, got {seed!r}")
+
+
+def _walker_count(count, cap: int = MAX_WALKERS) -> int:
+    """`count` as an int, if an integer from 1 to `cap`: every sampler's one rule."""
+    if not (isinstance(count, (int, np.integer)) and 1 <= count <= cap):
+        raise DomainError(f"count must be an integer from 1 to {cap}, got {count!r}")
+    return int(count)
 
 
 class ReturnTimes:
@@ -246,6 +350,9 @@ def batch_return_successes(measure: RootMeasure, k: int, count: int, seed,
     """Number of independent experiments (out of `count`) back at the root
     at tick stride*k, the return bit the sequential protocol tests: one
     binomial draw with P_{stride k}(r,r) from the root's measure."""
+    count = _walker_count(count)
+    if stride < 1:
+        raise DomainError(f"stride must be at least 1, got {stride}")
     rng = random_stream(seed)
     return int(rng.binomial(count, measure.return_probability(stride * k)))
 
@@ -267,6 +374,7 @@ def first_return_counts(measure: RootMeasure, count: int, seed) -> np.ndarray:
     which on a bipartite graph keeps every first return's parity exact,
     or, where no walker can stay out (survival exactly 0, as on a plain
     star), falls on the block's last possible tick."""
+    count = _walker_count(count)
     rng = random_stream(seed)
     kernel = measure.kernel
     n = kernel.shape[0]
@@ -294,7 +402,9 @@ def sample_first_returns(measure: RootMeasure, count: int, seed) -> np.ndarray:
     """`count` independent first-return times, in random order: a shuffle
     of the first_return_counts histogram, drawn from the same stream.
     Gaps between successive returns are iid copies of T1, so these
-    samples have the observer's gap distribution."""
+    samples have the observer's gap distribution.  `count` is at most
+    MAX_SAMPLES, the longest int64 array numpy can size."""
+    count = _walker_count(count, MAX_SAMPLES)
     rng = random_stream(seed)
     counts = first_return_counts(measure, count, rng)
     out = np.repeat(np.arange(1, counts.size + 1, dtype=np.int64), counts)

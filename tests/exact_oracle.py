@@ -9,7 +9,7 @@ full 2n-tick walk and Berlekamp-Massey behind the walk `exact` stops at
 closure, the Fraction power-series expansion behind
 `exact._scaled_series`, the (2-t) Horner product behind
 `exact._homogenised`'s binomial expansion, the per-edge loop behind
-`exact._symmetrised_matrix`'s one index assignment, Gaussian elimination in Fractions for the
+`walk._symmetrised_matrix`'s one index assignment, Gaussian elimination in Fractions for the
 hitting times behind `exact.hitting_from_stationary`'s moment identity,
 Kac's formula for the mean return time it reads off the generating
 function, the per-class and per-vertex recursions behind

@@ -430,6 +430,7 @@ def test_config_file_and_flag_precedence(capsys, tmp_path):
     ("simulate", {"family": "cycle:4", "m": "5"}, ["--family", "cycle:4", "--m", "5"]),
     ("gap", {"family": "complete:4", "eps": "0.1"},
      ["--family", "complete:4", "--eps", "0.1"]),
+    ("gap", {"family": "cycle:8", "n": 8}, ["--family", "cycle:8", "--n", "8"]),
 ])
 def test_config_values_get_flag_types(capsys, tmp_path, command, config, flags):
     cfg = tmp_path / "cfg.json"
@@ -439,6 +440,19 @@ def test_config_values_get_flag_types(capsys, tmp_path, command, config, flags):
     code, from_flags, err = run(capsys, command, *flags, "--seed", "3")
     assert code == 0, err
     assert from_config == from_flags
+
+
+@pytest.mark.parametrize("command", ["gap", "mixing-gap"])
+@pytest.mark.parametrize("flag,config", [("7.9", 7.9), ("abc", "abc"), ("1e3", "1e3")])
+def test_a_bad_n_has_one_message_from_flag_and_config(capsys, tmp_path, command, flag, config):
+    """`--n` and a config `n` both reach `estimate_gap`, whose refusal of
+    an n that is neither an integer nor "estimate" is the only one."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"family": "cycle:8", "n": config}))
+    message = f'batecho: n must be an integer or "estimate", got {flag!r}\n'
+    for argv in (["--family", "cycle:8", "--n", flag], ["--config", str(cfg)]):
+        code, out, err = run(capsys, command, *argv)
+        assert (code, out, err) == (2, "", message), argv
 
 
 @pytest.mark.parametrize("command,config", [
@@ -749,6 +763,7 @@ def test_repeated_main_calls_carry_no_state(capsys, monkeypatch, tmp_path):
     "gap --family cycle:64 --c 1e308",
     "gap --family cycle:64 --c 6",
     "gap --family cycle:8 --n 1000",
+    "gap --family cycle:8 --n 7.9",
     "observe --family cycle:4 --m 10 --out /dev/null/x.json",
     "forge --k 4 --out /dev/null",
     "forge --k 1000",
@@ -787,7 +802,7 @@ _COMMON = {"--family": _FAMILY, "--seed": st.integers(-3, 2 ** 64).map(str),
            "--format": st.sampled_from(["json", "csv", "yaml"]),
            "--graph": st.just("/nonexistent/graph.txt")}
 _SEARCH = {**_COMMON, "--c": _FLOAT, "--eps": _FLOAT, "--delta": _FLOAT,
-           "--n": st.sampled_from(["estimate", "x", "-3", "0", "1", "2", "5", "8"]),
+           "--n": st.sampled_from(["estimate", "x", "7.9", "-3", "0", "1", "2", "5", "8"]),
            "--pk-rule": st.sampled_from(["paper", "desk"])}
 _SAMPLES = {**_COMMON, "--m": st.integers(-2, 10 ** 4).map(str), "--lazy": st.just(None)}
 _FLAGS = {

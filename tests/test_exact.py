@@ -40,10 +40,10 @@ from batecho.exact import (
     _lowest_terms,
     _scale_primes,
     _scaled_series,
-    _symmetrised_matrix,
 )
 from batecho.graphs import from_edge_list
 from batecho.ratfun import IntPoly, RatFun
+from batecho.walk import _symmetrised_matrix
 
 from conftest import FIXTURES, TREES, fixture_params, regular_params
 from det_oracle import determinant_gen_fun

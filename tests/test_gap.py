@@ -140,7 +140,7 @@ def test_exact_estimator_computes_the_series_once(monkeypatch):
     (lambda: estimate_mixing_gap(FIXTURES["k4"], seed=1).even_chain, 0),
 ], ids=["gap", "gap-estimated-n", "mixing-gap"])
 def test_search_decomposes_the_walk_once(monkeypatch, run, kernels):
-    """One exact.spectrum call (one eigh) per search, however many
+    """One walk.spectrum call (one eigh) per search, however many
     evaluations the search makes, and one first-return kernel when n is
     estimated from return times, none otherwise."""
     calls, builds, eighs = [], [], []

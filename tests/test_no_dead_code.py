@@ -3,7 +3,8 @@
 attribute in `src/`, and every name a module imports is used in that
 module: alternative routes live in `tests/` as oracles, and a helper
 that nothing calls, or an import that nothing reads, is deleted rather
-than kept."""
+than kept.  The exact half (`exact`, `treefun`, `ratfun`) and the float
+half (`walk`, `gap`) import nothing from each other."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -84,3 +85,38 @@ def test_every_imported_name_is_used_in_its_module():
                     if name not in loaded:
                         unused.append(f"{path.stem}: {name}")
     assert unused == []
+
+
+EXACT_HALF = {"exact", "treefun", "ratfun"}
+FLOAT_HALF = {"walk", "gap"}
+
+
+def _imported_modules(tree) -> set[str]:
+    """The top-level names of the modules a parsed module imports, a
+    package-relative import (`from .walk import x`, `from . import walk`)
+    under the module's own name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level and node.module:
+                out.add(node.module.split(".")[0])
+            elif node.level:
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(node.module.split(".")[0])
+    return out
+
+
+def test_the_exact_and_float_halves_import_nothing_from_each_other():
+    """The exact engine and the simulator share only `graphs` and
+    `errors`, and numpy is imported by `walk` and `gap` alone: the float
+    routes live in `walk`, and the exact half runs in integers."""
+    imports = {path.stem: _imported_modules(ast.parse(path.read_text(), str(path)))
+               for path in sorted(SRC.glob("*.py"))}
+    assert {m for m, names in imports.items() if "numpy" in names} == FLOAT_HALF
+    assert {m: names & FLOAT_HALF for m, names in imports.items()
+            if m in EXACT_HALF and names & FLOAT_HALF} == {}
+    assert {m: names & EXACT_HALF for m, names in imports.items()
+            if m in FLOAT_HALF and names & EXACT_HALF} == {}

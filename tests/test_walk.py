@@ -437,6 +437,73 @@ def test_every_seeded_entry_point_refuses_a_bad_seed(monkeypatch, entry, seed):
         entry(seed)
 
 
+# The three samplers that take a walker count, each called on c8 with
+# seed 1; the cap is the largest count each takes.
+COUNTED = [
+    pytest.param(lambda m: batch_return_successes(RootMeasure(FIXTURES["c8"], True), 3, m, 1),
+                 walk.MAX_WALKERS, id="batch_return_successes"),
+    pytest.param(lambda m: first_return_counts(RootMeasure(FIXTURES["c8"], False), m, 1),
+                 walk.MAX_WALKERS, id="first_return_counts"),
+    pytest.param(lambda m: sample_first_returns(RootMeasure(FIXTURES["c8"], False), m, 1),
+                 walk.MAX_SAMPLES, id="sample_first_returns"),
+]
+
+
+@pytest.mark.parametrize("count", [None, -1, 0, 1.5, "x", 2 ** 63, np.float64(3)])
+@pytest.mark.parametrize("entry,cap", COUNTED)
+def test_every_sampler_refuses_a_bad_walker_count(monkeypatch, entry, cap, count):
+    """Each sampler refuses a count that is not an integer from 1 to its
+    cap with the one message, before any draw: neither half of the root's
+    measure is built."""
+    for half in ("spectral", "kernel"):
+        monkeypatch.setattr(RootMeasure, half,
+                            property(lambda self: pytest.fail("built the measure")))
+    message = f"^count must be an integer from 1 to {cap}, got {re.escape(repr(count))}$"
+    with pytest.raises(DomainError, match=message):
+        entry(count)
+
+
+def test_walker_count_caps_are_numpys_int64_limits():
+    """A binomial or multinomial count is an int64, and `simulate`'s gaps
+    one int64 array that numpy must size; a count one above the sample
+    cap is refused, and numpy integers are counts."""
+    assert walk.MAX_WALKERS == np.iinfo(np.int64).max
+    assert walk.MAX_SAMPLES == np.iinfo(np.intp).max // 8
+    measure = RootMeasure(FIXTURES["c8"], False)
+    with pytest.raises(DomainError, match=f"from 1 to {walk.MAX_SAMPLES}, got"):
+        sample_first_returns(measure, walk.MAX_SAMPLES + 1, 1)
+    assert sample_first_returns(measure, np.int64(5), 1).size == 5
+    assert first_return_counts(measure, np.int32(5), 1).sum() == 5
+
+
+@pytest.mark.parametrize("t", [-1, -10, 1.5, 2.0])
+def test_return_probability_refuses_a_tick_that_is_not_a_count(monkeypatch, t):
+    """P_t(r,r) is defined for integer t >= 0: a negative t read 0 or 1
+    with divide-by-zero warnings, and t = 1.5 read NaN on the plain chain.
+    Both are refused before the spectrum is built."""
+    monkeypatch.setattr(RootMeasure, "spectral",
+                        property(lambda self: pytest.fail("built the spectrum")))
+    with pytest.raises(DomainError, match=rf"^t must be a non-negative integer, got {t!r}$"):
+        RootMeasure(FIXTURES["c8"], True).return_probability(t)
+
+
+@pytest.mark.parametrize("lazy", [True, False])
+@pytest.mark.parametrize("k", [-1, 1.5])
+def test_batch_success_counts_refuse_a_tick_that_is_not_a_count(lazy, k):
+    with pytest.raises(DomainError, match=rf"^t must be a non-negative integer, got {k!r}$"):
+        batch_return_successes(RootMeasure(FIXTURES["c8"], lazy), k, 1000, 1)
+
+
+@pytest.mark.parametrize("stride", [0, -2])
+def test_batch_success_counts_refuse_a_stride_below_one(monkeypatch, stride):
+    """A stride of 0 read P_0 = 1 at every k; a stride below 1 is refused
+    before any draw."""
+    monkeypatch.setattr(RootMeasure, "spectral",
+                        property(lambda self: pytest.fail("built the spectrum")))
+    with pytest.raises(DomainError, match=rf"^stride must be at least 1, got {stride}$"):
+        batch_return_successes(RootMeasure(FIXTURES["c8"], True), 3, 1000, 1, stride=stride)
+
+
 # The law tests below run the batch samplers of batecho.walk (id
 # "occupancy", for the walker-count vector they first moved) and the
 # per-walker oracle through the same chi-square checks.
