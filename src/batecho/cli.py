@@ -17,6 +17,9 @@ for a fixed seed and is written with sorted keys so runs are
 byte-comparable.  `exact` refuses, from bit lengths, a number with more
 digits than the interpreter converts to a string before it converts
 any, and its series is written straight from the integer pairs.
+The float half (`walk`, `gap`), and numpy with it, is imported in the
+bodies of the subcommands that use it: `forge` never loads numpy, and
+`exact` loads it for its spectrum alone.
 """
 from __future__ import annotations
 
@@ -29,8 +32,7 @@ import os
 import sys
 
 from . import exact as ex
-from . import gap as gp
-from . import graphs, treefun, walk
+from . import graphs, treefun
 from .errors import BatechoError, BudgetOverflow, DomainError, SearchExhausted
 
 EXIT_OK = 0
@@ -45,9 +47,9 @@ def _vertex_count(name: str, nums: tuple[int, ...]) -> int:
     """The vertex count of family `name` from its integer parameters,
     before anything is built.  A parameter below its builder's minimum
     is raised to it (the builder refuses it with its own message), and
-    an exponent stops past the bit length of walk.MAX_WALK_N, so no
+    an exponent stops past the bit length of graphs.MAX_WALK_N, so no
     large number is formed and a count past the cap stays past it."""
-    top = walk.MAX_WALK_N.bit_length()
+    top = graphs.MAX_WALK_N.bit_length()
     if name == "hypercube":
         return 1 << min(max(nums[0], 1), top)
     if name == "gab":
@@ -62,7 +64,7 @@ def _vertex_count(name: str, nums: tuple[int, ...]) -> int:
 def parse_family(spec: str, check_size=None) -> graphs.RootedGraph:
     """Build a named graph from a spec like 'cycle:8', 'gab:2,2' or
     'leafy:3,2,cutpoint'.  A family with more vertices than
-    walk.MAX_WALK_N, which no subcommand takes, is refused before it is
+    graphs.MAX_WALK_N, which no subcommand takes, is refused before it is
     built, and so is one whose vertex count `check_size`, if given,
     refuses (a subcommand's own cap, such as exact.check_exact_size)."""
     name, _, rest = spec.partition(":")
@@ -83,8 +85,8 @@ def parse_family(spec: str, check_size=None) -> graphs.RootedGraph:
     except ValueError as exc:
         raise BatechoError(f"bad family spec {spec!r}: {exc}") from exc
     n = _vertex_count(name, nums)
-    if n > walk.MAX_WALK_N:
-        raise DomainError(f"family {spec!r} has more than {walk.MAX_WALK_N} vertices, "
+    if n > graphs.MAX_WALK_N:
+        raise DomainError(f"family {spec!r} has more than {graphs.MAX_WALK_N} vertices, "
                           f"the most any subcommand takes")
     if check_size is not None:
         check_size(n)
@@ -241,6 +243,7 @@ def _check_digit_limit(numbers: list[int]) -> None:
 
 
 def cmd_exact(opts) -> int:
+    from . import walk   # numpy, for the spectrum alone
     g = load_graph(opts, ex.check_exact_size)
     k_max = opts.get("k_max", 20)
     fgen = ex.return_gen_fun(g)
@@ -295,6 +298,7 @@ def _search_options(opts) -> dict:
 
 
 def cmd_gap(opts) -> int:
+    from . import gap as gp
     g = load_graph(opts)
     est = gp.estimate_gap(g, **_search_options(opts))
     budget = gp.audit_budget(est)
@@ -309,6 +313,7 @@ def cmd_gap(opts) -> int:
 
 
 def cmd_mixing_gap(opts) -> int:
+    from . import gap as gp
     g = load_graph(opts)
     report = gp.estimate_mixing_gap(g, **_search_options(opts))
     emit(report.to_json(), opts)
@@ -316,6 +321,8 @@ def cmd_mixing_gap(opts) -> int:
 
 
 def cmd_observe(opts) -> int:
+    from . import gap as gp
+    from . import walk
     g = load_graph(opts)
     m = opts.get("m", 10000)
     lazy = bool(opts.get("lazy", False))
@@ -339,6 +346,7 @@ def cmd_observe(opts) -> int:
 
 
 def cmd_simulate(opts) -> int:
+    from . import walk
     g = load_graph(opts)
     m = opts.get("m", 100)
     lazy = bool(opts.get("lazy", False))

@@ -19,6 +19,10 @@ from dataclasses import dataclass, field
 
 from .errors import DomainError
 
+# the most vertices a walk takes: its first-return kernel takes 16 n^2
+# bytes (64 MiB at n = 2048)
+MAX_WALK_N = 2048
+
 
 @dataclass(frozen=True)
 class RootedGraph:

@@ -34,10 +34,8 @@ from itertools import chain
 import numpy as np
 
 from .errors import BatechoError, DomainError
-from .graphs import RootedGraph
+from .graphs import MAX_WALK_N, RootedGraph
 
-# the first-return kernel takes 16 n^2 bytes (64 MiB at n = 2048)
-MAX_WALK_N = 2048
 # numpy draws a walker count as an int64, and must size an int64 array of samples
 MAX_WALKERS = int(np.iinfo(np.int64).max)
 MAX_SAMPLES = int(np.iinfo(np.intp).max) // np.dtype(np.int64).itemsize

@@ -4,7 +4,10 @@ attribute in `src/`, and every name a module imports is used in that
 module: alternative routes live in `tests/` as oracles, and a helper
 that nothing calls, or an import that nothing reads, is deleted rather
 than kept.  The exact half (`exact`, `treefun`, `ratfun`) and the float
-half (`walk`, `gap`) import nothing from each other."""
+half (`walk`, `gap`) import nothing from each other, and the modules that
+`import batecho` and `batecho.cli` load (`__init__`, `cli`, `graphs`,
+`errors` and the exact half) import neither numpy nor the float half
+outside a function body."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -91,12 +94,12 @@ EXACT_HALF = {"exact", "treefun", "ratfun"}
 FLOAT_HALF = {"walk", "gap"}
 
 
-def _imported_modules(tree) -> set[str]:
-    """The top-level names of the modules a parsed module imports, a
-    package-relative import (`from .walk import x`, `from . import walk`)
-    under the module's own name."""
+def _imported_modules(nodes) -> set[str]:
+    """The top-level names of the modules the import statements among
+    `nodes` import, a package-relative import (`from .walk import x`,
+    `from . import walk`) under the module's own name."""
     out = set()
-    for node in ast.walk(tree):
+    for node in nodes:
         if isinstance(node, ast.Import):
             out.update(alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -113,10 +116,39 @@ def test_the_exact_and_float_halves_import_nothing_from_each_other():
     """The exact engine and the simulator share only `graphs` and
     `errors`, and numpy is imported by `walk` and `gap` alone: the float
     routes live in `walk`, and the exact half runs in integers."""
-    imports = {path.stem: _imported_modules(ast.parse(path.read_text(), str(path)))
+    imports = {path.stem: _imported_modules(ast.walk(ast.parse(path.read_text(), str(path))))
                for path in sorted(SRC.glob("*.py"))}
     assert {m for m, names in imports.items() if "numpy" in names} == FLOAT_HALF
     assert {m: names & FLOAT_HALF for m, names in imports.items()
             if m in EXACT_HALF and names & FLOAT_HALF} == {}
     assert {m: names & EXACT_HALF for m, names in imports.items()
             if m in FLOAT_HALF and names & EXACT_HALF} == {}
+
+
+# the modules `import batecho` and `import batecho.cli` load
+STARTUP = {"__init__", "cli", "graphs", "errors"} | EXACT_HALF
+
+
+def _outside_functions(node):
+    """`node` and every node under it outside a function body: the
+    statements that run when a module loads."""
+    yield node
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _outside_functions(child)
+
+
+def test_the_package_and_cli_load_without_numpy():
+    """`import batecho` and `batecho.cli` load neither numpy nor the
+    float half: their modules import them only inside a function body
+    (`cli`'s float subcommands), and `__init__` re-exports the float
+    half's names through its module `__getattr__`."""
+    paths = {path.stem: path for path in SRC.glob("*.py")}
+    assert STARTUP <= set(paths)
+    float_imports = {}
+    for m in sorted(STARTUP):
+        tree = ast.parse(paths[m].read_text(), str(paths[m]))
+        names = _imported_modules(_outside_functions(tree)) & (FLOAT_HALF | {"numpy"})
+        if names:
+            float_imports[m] = names
+    assert float_imports == {}
